@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoEscapeError
-from .potentials import sigma_alpha
 
 #: |x| or |xi| beyond which a run is truncated and flagged.
 OVERFLOW_LIMIT = 1e120
@@ -187,7 +186,3 @@ def trajectory_to_csv(traj: Trajectory, path):
         for i, t in enumerate(traj.times):
             row = [t, *traj.xs[i], *traj.xis[i], h[i]]
             writer.writerow([format(float(v), ".17g") for v in row])
-
-
-def sigma_for(traj: Trajectory) -> float:
-    return sigma_alpha(traj.alpha)

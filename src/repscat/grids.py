@@ -57,8 +57,8 @@ class Grid:
     points_per_dim: int
     half_width: float
     spacing: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    freq_nodes: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    freq_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dims < 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import ConfigurationError, DomainEscapeError, OracleScaleError, SingularTimeError
 from .grids import (
@@ -133,6 +132,26 @@ def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: flo
     return np.exp(1j * phase)
 
 
+def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
+    """Chirp-z transform X_k = sum_m x_m a^-m w^(m k), k < n, along `axis`.
+
+    Bluestein's identity m k = (m^2 + k^2 - (k - m)^2)/2 turns the sum into a
+    linear convolution with the chirp w^(-j^2/2), done by FFT at the power of
+    two >= 2n - 1.  This is scipy.signal.czt(x, n, w, a) step for step; the
+    two agree bit for bit whenever scipy's FFT length is that power of two
+    too (n = 16, 64, 128, ...) and to roundoff otherwise.
+    """
+    n = x.shape[axis]
+    k = np.arange(n)
+    wk2 = w ** (k**2 / 2.0)
+    nfft = 1 << (2 * n - 2).bit_length()
+    kernel = np.fft.fft(1.0 / np.concatenate([wk2[n - 1:0:-1], wk2]), nfft)
+    # contiguous rows: numpy's FFT is far slower along a strided axis
+    x = np.multiply(np.moveaxis(x, axis, -1), a ** -k * wk2, order="C")
+    y = np.fft.ifft(kernel * np.fft.fft(x, nfft))
+    return np.moveaxis(y[..., n - 1:2 * n - 1] * wk2, -1, axis)
+
+
 def _semidft_axis(values: np.ndarray, grid: Grid, axis: int, scale: float) -> np.ndarray:
     """Per-axis semidiscrete Fourier transform evaluated at nodes x/scale.
 
@@ -146,7 +165,7 @@ def _semidft_axis(values: np.ndarray, grid: Grid, axis: int, scale: float) -> np
     du = dx / scale
     a = np.exp(1j * targets0 * dx)
     w = np.exp(-1j * du * dx)
-    out = czt(values, m=n, w=w, a=a, axis=axis)
+    out = _czt(values, w, a, axis)
     shape = [1] * values.ndim
     shape[axis] = n
     u = (targets0 + du * np.arange(n)).reshape(shape)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DerivativeError
 from .potentials import bracket_x, sigma_alpha
@@ -71,7 +70,39 @@ def _mollifier(s):
     return np.where(inside, vals, 0.0)
 
 
-_MOLLIFIER_MASS = quad(lambda s: float(_mollifier(s)), -1.0, 1.0, epsabs=1e-14)[0]
+#: Integral of _mollifier over [-1, 1], as scipy.integrate.quad returns it
+#: (epsabs=1e-14).
+_MOLLIFIER_MASS = 0.44399381616807865
+
+
+def _clamped_spline(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Cubic spline through (x, y) with zero slope at both ends, as
+    scipy.interpolate.CubicSpline(x, y, bc_type="clamped"): the knot slopes
+    solve the tridiagonal continuity system (Thomas algorithm), each piece
+    is evaluated by Horner's rule.  Points are taken inside [x[0], x[-1]]."""
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    lower, upper = dx[1:].tolist(), dx[:-1].tolist()
+    diag = (2.0 * (dx[:-1] + dx[1:])).tolist()
+    rhs = (3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])).tolist()
+    for i in range(1, len(diag)):
+        f = lower[i] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    slopes = [0.0] * len(x)
+    for i in range(len(diag) - 1, -1, -1):
+        slopes[i + 1] = (rhs[i] - upper[i] * slopes[i + 2]) / diag[i]
+    slopes = np.array(slopes)
+    t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
+    c3, c2, c1, c0 = t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], y[:-1]
+
+    def evaluate(v):
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(x) - 2)
+        z = v - x[i]
+        return ((c3[i] * z + c2[i]) * z + c1[i]) * z + c0[i]
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -86,13 +117,11 @@ class CutoffSpec:
     def __post_init__(self):
         if not 0 < self.plateau < self.support:
             raise ConfigurationError("need 0 < plateau < support")
-        from scipy.interpolate import CubicSpline
-
         s = np.linspace(-1.0, 1.0, self._table_size)
         dense = _mollifier(s)
         cdf = np.concatenate([[0.0], np.cumsum((dense[1:] + dense[:-1]) / 2.0 * np.diff(s))])
         cdf /= cdf[-1]
-        object.__setattr__(self, "_step_spline", CubicSpline(s, cdf, bc_type="clamped"))
+        object.__setattr__(self, "_step_spline", _clamped_spline(s, cdf))
 
     def _smoothstep(self, v):
         # 0 at v=-1, 1 at v=+1, flat at both ends

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigurationError, DomainEscapeError
 from .grids import (
@@ -102,22 +101,6 @@ class DensitySnapshot:
         return masses
 
 
-def _snapshot_from_factorization(psi0: WaveFunction, t: float,
-                                 spec: QuadraticSpec) -> DensitySnapshot:
-    if psi0.grid.dims != 1:
-        raise ConfigurationError("factorization snapshots are per-axis; use marginals")
-    phi, g = chirped_spectrum(psi0, t, spec)
-    rho = phi.density() * phi.grid.freq_spacing
-    order = np.argsort(phi.grid.freq_nodes)
-    return DensitySnapshot(
-        t=t,
-        nodes=phi.grid.freq_nodes[order],
-        weights=rho[order] / rho.sum(),
-        scale=float(abs(g[0])),
-        spacing=phi.grid.freq_spacing,
-    )
-
-
 def _snapshot_from_grid(psi: WaveFunction, t: float) -> DensitySnapshot:
     pos = to_position(psi)
     if pos.grid.dims != 1:
@@ -200,6 +183,32 @@ def _fit_tails(times, vals, tail_start):
     return "power", float(p_slope), (float(t[0]), float(t[-1])), (p_slope, p_off)
 
 
+def _divide(num, den):
+    """num / den, and 0 where den == 0 (repeated nodes)."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule on irregular nodes x (len >= 3), as
+    scipy.integrate.simpson(y, x=x) computes it from scipy 1.11 on:
+    parabolas over pairs of intervals from the left and, for an even
+    number of nodes, Cartwright's correction for the last interval."""
+    h = np.diff(x)
+    stop = len(y) - 2 if len(y) % 2 else len(y) - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = _divide(h0, h1)
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - _divide(1.0, ratio))
+                                  + y[1:stop + 1:2] * (hsum * _divide(hsum, h0 * h1))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if len(y) % 2 == 0:
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])  # array ** rounds as in scipy
+        result += (_divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0)) * y[-1]
+                   + _divide(h1**2 + 3.0 * h0 * h1, 6 * h0) * y[-2]
+                   - _divide(h1**3, 6 * h0 * (h0 + h1)) * y[-3])
+    return float(result)
+
+
 def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
               time_schedule: Sequence[float],
               tail_start: Optional[float] = None) -> CookRecord:
@@ -267,7 +276,7 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
         hi_part = 0.0 if t_hi == np.inf else c * np.exp(-lam * t_hi) / lam
         return c * np.exp(-lam * t_lo) / lam - hi_part
 
-    body = float(simpson(vals, x=times)) if len(times) > 2 else 0.0
+    body = _simpson(vals, times) if len(times) > 2 else 0.0
     tail = tail_integral(float(times[-1]), np.inf)
     integral = body + tail if np.isfinite(tail) else np.nan
     return CookRecord(
@@ -370,11 +379,8 @@ def _chirp_resolution_floor(grid: Grid, spec: QuadraticSpec, bandwidth: float) -
         if sector == "hyperbolic":
             w = spec.omega(k)
             s_floor = max(s_floor, float(np.arctanh(w * L / budget) / (2.0 * w)))
-        elif sector in ("stark", "free"):
+        else:  # stark or free; the caller rejects trigonometric axes
             s_floor = max(s_floor, L / (2.0 * budget))
-        else:
-            w = spec.omega(k)
-            s_floor = max(s_floor, L / (2.0 * budget))  # tan ~ linear near 0
     return s_floor
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -186,6 +185,8 @@ def hamiltonian_matrix(cfg: EvolutionConfig) -> np.ndarray:
 
 def dense_oracle(psi0: WaveFunction, t: float, cfg: EvolutionConfig) -> WaveFunction:
     """exp(-i t H) psi0 through the eigendecomposition of the dense H."""
+    import scipy.linalg  # only the oracle needs scipy; keep it off the import path
+
     psi0 = to_position(psi0)
     ham = hamiltonian_matrix(cfg)
     herm_defect = np.max(np.abs(ham - ham.conj().T))

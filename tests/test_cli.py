@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import yaml
 
+import repscat
 from repscat.cli import main
 
 VELOCITY_CFG = """
@@ -165,3 +169,12 @@ def test_suite_aggregates_and_continues(tmp_path):
     by_id = {r["id"]: r for r in report["results"]}
     assert not by_id["bad"]["pass"]
     assert by_id["good"]["pass"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(repscat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, repscat.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

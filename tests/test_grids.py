@@ -16,7 +16,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
-from repscat.grids import assert_contained
+from repscat.grids import assert_contained, inner
 from repscat.errors import DomainEscapeError
 
 # quad oracle: integral sqrt(1+x^2) exp(-x^2) dx / sqrt(pi), epsabs 1e-14
@@ -179,3 +179,12 @@ def test_boundary_guard_triggers():
 def test_boundary_guard_passes_centered():
     g = make_grid(1, 64, 8.0)
     assert_contained(gaussian(g))
+
+
+def test_equal_grids_built_apart_compare_and_hash_equal(rng):
+    a, b = make_grid(1, 64, 5.0), make_grid(1, 64, 5.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_grid(1, 64, 6.0)
+    psi = random_state(a, rng)
+    phi = WaveFunction(b, psi.values.copy(), psi.representation)
+    assert inner(psi, phi) == pytest.approx(inner(psi, psi), rel=1e-15)

@@ -20,7 +20,7 @@ from repscat import (
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import Observable
-from repscat.mehler import mehler_phase
+from repscat.mehler import _czt, mehler_phase
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -247,3 +247,14 @@ def test_factored_2d_mixed_sectors(l2):
     assert abs(l2_norm(out) - 1.0) < 1e-10
     oracle = propagate_kernel(psi, 0.3, spec)
     assert l2(out, oracle) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 1024])
+def test_czt_matches_scipy(rng, n):
+    from scipy.signal import czt
+
+    w, a = np.exp(-1j * 0.37 / n), np.exp(0.2j)
+    for shape, axis in [((n,), 0), ((n, 6), 0), ((6, n), 1)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = czt(x, m=n, w=w, a=a, axis=axis)
+        assert np.max(np.abs(_czt(x, w, a, axis) - ref)) <= 1e-12 * np.max(np.abs(ref))

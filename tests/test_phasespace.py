@@ -15,6 +15,9 @@ from repscat import (
     zero_energy_start,
 )
 from repscat.phasespace import (
+    _MOLLIFIER_MASS,
+    DEFAULT_CUTOFF,
+    _mollifier,
     a2_bracket_closed_form,
     a2_symbol,
     a_alpha_symbol,
@@ -73,6 +76,24 @@ def test_cutoff_shape():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(vals[np.abs(u) <= 0.25] == 1.0)
     assert np.all(vals[np.abs(u) >= 0.5] == 0.0)
+
+
+def test_mollifier_mass_is_quad_value():
+    from scipy.integrate import quad
+
+    assert _MOLLIFIER_MASS == quad(lambda s: float(_mollifier(s)), -1.0, 1.0, epsabs=1e-14)[0]
+
+
+def test_cutoff_spline_matches_scipy_clamped(rng):
+    from scipy.interpolate import CubicSpline
+
+    s = np.linspace(-1.0, 1.0, DEFAULT_CUTOFF._table_size)
+    dense = _mollifier(s)
+    cdf = np.concatenate([[0.0], np.cumsum((dense[1:] + dense[:-1]) / 2.0 * np.diff(s))])
+    cdf /= cdf[-1]
+    ref = CubicSpline(s, cdf, bc_type="clamped")
+    for v in (s, rng.uniform(-1.0, 1.0, 100_000)):
+        assert np.max(np.abs(DEFAULT_CUTOFF._step_spline(v) - ref(v))) <= 1e-14
 
 
 def test_cutoff_derivative_consistency():

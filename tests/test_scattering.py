@@ -22,6 +22,7 @@ from repscat.scattering import (
     cauchy_differences,
     cook_record_to_csv,
     histograms_to_csv,
+    _simpson,
     local_velocity_expectation,
     velocity_trace_to_csv,
 )
@@ -210,3 +211,15 @@ def test_velocity_trace_csv(tmp_path):
     histograms_to_csv(trace, p2)
     assert p1.read_text().splitlines()[0] == "t,mean"
     assert p2.read_text().splitlines()[0] == "t,bin_lo,bin_hi,mass"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_simpson_matches_scipy(rng, n):
+    from scipy.integrate import simpson
+
+    for repeat in range(20):
+        x = np.sort(rng.uniform(0.1, 10.0, n))
+        if repeat == 0:
+            x[1] = x[0]  # a repeated node
+        y = rng.standard_normal(n)
+        assert _simpson(y, x) == simpson(y, x=x)
