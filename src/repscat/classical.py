@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoEscapeError
+from .potentials import p_alpha
 
 #: |x| or |xi| beyond which a run is truncated and flagged.
 OVERFLOW_LIMIT = 1e120
@@ -160,8 +161,6 @@ def log_growth_rate(traj: Trajectory, fit_window) -> float:
 def p_alpha_rate(traj: Trajectory, fit_window) -> float:
     """Mean d/dt p_alpha(x(t)) over the window (classical shadow of the
     asymptotic velocity; approaches sigma_alpha along escaping trajectories)."""
-    from .potentials import p_alpha
-
     t_lo, t_hi = fit_window
     mask = (traj.times >= t_lo) & (traj.times <= t_hi)
     p = p_alpha(traj.radius()[mask], traj.alpha)

@@ -21,7 +21,14 @@ from .config import (
 from .errors import ConfigurationError
 from .grids import l2_norm, to_position
 from .mehler import propagate_factored
-from .phasespace import heuristic_bracket_identity, mourre_shell_scan, scan_to_csv
+from .phasespace import (
+    heuristic_a_symbol,
+    heuristic_bracket_identity,
+    mourre_shell_scan,
+    plain_hamiltonian_symbol,
+    poisson_bracket,
+    scan_to_csv,
+)
 from .potentials import sigma_alpha
 from .splitstep import convergence_order, evolution_config, propagate
 
@@ -234,8 +241,6 @@ def run_mourre_scan(raw, out_dir):
                "tol": 0.0, "pass": finite}]
     if alpha < 2.0 and raw.get("check_heuristic", True):
         xs = np.geomspace(max(radius_range[0], 1.0), radius_range[1], 64)
-        from .phasespace import heuristic_a_symbol, plain_hamiltonian_symbol, poisson_bracket
-
         h = plain_hamiltonian_symbol(alpha)
         a = heuristic_a_symbol(alpha)
         xi = np.sqrt(xs**alpha + E) if np.all(xs**alpha + E >= 0) else None

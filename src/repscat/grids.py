@@ -11,6 +11,8 @@ on the dual lattice.  Dual nodes follow standard FFT ordering with values
 
 from __future__ import annotations
 
+import functools
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,35 +312,82 @@ def expectation(psi: WaveFunction, obs: Observable) -> float:
     return float(num.real / nsq)
 
 
-def boundary_mass_fraction(psi: WaveFunction, edge_fraction: float = EDGE_FRACTION) -> float:
-    """Fraction of |psi|^2 mass with any |coordinate| in the outer edge band."""
-    g = psi.grid
-    rho = psi.density()
-    total = float(np.sum(rho))
+@functools.lru_cache(maxsize=64)
+def _edge_mask(dims: int, points_per_dim: int, half_width: float, edge_fraction: float,
+               representation: str) -> np.ndarray:
+    """Read-only mask of the nodes with any |coordinate| in the outer edge band.
+
+    Keyed by the grid's geometry, not the Grid, so no grid outlives its run.
+    The mask lives in an anonymous memory map, outside the malloc heap: a
+    long-lived heap mask between large FFT buffers keeps freed buffers from
+    being reused and raises peak RSS."""
+    grid = make_grid(dims, points_per_dim, half_width)
+    if representation == POSITION:
+        cut = (1.0 - edge_fraction) * grid.half_width
+        nodes = [grid.axis_nodes(k) for k in range(grid.dims)]
+    else:
+        cut = (1.0 - edge_fraction) * float(np.max(np.abs(grid.freq_nodes)))
+        nodes = [grid.axis_freqs(k) for k in range(grid.dims)]
+    mask = np.frombuffer(mmap.mmap(-1, grid.points_per_dim ** grid.dims), dtype=bool)
+    mask = mask.reshape(grid.shape)
+    for n in nodes:
+        mask |= np.abs(n) >= cut
+    mask.flags.writeable = False
+    return mask
+
+
+def _edge_mass(values: np.ndarray, grid: Grid, representation: str,
+               edge_fraction: float) -> float:
+    rho = np.abs(values) ** 2
+    total = rho.sum()
     if total == 0.0:
         return 0.0
-    if psi.representation == POSITION:
-        cut = (1.0 - edge_fraction) * g.half_width
-        nodes = [g.axis_nodes(k) for k in range(g.dims)]
-    else:
-        cut = (1.0 - edge_fraction) * float(np.max(np.abs(g.freq_nodes)))
-        nodes = [g.axis_freqs(k) for k in range(g.dims)]
-    mask = np.zeros(g.shape, dtype=bool)
-    for n in nodes:
-        mask = mask | (np.abs(n) >= cut)
-    return float(np.sum(rho[mask]) / total)
+    mask = _edge_mask(grid.dims, grid.points_per_dim, grid.half_width, edge_fraction,
+                      representation)
+    return float(rho[mask].sum() / total)
+
+
+def _guard_edge(values: np.ndarray, grid: Grid, representation: str,
+                edge_fraction: float, tol: float, context: str) -> float:
+    """Edge mass of raw samples, raising DomainEscapeError at or above tol.
+
+    Hot loops pass their arrays here directly, so no WaveFunction is built
+    per step."""
+    frac = _edge_mass(values, grid, representation, edge_fraction)
+    if frac >= tol:
+        where = f" ({context})" if context else ""
+        raise DomainEscapeError(
+            f"boundary mass fraction {frac:.3e} >= {tol:.1e}{where}; enlarge the box"
+        )
+    return frac
+
+
+def boundary_mass_fraction(psi: WaveFunction, edge_fraction: float = EDGE_FRACTION) -> float:
+    """Fraction of |psi|^2 mass with any |coordinate| in the outer edge band."""
+    return _edge_mass(psi.values, psi.grid, psi.representation, edge_fraction)
 
 
 def assert_contained(psi: WaveFunction, edge_fraction: float = EDGE_FRACTION,
                      tol: float = EDGE_MASS_TOL, context: str = ""):
     """Domain-escape guard: periodic wrap-around silently corrupts scattering
     experiments with accelerating states, so refuse to continue."""
-    frac = boundary_mass_fraction(psi, edge_fraction)
-    if frac >= tol:
-        where = f" ({context})" if context else ""
-        raise DomainEscapeError(
-            f"boundary mass fraction {frac:.3e} >= {tol:.1e}{where}; enlarge the box"
-        )
+    _guard_edge(psi.values, psi.grid, psi.representation, edge_fraction, tol, context)
+
+
+def tail_radii(rho: np.ndarray, nodes: np.ndarray, tail: float) -> np.ndarray:
+    """Per axis of the density rho, the largest |node| at which the axis
+    marginal, as a share of its total, exceeds `tail` (0 where none does)."""
+    radii = np.zeros(rho.ndim)
+    for k in range(rho.ndim):
+        axes = tuple(j for j in range(rho.ndim) if j != k)
+        marg = rho.sum(axis=axes) if axes else rho
+        total = marg.sum()
+        if total == 0.0:
+            continue
+        mask = marg / total > tail
+        if np.any(mask):
+            radii[k] = np.max(np.abs(nodes[mask]))
+    return radii
 
 
 def gaussian(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:

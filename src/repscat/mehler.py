@@ -18,11 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainEscapeError, OracleScaleError, SingularTimeError
 from .grids import (
+    EDGE_MASS_TOL,
     POSITION,
     Grid,
     WaveFunction,
     assert_contained,
     boundary_mass_fraction,
+    tail_radii,
     to_momentum,
     to_position,
 )
@@ -34,6 +36,10 @@ SINGULAR_GUARD = 1e-3
 #: Kernel-quadrature oracle limits and stated time domain.
 ORACLE_MAX_POINTS = 256
 ORACLE_MIN_TIME = 0.05
+
+#: Share of an axis marginal below which a lattice node counts as outside
+#: the state's support.
+_SUPPORT_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def _check_guard_time(spec: QuadraticSpec, t: float, guard: float):
             raise SingularTimeError(
                 f"t={t} is within {guard} of a singular time of coordinate {k}"
             )
-        if abs(g := np.sin(2 * w * t) / w) < 1e-14 and abs(t) > guard:
+        if abs(np.sin(2 * w * t) / w) < 1e-14 and abs(t) > guard:
             raise SingularTimeError(f"g_{k}(2t) vanished at t={t}")
 
 
@@ -176,14 +182,6 @@ def _stark_norm_sq(spec: QuadraticSpec) -> float:
     return sum(e**2 for e in spec.fields)
 
 
-def _axis_tail_radius(weights: np.ndarray, nodes: np.ndarray, tail: float = 1e-12) -> float:
-    total = weights.sum()
-    if total == 0.0:
-        return 0.0
-    mask = weights / total > tail
-    return float(np.max(np.abs(nodes[mask]))) if np.any(mask) else 0.0
-
-
 def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec,
                         margin: float = 1.0):
     """Whether the chirp M_t is resolved on psi's grid.
@@ -199,13 +197,10 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec,
     rho_x = psi.density()
     rho_k = np.abs(np.fft.fftn(psi.values)) ** 2
     ximax = float(np.max(np.abs(grid.freq_nodes)))
+    radii = tail_radii(rho_x, grid.nodes, _SUPPORT_TAIL)
+    bandwidths = tail_radii(rho_k, grid.freq_nodes, _SUPPORT_TAIL)
     for k in range(grid.dims):
-        axes = tuple(j for j in range(grid.dims) if j != k)
-        mx = rho_x.sum(axis=axes) if axes else rho_x
-        mk = rho_k.sum(axis=axes) if axes else rho_k
-        radius = _axis_tail_radius(mx, grid.nodes, tail=1e-12)
-        bandwidth = _axis_tail_radius(mk, grid.freq_nodes, tail=1e-12)
-        needed = radius * abs(fac.h[k] / fac.g[k]) + bandwidth
+        needed = radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
         if spec.sector(k) == "stark":
             needed += abs(t) * abs(spec.field(k)) / 2.0
         if needed > margin * ximax:
@@ -324,8 +319,8 @@ def avron_herbst(psi0: WaveFunction, t: float, E: float) -> WaveFunction:
     hat = to_momentum(psi0).values
     free = hat * np.exp(-1j * t * xi**2)
     shift = t**2 * E
-    radius = _support_radius(np.abs(np.fft.ifft(free * np.exp(1j * (-grid.half_width) * xi))),
-                             grid)
+    rho = np.abs(np.fft.ifft(free * np.exp(1j * (-grid.half_width) * xi))) ** 2
+    radius = tail_radii(rho, grid.nodes, _SUPPORT_TAIL)[0]
     if radius + abs(shift) > 0.95 * grid.half_width:
         raise DomainEscapeError(
             f"Stark shift t^2 E = {shift:.3g} pushes the state outside the box"
@@ -337,17 +332,6 @@ def avron_herbst(psi0: WaveFunction, t: float, E: float) -> WaveFunction:
     out = WaveFunction(grid, vals, POSITION)
     assert_contained(out, context=f"avron_herbst at t={t}")
     return out
-
-
-def _support_radius(amplitude: np.ndarray, grid: Grid, tail: float = 1e-12) -> float:
-    rho = np.abs(amplitude) ** 2
-    total = rho.sum()
-    if total == 0:
-        return 0.0
-    mask = rho / total > tail
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(grid.nodes[mask])))
 
 
 def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec,
@@ -371,7 +355,7 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec,
     fac = trajectory_factors(t, spec)
     chirp = _chirp_phase(grid, spec, fac, t)
     phi = to_momentum(WaveFunction(grid, chirp * psi0.values, POSITION))
-    if boundary_mass_fraction(phi) >= 1e-6:
+    if boundary_mass_fraction(phi) >= EDGE_MASS_TOL:
         raise DomainEscapeError(
             "chirped spectrum reaches the dual-lattice edge; refine the grid"
         )

@@ -20,13 +20,15 @@ from .errors import ConfigurationError, DomainEscapeError
 from .grids import (
     POSITION,
     Grid,
+    Observable,
     WaveFunction,
-    apply_momentum_operator,
-    inner,
+    apply_observable,
+    expectation,
     l2_norm,
+    tail_radii,
     to_position,
 )
-from .mehler import chirped_spectrum
+from .mehler import _chirp_phase, chirped_spectrum, trajectory_factors
 from .potentials import (
     QuadraticSpec,
     bracket_x,
@@ -65,6 +67,24 @@ class DensitySnapshot:
     scale: float
     spacing: float
 
+    @classmethod
+    def from_wavefunction(cls, psi: WaveFunction, t: float, scale: float = 1.0,
+                          axis: int = 0) -> "DensitySnapshot":
+        """Snapshot of the `axis` marginal of |psi|^2 on psi's own lattice:
+        spatial nodes in the position representation, dual nodes in the
+        momentum one.  The density is normalised, then ordered by node."""
+        grid = psi.grid
+        if psi.representation == POSITION:
+            nodes, spacing = grid.nodes, grid.spacing
+        else:
+            nodes, spacing = grid.freq_nodes, grid.freq_spacing
+        rho = psi.density() * psi.measure
+        axes = tuple(k for k in range(grid.dims) if k != axis)
+        marg = rho.sum(axis=axes) if axes else rho
+        order = np.argsort(nodes)
+        return cls(t=t, nodes=nodes[order], weights=(marg / marg.sum())[order],
+                   scale=scale, spacing=spacing)
+
     def mean_of(self, fn: Callable, cell_averaged: bool = True) -> float:
         if cell_averaged:
             vals = _cell_average(fn, self.scale, self.nodes, self.spacing)
@@ -101,49 +121,26 @@ class DensitySnapshot:
         return masses
 
 
-def _snapshot_from_grid(psi: WaveFunction, t: float) -> DensitySnapshot:
-    pos = to_position(psi)
-    if pos.grid.dims != 1:
-        raise ConfigurationError("grid snapshots are one-dimensional")
-    rho = pos.density() * pos.measure
-    return DensitySnapshot(
-        t=t,
-        nodes=pos.grid.nodes.copy(),
-        weights=rho / rho.sum(),
-        scale=1.0,
-        spacing=pos.grid.spacing,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Local velocity.
 # ---------------------------------------------------------------------------
 
+def _local_velocity(grid: Grid, alpha: float) -> Observable:
+    """sigma_alpha/2 (f(x).D + D.f(x)) with f = x/<x>^(1+alpha/2)."""
+    s = sigma_alpha(alpha)
+    decay = (1.0 + grid.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
+    return Observable.symmetrized_mixed(
+        grid, [s * grid.axis_nodes(k) * decay for k in range(grid.dims)])
+
+
 def local_velocity_apply(psi: WaveFunction, alpha: float) -> WaveFunction:
     """Apply the local velocity sigma_alpha/2 (f(x).D + D.f(x)), with
     f = x/<x>^(1+alpha/2) and D = -i grad applied spectrally."""
-    pos = to_position(psi)
-    grid = pos.grid
-    s = sigma_alpha(alpha)
-    r2 = grid.radius_sq()
-    out = np.zeros(grid.shape, dtype=complex)
-    for axis in range(grid.dims):
-        f = grid.axis_nodes(axis) * (1.0 + r2) ** (-(1.0 + alpha / 2.0) / 2.0)
-        f = np.broadcast_to(f, grid.shape)
-        d_psi = apply_momentum_operator(pos, axis)
-        f_psi = WaveFunction(grid, f * pos.values, POSITION)
-        out = out + 0.5 * s * (f * d_psi.values + apply_momentum_operator(f_psi, axis).values)
-    return WaveFunction(grid, out, POSITION)
+    return apply_observable(psi, _local_velocity(psi.grid, alpha))
 
 
 def local_velocity_expectation(psi: WaveFunction, alpha: float) -> float:
-    num = inner(to_position(psi), local_velocity_apply(psi, alpha))
-    nsq = l2_norm(psi) ** 2
-    if abs(num.imag) > 1e-8 * abs(num.real) + 1e-12:
-        from .errors import SelfAdjointnessError
-
-        raise SelfAdjointnessError(f"local velocity expectation residue {num.imag:.3e}")
-    return float(num.real) / nsq
+    return expectation(psi, _local_velocity(psi.grid, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +346,6 @@ def _interaction_phase_slice(u: np.ndarray, grid: Grid, spec: QuadraticSpec,
                              s: float, delta: float, perturbation: Callable) -> np.ndarray:
     """exp(i delta W_s) u with W_s = exp(i s H0) V exp(-i s H0)
     = M_s^* F^* V(g(2s) .) F M_s — exactly unitary on the lattice."""
-    from .mehler import _chirp_phase, trajectory_factors
-
     fac = trajectory_factors(s, spec)
     chirp = _chirp_phase(grid, spec, fac, s)
     if grid.dims == 1:
@@ -364,10 +359,13 @@ def _interaction_phase_slice(u: np.ndarray, grid: Grid, spec: QuadraticSpec,
     return np.conj(chirp) * out
 
 
-def _chirp_resolution_floor(grid: Grid, spec: QuadraticSpec, bandwidth: float) -> float:
+def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
     """Smallest s at which M_s is resolved: the chirp's instantaneous
-    frequency max|x| h(2s)/g(2s) plus the state bandwidth must stay below
-    80% of Nyquist."""
+    frequency max|x| h(2s)/g(2s) plus the bandwidth of phi (its widest axis
+    marginal, cut at a 1e-10 tail) must stay below 80% of Nyquist."""
+    grid = phi.grid
+    rho = np.abs(np.fft.fftn(to_position(phi).values)) ** 2
+    bandwidth = float(np.max(tail_radii(rho, grid.freq_nodes, 1e-10)))
     ximax = float(np.max(np.abs(grid.freq_nodes)))
     budget = 0.8 * ximax - bandwidth
     L = grid.half_width
@@ -384,23 +382,6 @@ def _chirp_resolution_floor(grid: Grid, spec: QuadraticSpec, bandwidth: float) -
     return s_floor
 
 
-def _state_bandwidth(phi: WaveFunction, tail: float = 1e-10) -> float:
-    hat = np.fft.fftn(to_position(phi).values)
-    rho = np.abs(hat) ** 2
-    rho = rho / rho.sum()
-    grid = phi.grid
-    ximax = 0.0
-    for k in range(grid.dims):
-        axis_rho = rho
-        for j in range(grid.dims - 1, -1, -1):
-            if j != k:
-                axis_rho = axis_rho.sum(axis=j)
-        mask = axis_rho > tail
-        if np.any(mask):
-            ximax = max(ximax, float(np.max(np.abs(grid.freq_nodes[mask]))))
-    return ximax
-
-
 def _wave_operator_factorized(phi: WaveFunction, T: float, spec: QuadraticSpec,
                               perturbation: Callable, slice_width: float = 0.025,
                               s0: Optional[float] = None,
@@ -412,8 +393,7 @@ def _wave_operator_factorized(phi: WaveFunction, T: float, spec: QuadraticSpec,
         )
     phi = to_position(phi)
     grid = phi.grid
-    bw = _state_bandwidth(phi)
-    floor = _chirp_resolution_floor(grid, spec, bw)
+    floor = _chirp_resolution_floor(phi, spec)
     if s0 is None:
         s0 = max(2.0 * floor, 0.05)
     if s0 < floor:
@@ -515,16 +495,8 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
         grid = psi0.grid
         for t in times:
             hat, g = chirped_spectrum(psi0, t, hamiltonian)
-            rho = hat.density() * hat.measure
-            rho = rho / rho.sum()
             if grid.dims == 1:
-                snap = DensitySnapshot(
-                    t=t,
-                    nodes=np.sort(grid.freq_nodes),
-                    weights=rho[np.argsort(grid.freq_nodes)],
-                    scale=float(abs(g[0])),
-                    spacing=grid.freq_spacing,
-                )
+                snap = DensitySnapshot.from_wavefunction(hat, t, scale=float(abs(g[0])))
                 means.append(snap.mean_of(lambda y: p_alpha(y, alpha)) / t)
                 snaps.append(snap)
                 hists.append(snap.velocity_histogram(alpha, edges * 1.0))
@@ -532,16 +504,19 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
                 means.append(_radial_mean_nd(hat, g, alpha) / t)
             if per_direction:
                 for ax in range(grid.dims):
-                    marg = _axis_marginal(hat, g, ax)
+                    marg = DensitySnapshot.from_wavefunction(hat, t, scale=float(abs(g[ax])),
+                                                             axis=ax)
                     val = marg.mean_of(lambda y: np.log(bracket_x(y))) / t
                     per_dir.setdefault(ax, []).append(val)
     elif isinstance(hamiltonian, EvolutionConfig):
+        if psi0.grid.dims != 1:
+            raise ConfigurationError("grid snapshots are one-dimensional")
         psi = to_position(psi0)
         prev = 0.0
         for t in times:
             psi, _ = propagate(psi, t - prev, hamiltonian)
             prev = t
-            snap = _snapshot_from_grid(psi, t)
+            snap = DensitySnapshot.from_wavefunction(psi, t)
             means.append(snap.mean_of(lambda y: p_alpha(y, alpha), cell_averaged=False) / t)
             snaps.append(snap)
             hists.append(snap.velocity_histogram(alpha, edges))
@@ -558,22 +533,6 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
         per_direction=per_dir,
         histogram_edges=edges,
         histograms=tuple(np.asarray(h) for h in hists),
-    )
-
-
-def _axis_marginal(hat: WaveFunction, g: np.ndarray, axis: int) -> DensitySnapshot:
-    grid = hat.grid
-    rho = hat.density() * hat.measure
-    axes = tuple(k for k in range(grid.dims) if k != axis)
-    marg = rho.sum(axis=axes) if axes else rho
-    marg = marg / marg.sum()
-    order = np.argsort(grid.freq_nodes)
-    return DensitySnapshot(
-        t=0.0,
-        nodes=grid.freq_nodes[order],
-        weights=marg[order],
-        scale=float(abs(g[axis])),
-        spacing=grid.freq_spacing,
     )
 
 

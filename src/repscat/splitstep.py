@@ -4,7 +4,7 @@ small dense matrix-exponential oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -16,10 +16,13 @@ from .errors import (
     PhaseWindingError,
 )
 from .grids import (
+    EDGE_FRACTION,
+    EDGE_MASS_TOL,
     POSITION,
     Grid,
     Observable,
     WaveFunction,
+    _guard_edge,
     assert_contained,
     expectation,
     l2_norm,
@@ -38,8 +41,8 @@ class EvolutionConfig:
     dt: float
     potential: np.ndarray
     kinetic: np.ndarray = field(default=None)
-    edge_fraction: float = 0.1
-    edge_mass_tol: float = 1e-6
+    edge_fraction: float = EDGE_FRACTION
+    edge_mass_tol: float = EDGE_MASS_TOL
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -128,48 +131,23 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
     kin = np.exp(-1j * cfg.dt * cfg.kinetic)
     vals = psi0.values
     max_edge = 0.0
+    guard_args = (grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, "propagate")
     if n_full:
         vals = half_v * vals
         for k in range(n_full - 1):
             vals = np.fft.ifftn(kin * np.fft.fftn(vals))
             vals = full_v * vals
-            max_edge = max(max_edge, _guarded_edge(grid, cfg, vals))
+            max_edge = max(max_edge, _guard_edge(vals, *guard_args))
         vals = np.fft.ifftn(kin * np.fft.fftn(vals))
         vals = half_v * vals
-        max_edge = max(max_edge, _guarded_edge(grid, cfg, vals))
+        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     if rem:
         psi = WaveFunction(grid, vals, POSITION)
         psi = strang_step(psi, cfg, dt=rem)
         vals = psi.values
     out = WaveFunction(grid, vals, POSITION)
-    max_edge = max(max_edge, _guarded_edge(grid, cfg, vals))
+    max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}
-
-
-_EDGE_MASKS = {}
-
-
-def _edge_mask(grid: Grid, fraction: float) -> np.ndarray:
-    key = (grid.dims, grid.points_per_dim, grid.half_width, fraction)
-    if key not in _EDGE_MASKS:
-        cut = (1.0 - fraction) * grid.half_width
-        mask = np.zeros(grid.shape, dtype=bool)
-        for k in range(grid.dims):
-            mask |= np.abs(grid.axis_nodes(k)) >= cut
-        _EDGE_MASKS[key] = mask
-    return _EDGE_MASKS[key]
-
-
-def _guarded_edge(grid: Grid, cfg: EvolutionConfig, vals: np.ndarray) -> float:
-    rho = np.abs(vals) ** 2
-    frac = float(rho[_edge_mask(grid, cfg.edge_fraction)].sum() / rho.sum())
-    if frac >= cfg.edge_mass_tol:
-        from .errors import DomainEscapeError
-
-        raise DomainEscapeError(
-            f"boundary mass fraction {frac:.3e} during split-step run; enlarge the box"
-        )
-    return frac
 
 
 def hamiltonian_matrix(cfg: EvolutionConfig) -> np.ndarray:
@@ -211,15 +189,11 @@ def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig,
     if reference == "oracle":
         ref = dense_oracle(psi0, t, cfg)
     else:
-        fine = EvolutionConfig(cfg.grid, dts[0] / 4.0, cfg.potential, cfg.kinetic,
-                               cfg.edge_fraction, cfg.edge_mass_tol)
-        ref, _ = propagate(psi0, t, fine)
+        ref, _ = propagate(psi0, t, replace(cfg, dt=dts[0] / 4.0))
     ref_norm = np.sqrt(np.sum(np.abs(ref.values) ** 2) * ref.measure)
     errs = []
     for d in dts:
-        run_cfg = EvolutionConfig(cfg.grid, d, cfg.potential, cfg.kinetic,
-                                  cfg.edge_fraction, cfg.edge_mass_tol)
-        out, _ = propagate(psi0, t, run_cfg)
+        out, _ = propagate(psi0, t, replace(cfg, dt=d))
         err = np.sqrt(np.sum(np.abs(out.values - ref.values) ** 2) * out.measure)
         errs.append(float(err / ref_norm))
     errs = np.array(errs)

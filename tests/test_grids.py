@@ -16,7 +16,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
-from repscat.grids import assert_contained, inner
+from repscat.grids import _edge_mask, assert_contained, inner
 from repscat.errors import DomainEscapeError
 
 # quad oracle: integral sqrt(1+x^2) exp(-x^2) dx / sqrt(pi), epsabs 1e-14
@@ -179,6 +179,37 @@ def test_boundary_guard_triggers():
 def test_boundary_guard_passes_centered():
     g = make_grid(1, 64, 8.0)
     assert_contained(gaussian(g))
+
+
+def _uncached_edge_mass(psi, edge_fraction):
+    g = psi.grid
+    if psi.representation == "position":
+        nodes, edge = g.nodes, g.half_width
+    else:
+        nodes, edge = g.freq_nodes, np.max(np.abs(g.freq_nodes))
+    band = np.abs(nodes) >= (1.0 - edge_fraction) * edge
+    mask = band[:, None] | band[None, :]
+    rho = np.abs(psi.values) ** 2
+    return float(np.sum(rho[mask]) / np.sum(rho))
+
+
+def test_boundary_mass_fraction_matches_uncached_computation(rng):
+    g = make_grid(2, 64, 8.0)
+    psi = random_state(g, rng, bandwidth=0.6, extent=0.6)
+    got = []
+    for fraction in (0.1, 0.2):
+        for state in (psi, to_momentum(psi)):
+            got.append(boundary_mass_fraction(state, fraction))
+            assert got[-1] == _uncached_edge_mass(state, fraction)
+    assert len(set(got)) == 4 and min(got) > 0.0
+
+
+def test_edge_masks_are_cached_read_only():
+    mask = _edge_mask(2, 64, 8.0, 0.1, "position")
+    assert mask is _edge_mask(2, 64, 8.0, 0.1, "position")
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = False
 
 
 def test_equal_grids_built_apart_compare_and_hash_equal(rng):

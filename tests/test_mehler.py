@@ -20,7 +20,7 @@ from repscat import (
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import Observable
-from repscat.mehler import _czt, mehler_phase
+from repscat.mehler import _czt, chirp_resolution_ok, mehler_phase
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -258,3 +258,17 @@ def test_czt_matches_scipy(rng, n):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = czt(x, m=n, w=w, a=a, axis=axis)
         assert np.max(np.abs(_czt(x, w, a, axis) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_chirp_resolution_ok_pinned():
+    # pinned bit for bit: support radii and bandwidths come from grids.tail_radii
+    psi = gaussian(make_grid(1, 2048, 12.0), center=1.0, momentum=2.0)
+    assert chirp_resolution_ok(psi, 1.0, HYPER) == (True, -1, 0.0, 268.082573106329)
+    assert chirp_resolution_ok(psi, 1.0, HYPER, margin=0.01) == (
+        False, 0, 13.037195125388278, 268.082573106329)
+    spec = QuadraticSpec(dims=2, n_minus=2, omegas=(0.25, 2.0))
+    psi = gaussian(make_grid(2, 128, 12.0), center=(1.0, -2.0), momentum=(0.5, 1.5))
+    assert chirp_resolution_ok(psi, 1.0, spec) == (
+        False, 1, 20.42929690680208, 16.755160819145562)
+    assert chirp_resolution_ok(psi, 1.0, spec, margin=0.5) == (
+        False, 0, 8.743717264390117, 16.755160819145562)

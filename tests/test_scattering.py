@@ -19,6 +19,8 @@ from repscat import (
 )
 from repscat.potentials import bracket_x, preset_log_power, preset_power
 from repscat.scattering import (
+    DensitySnapshot,
+    _chirp_resolution_floor,
     cauchy_differences,
     cook_record_to_csv,
     histograms_to_csv,
@@ -223,3 +225,25 @@ def test_simpson_matches_scipy(rng, n):
             x[1] = x[0]  # a repeated node
         y = rng.standard_normal(n)
         assert _simpson(y, x) == simpson(y, x=x)
+
+
+def test_chirp_resolution_floor_pinned():
+    # pinned bit for bit: the bandwidth comes from grids.tail_radii; a 2-D
+    # state needs 256 points per axis before the interaction chirp resolves
+    phi = gaussian(make_grid(1, 2048, 12.0), center=1.0, momentum=2.0)
+    assert _chirp_resolution_floor(phi, HYPER) == 0.028889208274454913
+    saddle = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,))
+    phi = gaussian(make_grid(2, 256, 12.0), center=(1.0, -2.0), momentum=(0.5, 1.5))
+    assert _chirp_resolution_floor(phi, saddle) == 0.3291923631618562
+
+
+def test_snapshot_from_wavefunction_normalises_then_orders(rng):
+    g = make_grid(2, 64, 8.0)
+    hat = to_momentum(random_state(g, rng))
+    snap = DensitySnapshot.from_wavefunction(hat, 3.0, scale=2.0, axis=1)
+    order = np.argsort(g.freq_nodes)
+    marg = hat.density().sum(axis=0) * hat.measure
+    assert np.array_equal(snap.nodes, g.freq_nodes[order])
+    assert np.allclose(snap.weights, (marg / marg.sum())[order], rtol=1e-14, atol=0.0)
+    assert snap.weights.sum() == pytest.approx(1.0, rel=1e-14)
+    assert (snap.t, snap.scale, snap.spacing) == (3.0, 2.0, g.freq_spacing)

@@ -8,6 +8,7 @@ from repscat import (
     QuadraticSpec,
     RepulsiveSpec,
     WaveFunction,
+    boundary_mass_fraction,
     convergence_order,
     dense_oracle,
     evolution_config,
@@ -21,6 +22,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
+from repscat.errors import DomainEscapeError
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import energy_expectation, hamiltonian_matrix
 
@@ -186,3 +188,19 @@ def test_suggest_grid_tracks_envelope():
     L, n = suggest_grid(1.0, 8.0, 4.0)
     assert L >= 1.5 * 64.0  # classical reach (sigma t)^2 = 64 at t = 8
     assert n & (n - 1) == 0
+
+
+def test_propagate_raises_when_state_reaches_box_edge():
+    g = make_grid(1, 128, 10.0)
+    cfg = evolution_config(g, 1e-2, perturbation=lambda x: 0.0 * x)
+    psi = gaussian(g, center=5.0, momentum=4.0)  # group velocity 2k = 8
+    with pytest.raises(DomainEscapeError):
+        propagate(psi, 1.0, cfg)
+
+
+def test_one_step_propagate_reports_output_edge_mass():
+    g = make_grid(1, 128, 10.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
+    out, tele = propagate(gaussian(g, center=4.0), 1e-2, cfg)
+    assert tele["steps"] == 1
+    assert 0.0 < tele["max_edge_mass"] == boundary_mass_fraction(out)
