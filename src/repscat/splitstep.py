@@ -145,8 +145,10 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
         psi = WaveFunction(grid, vals, POSITION)
         psi = strang_step(psi, cfg, dt=rem)
         vals = psi.values
+    if rem or not n_full:
+        # the full-step loop already guarded its last state
+        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     out = WaveFunction(grid, vals, POSITION)
-    max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}
 
 

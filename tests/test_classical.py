@@ -11,7 +11,39 @@ from repscat import (
     quadratic_closed_form,
     zero_energy_start,
 )
-from repscat.classical import p_alpha_rate, trajectory_to_csv
+from repscat.classical import OVERFLOW_LIMIT, _energy, p_alpha_rate, trajectory_to_csv
+
+
+def _reference_flow(start, alpha, t_final, dt, regularized=True, record_every=1):
+    """Numpy kick-drift-kick loop with two force evaluations per step.
+    `flow` takes the same arithmetic steps on Python floats, so it must
+    match this reference bit for bit."""
+    def force(x):
+        r2 = np.sum(x * x)
+        if regularized:
+            return alpha * (1.0 + r2) ** (alpha / 2.0 - 1.0) * x
+        r = np.sqrt(r2)
+        if r == 0.0:
+            raise ConfigurationError("|x|^alpha force is singular at the origin")
+        return alpha * r ** (alpha - 2.0) * x
+
+    n = int(round(t_final / dt))
+    x = start.x.copy()
+    xi = start.xi.copy()
+    times, xs, xis = [0.0], [x.copy()], [xi.copy()]
+    truncated = False
+    for k in range(n):
+        xi = xi + 0.5 * dt * force(x)
+        x = x + dt * 2.0 * xi
+        xi = xi + 0.5 * dt * force(x)
+        if np.max(np.abs(x)) > OVERFLOW_LIMIT or np.max(np.abs(xi)) > OVERFLOW_LIMIT:
+            truncated = True
+            break
+        if (k + 1) % record_every == 0 or k == n - 1:
+            times.append((k + 1) * dt)
+            xs.append(x.copy())
+            xis.append(xi.copy())
+    return np.array(times), np.array(xs), np.array(xis), truncated
 
 
 def test_closed_form_growing_branch():
@@ -117,3 +149,46 @@ def test_trajectory_csv(tmp_path):
     trajectory_to_csv(traj, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,x0,xi0,energy"
+
+
+@pytest.mark.parametrize("start, alpha, t_final, dt, regularized, record_every", [
+    (PhasePoint([1.0], [0.5]), 1.0, 10.0, 1e-3, True, 50),
+    (PhasePoint([1.0], [0.5]), 0.5, 10.0, 1e-3, False, 7),
+    (PhasePoint([1.0, -0.3], [0.5, 0.2]), 1.5, 10.0, 1e-3, True, 3),
+    (PhasePoint([1.0, -0.3], [0.5, 0.2]), 1.5, 10.0, 1e-3, False, 1),
+    (PhasePoint([1.0, -0.3, 0.7], [0.5, 0.2, -0.1]), 0.7, 20.0, 1e-3, True, 13),
+    (PhasePoint([1.0, -0.3, 0.7], [0.5, 0.2, -0.1]), 1.2, 20.0, 1e-3, False, 13),
+    (PhasePoint([1.0], [1.0]), 2.0, 200.0, 1e-2, True, 1),      # truncates
+    (PhasePoint([0.0], [0.0]), 1.0, 0.0, 1e-3, False, 1),       # zero steps
+])
+def test_flow_matches_reference_loop(start, alpha, t_final, dt, regularized, record_every):
+    traj = flow(start, alpha, t_final, dt, regularized=regularized,
+                record_every=record_every)
+    times, xs, xis, truncated = _reference_flow(start, alpha, t_final, dt,
+                                                regularized, record_every)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.xs, xs)
+    assert np.array_equal(traj.xis, xis)
+    assert traj.truncated == truncated
+    assert traj.energy0 == float(_energy(start.x, start.xi, alpha, regularized))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"record_every": 0}, {"record_every": -3}, {"record_every": 2.5},
+    {"t_final": float("nan")}, {"t_final": float("inf")}, {"t_final": -1.0},
+])
+def test_flow_rejects_bad_record_every_and_t_final(kwargs):
+    args = {"t_final": 1.0, "record_every": 1, **kwargs}
+    with pytest.raises(ConfigurationError):
+        flow(PhasePoint([1.0], [0.5]), 1.0, dt=1e-3, **args)
+
+
+def test_phase_point_must_be_a_vector():
+    with pytest.raises(ConfigurationError):
+        PhasePoint([[1.0, 0.0]], [[0.5, 0.0]])
+
+
+def test_p_alpha_rate_empty_window_raises():
+    traj = flow(PhasePoint([1.0], [0.5]), 1.0, 1.0, 1e-3, record_every=100)
+    with pytest.raises(ConfigurationError):
+        p_alpha_rate(traj, (5.0, 6.0))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 import yaml
 
 import repscat
@@ -99,6 +100,17 @@ def test_malformed_alpha_rejected(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "(0, 2]" in err
+
+
+@pytest.mark.parametrize("line, bad_line", [
+    ("record_every: 50", "record_every: 0"),
+    ("t_final: 160.0", "t_final: .nan"),
+])
+def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
+    cfg = _write(tmp_path, "cls.yaml", CLASSICAL_CFG.replace(line, bad_line))
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert bad_line.split(":")[0] in capsys.readouterr().err
 
 
 def test_cook_zero_potential_writes_zero_column(tmp_path):

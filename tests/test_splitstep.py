@@ -22,6 +22,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
+from repscat import grids
 from repscat.errors import DomainEscapeError
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import energy_expectation, hamiltonian_matrix
@@ -204,3 +205,24 @@ def test_one_step_propagate_reports_output_edge_mass():
     out, tele = propagate(gaussian(g, center=4.0), 1e-2, cfg)
     assert tele["steps"] == 1
     assert 0.0 < tele["max_edge_mass"] == boundary_mass_fraction(out)
+
+
+@pytest.mark.parametrize("t, calls", [(5e-2, 5), (5.5e-2, 7)])
+def test_propagate_guards_each_state_once(monkeypatch, t, calls):
+    # one edge-mass evaluation per full step; a remainder step adds
+    # strang_step's own guard and the closing guard that records its mass
+    masses = []
+    edge_mass = grids._edge_mass
+
+    def counting(*args):
+        masses.append(edge_mass(*args))
+        return masses[-1]
+
+    monkeypatch.setattr(grids, "_edge_mass", counting)
+    g = make_grid(1, 256, 10.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
+    out, tele = propagate(gaussian(g, center=4.0), t, cfg)
+    assert len(masses) == calls
+    assert tele["max_edge_mass"] == max(masses) > 0.0
+    last_guarded = masses[-1]
+    assert last_guarded == boundary_mass_fraction(out)
