@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,11 +61,27 @@ def require(block: dict, key: str, context: str):
     return block[key]
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value; floats and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+
+
 def build_grid(block: dict) -> Grid:
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"grid must be a mapping, got {block!r}")
     return make_grid(
-        dims=int(block.get("dims", 1)),
-        points_per_dim=int(require(block, "points", "grid")),
-        half_width=float(require(block, "half_width", "grid")),
+        dims=_integer(block.get("dims", 1), "grid.dims"),
+        points_per_dim=_integer(require(block, "points", "grid"), "grid.points"),
+        half_width=_real(require(block, "half_width", "grid"), "grid.half_width"),
     )
 
 

@@ -201,7 +201,7 @@ def run_classical(raw, out_dir):
         point = cl.PhasePoint(np.atleast_1d(start["x"]), np.atleast_1d(start["xi"]))
     traj = cl.flow(point, alpha, t_final, dt,
                    regularized=bool(raw.get("regularized", True)),
-                   record_every=int(raw.get("record_every", 10)))
+                   record_every=raw.get("record_every", 10))
     metrics = {"energy_drift": traj.energy_drift(), "truncated": traj.truncated}
     checks = []
     window = (t_final / 2.0, t_final)

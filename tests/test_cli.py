@@ -105,12 +105,29 @@ def test_malformed_alpha_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("line, bad_line", [
     ("record_every: 50", "record_every: 0"),
     ("t_final: 160.0", "t_final: .nan"),
+    ("record_every: 50", "record_every: 2.5"),
 ])
 def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     cfg = _write(tmp_path, "cls.yaml", CLASSICAL_CFG.replace(line, bad_line))
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert bad_line.split(":")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_grid, key", [
+    ("grid: [1, 2]", "grid"),
+    ("grid: {dims: 1, points: abc, half_width: 8.0}", "grid.points"),
+    ("grid: {dims: 1, points: 256.7, half_width: 8.0}", "grid.points"),
+    ("grid: {dims: 1, points: true, half_width: 8.0}", "grid.points"),
+    ("grid: {dims: 1.0, points: 64, half_width: 8.0}", "grid.dims"),
+    ("grid: {dims: 1, points: 64, half_width: wide}", "grid.half_width"),
+])
+def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
+    text = CONVERGENCE_CFG.replace("grid: {dims: 1, points: 64, half_width: 8.0}", bad_grid)
+    cfg = _write(tmp_path, "conv.yaml", text)
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cook_zero_potential_writes_zero_column(tmp_path):

@@ -24,8 +24,52 @@ from repscat import (
 )
 from repscat import grids
 from repscat.errors import DomainEscapeError
+from repscat.grids import POSITION, _guard_edge
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import energy_expectation, hamiltonian_matrix
+
+
+def _reference_propagate(psi0, t, cfg):
+    """Strang loop that allocates fresh arrays every step.  `propagate` runs
+    the same arithmetic on two reused buffers, so it must match this
+    reference bit for bit."""
+    psi0 = to_position(psi0)
+    if t == 0.0:
+        return psi0, {"steps": 0, "max_edge_mass": 0.0}
+    if t < 0:
+        conj = WaveFunction(psi0.grid, np.conj(psi0.values), POSITION)
+        out, tele = _reference_propagate(conj, -t, cfg)
+        return WaveFunction(out.grid, np.conj(out.values), POSITION), tele
+
+    n_full, rem = divmod(t, cfg.dt)
+    n_full = int(round(n_full))
+    if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+        if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+            n_full += 1
+        rem = 0.0
+
+    grid = cfg.grid
+    half_v = np.exp(-0.5j * cfg.dt * cfg.potential)
+    full_v = half_v * half_v
+    kin = np.exp(-1j * cfg.dt * cfg.kinetic)
+    vals = psi0.values
+    max_edge = 0.0
+    guard_args = (grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, "propagate")
+    if n_full:
+        vals = half_v * vals
+        for k in range(n_full - 1):
+            vals = np.fft.ifftn(kin * np.fft.fftn(vals))
+            vals = full_v * vals
+            max_edge = max(max_edge, _guard_edge(vals, *guard_args))
+        vals = np.fft.ifftn(kin * np.fft.fftn(vals))
+        vals = half_v * vals
+        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
+    if rem:
+        vals = strang_step(WaveFunction(grid, vals, POSITION), cfg, dt=rem).values
+    if rem or not n_full:
+        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
+    return WaveFunction(grid, vals, POSITION), {"steps": n_full + (1 if rem else 0),
+                                                "max_edge_mass": max_edge}
 
 
 def test_strang_zero_dt_is_identity(l2):
@@ -226,3 +270,40 @@ def test_propagate_guards_each_state_once(monkeypatch, t, calls):
     assert tele["max_edge_mass"] == max(masses) > 0.0
     last_guarded = masses[-1]
     assert last_guarded == boundary_mass_fraction(out)
+
+
+# 32768 points (512 KiB) and 128^2 (256 KiB) lie at or above numpy's 256 KiB
+# temporary-elision threshold, 64 and 16^3 below it
+@pytest.mark.parametrize("dims, points, half_width", [
+    (1, 64, 8.0), (1, 32768, 40.0), (2, 128, 12.0), (3, 16, 8.0),
+])
+@pytest.mark.parametrize("steps", [1.0, 1.5, 4.0, 4.5, -1.0, -4.5])
+def test_propagate_matches_reference_loop(dims, points, half_width, steps):
+    g = make_grid(dims, points, half_width)
+    dt = 1e-2
+    cfg = evolution_config(g, dt, repulsive=RepulsiveSpec(1.5),
+                           perturbation=preset_compact_bump(0.5, 1.0))
+    psi = gaussian(g, center=0.5, momentum=0.7)
+    out, tele = propagate(psi, steps * dt, cfg)
+    ref, ref_tele = _reference_propagate(psi, steps * dt, cfg)
+    assert np.array_equal(out.values, ref.values)
+    assert tele == ref_tele
+    assert tele["steps"] == int(np.ceil(abs(steps)))
+
+
+def test_propagate_returns_unaliased_read_only_states():
+    g = make_grid(2, 64, 10.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
+    psi = gaussian(g, momentum=0.5)
+    start = psi.values.copy()
+    first, _ = propagate(psi, 0.05, cfg)
+    assert np.array_equal(psi.values, start)
+    kept = first.values.copy()
+    second, _ = propagate(psi, 0.03, cfg)
+    assert np.array_equal(first.values, kept)
+    assert not np.shares_memory(first.values, second.values)
+    assert np.array_equal(psi.values, start)
+    for out in (first, second):
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 0.0
