@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NoEscapeError
+from .errors import ConfigurationError, NoEscapeError, check_integer
 from .potentials import p_alpha
 
 #: |x| or |xi| beyond which a run is truncated and flagged.
@@ -84,8 +83,7 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
         raise ConfigurationError("dt must be positive")
     if not (0.0 < alpha <= 2.0):
         raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ConfigurationError(f"record_every must be an integer >= 1, got {record_every!r}")
+    record_every = check_integer(record_every, "record_every", minimum=1)
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ConfigurationError(f"t_final must be finite and >= 0, got {t_final}")
     n = int(round(t_final / dt))

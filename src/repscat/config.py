@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .grids import Grid, WaveFunction, gaussian, make_grid
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec
 
@@ -61,26 +60,22 @@ def require(block: dict, key: str, context: str):
     return block[key]
 
 
-def _integer(value, key: str) -> int:
-    """An integer config value; floats and booleans are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _real(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}") from None
+    """A real config value; booleans are refused rather than read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{key} must be a number, got {value!r}")
 
 
 def build_grid(block: dict) -> Grid:
     if not isinstance(block, dict):
         raise ConfigurationError(f"grid must be a mapping, got {block!r}")
     return make_grid(
-        dims=_integer(block.get("dims", 1), "grid.dims"),
-        points_per_dim=_integer(require(block, "points", "grid"), "grid.points"),
+        dims=check_integer(block.get("dims", 1), "grid.dims"),
+        points_per_dim=check_integer(require(block, "points", "grid"), "grid.points"),
         half_width=_real(require(block, "half_width", "grid"), "grid.half_width"),
     )
 

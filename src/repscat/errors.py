@@ -1,4 +1,7 @@
-"""Exception family shared by all repscat modules."""
+"""Exception family shared by all repscat modules, and the integer check
+that config loading and the classical flow both apply."""
+
+import numbers
 
 
 class RepscatError(Exception):
@@ -39,3 +42,12 @@ class NoEscapeError(RepscatError):
 
 class DerivativeError(RepscatError):
     """Finite-difference step underflowed or derivatives are unavailable."""
+
+
+def check_integer(value, key: str, minimum=None) -> int:
+    """`value` as an int; floats and booleans are refused, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
+    return int(value)

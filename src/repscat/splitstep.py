@@ -31,8 +31,6 @@ from .grids import (
 from .potentials import QuadraticSpec, RepulsiveSpec, p_alpha, p_alpha_inverse, sigma_alpha
 
 ORACLE_MAX_POINTS = 128
-# numpy computes `a * tmp` in place in a temporary `tmp` from this size on
-_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -137,17 +135,12 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
     if n_full:
         # Two buffers for the whole loop: buf holds position samples, spec
         # their spectrum.  Both are local, so returned states never alias.
-        fft, ifft = (np.fft.fft, np.fft.ifft) if grid.dims == 1 else (np.fft.fftn, np.fft.ifftn)
         buf = half_v * vals
         spec = np.empty_like(buf)
-        # Complex multiply is not bitwise commutative; keep the operand order
-        # numpy chose for `kin * fftn(...)`, which from _ELIDE_BYTES on reuses
-        # the FFT temporary as `fftn(...) * kin`.
-        kin_args = (kin, spec) if spec.nbytes < _ELIDE_BYTES else (spec, kin)
         for k in range(n_full):
-            fft(buf, out=spec)
-            np.multiply(*kin_args, out=spec)
-            ifft(spec, out=buf)
+            np.fft.fftn(buf, out=spec)
+            np.multiply(kin, spec, out=spec)  # operand order as in strang_step
+            np.fft.ifftn(spec, out=buf)
             np.multiply(full_v if k < n_full - 1 else half_v, buf, out=buf)
             max_edge = max(max_edge, _guard_edge(buf, *guard_args))
         vals = buf

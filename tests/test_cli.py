@@ -106,6 +106,7 @@ def test_malformed_alpha_rejected(tmp_path, capsys):
     ("record_every: 50", "record_every: 0"),
     ("t_final: 160.0", "t_final: .nan"),
     ("record_every: 50", "record_every: 2.5"),
+    ("record_every: 50", "record_every: true"),
 ])
 def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     cfg = _write(tmp_path, "cls.yaml", CLASSICAL_CFG.replace(line, bad_line))
@@ -121,6 +122,7 @@ def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     ("grid: {dims: 1, points: true, half_width: 8.0}", "grid.points"),
     ("grid: {dims: 1.0, points: 64, half_width: 8.0}", "grid.dims"),
     ("grid: {dims: 1, points: 64, half_width: wide}", "grid.half_width"),
+    ("grid: {dims: 1, points: 64, half_width: true}", "grid.half_width"),
 ])
 def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
     text = CONVERGENCE_CFG.replace("grid: {dims: 1, points: 64, half_width: 8.0}", bad_grid)
