@@ -72,7 +72,6 @@ from .scattering import (
     CookRecord,
     VelocityTrace,
     cook_scan,
-    local_velocity_apply,
     minimal_maximal_velocity_mass,
     velocity_trace,
     wave_operator,

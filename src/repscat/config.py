@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -70,6 +71,13 @@ def _real(value, key: str) -> float:
     raise ConfigurationError(f"{key} must be a number, got {value!r}")
 
 
+def _reals(values, key: str) -> list:
+    """A list of real config values; item i is named key[i] in errors."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
+    return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def build_grid(block: dict) -> Grid:
     if not isinstance(block, dict):
         raise ConfigurationError(f"grid must be a mapping, got {block!r}")
@@ -105,8 +113,8 @@ def build_quadratic(block: dict, dims: int) -> QuadraticSpec:
         n_minus=int(block.get("n_minus", 0)),
         n_plus=int(block.get("n_plus", 0)),
         n_E=int(block.get("n_E", 0)),
-        omegas=tuple(float(w) for w in block.get("omegas", ())),
-        fields=tuple(float(e) for e in block.get("fields", ())),
+        omegas=_reals(block.get("omegas", ()), "hamiltonian.quadratic.omegas"),
+        fields=_reals(block.get("fields", ()), "hamiltonian.quadratic.fields"),
     )
 
 
@@ -120,20 +128,27 @@ def build_perturbation(block: Optional[dict]):
             raise ConfigurationError(
                 f"perturbation: unknown preset {name!r}; available {sorted(PRESETS)}"
             )
+        factory = PRESETS[name]
         args = block.get("args", {})
-        return PRESETS[name](**args)
+        try:
+            inspect.signature(factory).bind(**args)
+        except TypeError as exc:
+            raise ConfigurationError(f"hamiltonian.perturbation.args: {exc}") from exc
+        return factory(**args)
     if "table" in block:
         return np.asarray(block["table"], dtype=float)
     raise ConfigurationError("perturbation block needs 'preset' or 'table'")
 
 
 def build_schedule(block: dict) -> np.ndarray:
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"schedule must be a mapping, got {block!r}")
     if "times" in block:
-        times = np.asarray([float(t) for t in block["times"]])
+        times = np.asarray(_reals(block["times"], "schedule.times"))
     else:
-        start = float(require(block, "start", "schedule"))
-        stop = float(require(block, "stop", "schedule"))
-        count = int(require(block, "count", "schedule"))
+        start = _real(require(block, "start", "schedule"), "schedule.start")
+        stop = _real(require(block, "stop", "schedule"), "schedule.stop")
+        count = check_integer(require(block, "count", "schedule"), "schedule.count", minimum=1)
         spacing = block.get("spacing", "linear")
         if spacing == "geometric":
             times = np.geomspace(start, stop, count)

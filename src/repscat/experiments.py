@@ -101,6 +101,9 @@ def run_velocity(raw, out_dir):
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
     alpha = float(require(raw, "alpha", "velocity"))
     times = build_schedule(require(raw, "schedule", "velocity"))
+    if raw.get("histogram_csv") and grid.dims > 1:
+        raise ConfigurationError("histogram_csv: velocity histograms are one-dimensional; "
+                                 "drop it for an n-D grid")
     if quad is not None:
         trace = sc.velocity_trace(psi0, quad, alpha, times,
                                   per_direction=bool(raw.get("per_direction", False)))
@@ -125,7 +128,7 @@ def run_velocity(raw, out_dir):
                            float(raw.get("tol", 0.2 * sigma)))]
     if raw.get("csv"):
         sc.velocity_trace_to_csv(trace, os.path.join(out_dir, raw["csv"]))
-    if raw.get("histogram_csv") and trace.snapshots:
+    if raw.get("histogram_csv"):
         sc.histograms_to_csv(trace, os.path.join(out_dir, raw["histogram_csv"]))
     return metrics, checks
 

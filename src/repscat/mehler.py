@@ -152,9 +152,14 @@ def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
     wk2 = w ** (k**2 / 2.0)
     nfft = 1 << (2 * n - 2).bit_length()
     kernel = np.fft.fft(1.0 / np.concatenate([wk2[n - 1:0:-1], wk2]), nfft)
-    # contiguous rows: numpy's FFT is far slower along a strided axis
-    x = np.multiply(np.moveaxis(x, axis, -1), a ** -k * wk2, order="C")
-    y = np.fft.ifft(kernel * np.fft.fft(x, nfft))
+    # one zero-padded buffer in contiguous rows (numpy's FFT is far slower
+    # along a strided axis), transformed and convolved in place
+    x = np.moveaxis(x, axis, -1)
+    y = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
+    np.multiply(x, a ** -k * wk2, out=y[..., :n])
+    np.fft.fft(y, out=y)
+    np.multiply(kernel, y, out=y)
+    np.fft.ifft(y, out=y)
     return np.moveaxis(y[..., n - 1:2 * n - 1] * wk2, -1, axis)
 
 

@@ -214,9 +214,6 @@ class PerturbationSpec:
         quad = quad or QuadraticSpec(dims=grid.dims)
         return w_product(grid.meshgrid(), self.w_betas, quad)
 
-    def total_samples(self, grid: Grid, quad: Optional[QuadraticSpec] = None) -> np.ndarray:
-        return self.v1_samples(grid) + self.v2_samples(grid) + self.w_samples(grid, quad)
-
 
 def w_product(coords, betas, quad: QuadraticSpec):
     """Canonical decay-class product: <ln<x_j>>^-beta on hyperbolic axes,
@@ -286,11 +283,6 @@ def preset_borderline(alpha: float, height: float = 1.0) -> Callable:
 def _p_alpha_point(alpha, *coords):
     r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
     return p_alpha(np.sqrt(r2), alpha)
-
-
-def preset_table(samples: np.ndarray) -> np.ndarray:
-    """Raw sample table passthrough (shape must match the target grid)."""
-    return np.asarray(samples, dtype=float)
 
 
 PRESETS = {

@@ -132,6 +132,53 @@ def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
     assert key in capsys.readouterr().err
 
 
+QUAD_LINE = "  quadratic: {n_minus: 1, omegas: [1.0]}"
+
+
+BAD_INPUTS = [
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {preset: power, args: {bogus: 2}}",
+                 "hamiltonian.perturbation.args", id="preset-unknown-arg"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {preset: power, args: {height: 1.0}}",
+                 "hamiltonian.perturbation.args", id="preset-missing-arg"),
+    pytest.param(VELOCITY_CFG, "omegas: [1.0]", "omegas: abc",
+                 "hamiltonian.quadratic.omegas", id="omegas"),
+    pytest.param(VELOCITY_CFG, "{n_minus: 1, omegas: [1.0]}", "{n_E: 1, fields: [x]}",
+                 "hamiltonian.quadratic.fields[0]", id="fields"),
+    pytest.param(VELOCITY_CFG, "times: [2.0, 4.0, 6.0, 8.0, 10.0]", "times: [2.0, x]",
+                 "schedule.times[1]", id="times"),
+    pytest.param(VELOCITY_CFG, "schedule: {times: [2.0, 4.0, 6.0, 8.0, 10.0]}",
+                 "schedule: [2.0, 4.0]", "schedule", id="schedule"),
+    pytest.param(COOK_ZERO_CFG, "start: 1.0", "start: one", "schedule.start", id="start"),
+    pytest.param(COOK_ZERO_CFG, "stop: 5.0", "stop: [5.0]", "schedule.stop", id="stop"),
+    pytest.param(COOK_ZERO_CFG, "count: 9", "count: 9.5", "schedule.count", id="count"),
+]
+
+
+@pytest.mark.parametrize("base, line, bad_line, key", BAD_INPUTS)
+def test_bad_hamiltonian_and_schedule_inputs_exit_2(tmp_path, capsys, base, line, bad_line,
+                                                    key):
+    assert line in base
+    cfg = _write(tmp_path, "bad.yaml", base.replace(line, bad_line))
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_nd_velocity_histogram_rejected(tmp_path, capsys):
+    text = (VELOCITY_CFG
+            .replace("{dims: 1, points: 512, half_width: 12.0}",
+                     "{dims: 2, points: 64, half_width: 12.0}")
+            .replace("{n_minus: 1, omegas: [1.0]}", "{n_minus: 2, omegas: [1.0, 1.0]}")
+            + "histogram_csv: hist.csv\n")
+    cfg = _write(tmp_path, "vel2d.yaml", text)
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert "histogram_csv" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hist.csv").exists()
+
+
 def test_cook_zero_potential_writes_zero_column(tmp_path):
     cfg = _write(tmp_path, "cook.yaml", COOK_ZERO_CFG)
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])

@@ -17,9 +17,10 @@ from repscat import (
     velocity_trace,
     wave_operator,
 )
-from repscat.potentials import bracket_x, preset_log_power, preset_power
+from repscat.potentials import PRESETS, bracket_x, p_alpha, preset_log_power, preset_power
 from repscat.scattering import (
     DensitySnapshot,
+    _cell_average,
     _chirp_resolution_floor,
     cauchy_differences,
     cook_record_to_csv,
@@ -247,3 +248,56 @@ def test_snapshot_from_wavefunction_normalises_then_orders(rng):
     assert np.allclose(snap.weights, (marg / marg.sum())[order], rtol=1e-14, atol=0.0)
     assert snap.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert (snap.t, snap.scale, snap.spacing) == (3.0, 2.0, g.freq_spacing)
+
+
+# from 512 points up: log(sqrt(1+y^2)) rounds 1+y^2 first, and on coarser
+# grids at scale 1e-3 that noise alone nears the 1e-13 bound below
+CELL_GRIDS = [make_grid(1, n, 12.0) for n in (512, 1024, 2048)]
+
+
+@pytest.mark.parametrize("grid", CELL_GRIDS, ids=lambda g: str(g.points_per_dim))
+def test_cell_average_matches_arctan_closed_form(grid):
+    # the mean of 1/(1+y^2) over y in g*[a, b] is arctan(g(b-a)/(1+g^2 ab))/(g(b-a))
+    # on same-sign cells; the cell holding u = 0 is left out, because no fixed
+    # Gauss rule resolves a width-1 feature in a cell of width g*h >> 1
+    # (ROADMAP item 1, the graded origin cell)
+    nodes, h = grid.freq_nodes, grid.freq_spacing
+    off = nodes != 0.0
+    lo, hi = nodes[off] - h / 2.0, nodes[off] + h / 2.0
+    for g in np.geomspace(1e-2, 1e17, 39):
+        got = _cell_average(lambda y: 1.0 / (1.0 + y * y), g, nodes, h)[off]
+        exact = np.arctan(g * h / (1.0 + (g * lo) * (g * hi))) / (g * h)
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-12, g
+
+
+def _cell_average_32(fn, scale, nodes, spacing):
+    """The 32-point Gauss rule on every cell."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    v = nodes[:, None] + (spacing / 2.0) * x[None, :]
+    return (fn(scale * v) * w[None, :]).sum(axis=1) / 2.0
+
+
+CELL_FNS = {
+    "power": PRESETS["power"](1.0, 2.0),
+    "log-power": PRESETS["log-power"](1.0, 2.0),
+    "gaussian-bump": PRESETS["gaussian-bump"](1.0, 1.0),
+    "compact-bump-2": PRESETS["compact-bump"](1.0, 2.0),
+    "compact-bump-3": PRESETS["compact-bump"](1.0, 3.0),
+    "short-range": PRESETS["short-range"](1.0, 0.5),
+    "borderline": PRESETS["borderline"](2.0),
+    "p_alpha-2": lambda y: p_alpha(y, 2.0),
+    "p_alpha-1": lambda y: p_alpha(y, 1.0),
+    "ln-bracket": lambda y: np.log(bracket_x(y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELL_FNS))
+def test_tiered_cell_average_matches_32_point_rule(name):
+    fn = CELL_FNS[name]
+    for grid in CELL_GRIDS:
+        h = grid.freq_spacing
+        for nodes in (grid.freq_nodes, np.sort(grid.freq_nodes)):
+            for scale in np.geomspace(1e-3, 1e17, 29):
+                got = _cell_average(fn, scale, nodes, h)
+                ref = _cell_average_32(fn, scale, nodes, h)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), scale
