@@ -78,14 +78,21 @@ def cmd_suite(args) -> int:
         if not os.path.isabs(path):
             path = os.path.join(base, path)
         out_dir = os.path.join(args.out, exp_id)
+        # one entry's failure, of whatever kind, must not cost the others
+        # their rows or the report; an unexpected one also leaves its traceback
         try:
             summary, n_failed = _run_one(path, out_dir, args.seed, args.quiet)
             ok = n_failed == 0
             rows.append({"id": exp_id, "experiment": summary["experiment"],
                          "pass": ok, "failed_checks": n_failed})
-        except RepscatError as exc:
-            rows.append({"id": exp_id, "experiment": "?", "pass": False,
-                         "error": str(exc)})
+        except Exception as exc:
+            if not isinstance(exc, RepscatError):
+                import traceback  # only on this path: it adds to every cold start
+
+                traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"error: {exp_id}: {error}", file=sys.stderr)
+            rows.append({"id": exp_id, "experiment": "?", "pass": False, "error": error})
             ok = False
         any_failed = any_failed or not ok
     report = {"manifest": os.path.basename(args.manifest), "results": rows}

@@ -78,9 +78,24 @@ def _reals(values, key: str) -> list:
     return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
-def build_grid(block: dict) -> Grid:
+def _axis_reals(value, key: str, dims: int):
+    """One real for every axis, or a list of `dims` reals (one per axis)."""
+    if not isinstance(value, (list, tuple)):
+        return _real(value, key)
+    if len(value) != dims:
+        raise ConfigurationError(
+            f"{key} must be a number or a list of {dims} numbers (one per axis), got {value!r}")
+    return _reals(value, key)
+
+
+def _mapping(block, key: str) -> dict:
     if not isinstance(block, dict):
-        raise ConfigurationError(f"grid must be a mapping, got {block!r}")
+        raise ConfigurationError(f"{key} must be a mapping, got {block!r}")
+    return block
+
+
+def build_grid(block: dict) -> Grid:
+    _mapping(block, "grid")
     return make_grid(
         dims=check_integer(block.get("dims", 1), "grid.dims"),
         points_per_dim=check_integer(require(block, "points", "grid"), "grid.points"),
@@ -89,30 +104,37 @@ def build_grid(block: dict) -> Grid:
 
 
 def build_state(block: dict, grid: Grid) -> WaveFunction:
+    _mapping(block, "state")
     kind = block.get("kind", "gaussian")
     if kind != "gaussian":
         raise ConfigurationError(f"state: unknown kind {kind!r}")
+    width = _real(block.get("width", 1.0), "state.width")
+    if not width > 0:
+        raise ConfigurationError(f"state.width must be > 0, got {width!r}")
     return gaussian(
         grid,
-        center=block.get("center", 0.0),
-        width=float(block.get("width", 1.0)),
-        momentum=block.get("momentum", 0.0),
+        center=_axis_reals(block.get("center", 0.0), "state.center", grid.dims),
+        width=width,
+        momentum=_axis_reals(block.get("momentum", 0.0), "state.momentum", grid.dims),
     )
 
 
 def build_repulsive(block: dict) -> RepulsiveSpec:
+    _mapping(block, "hamiltonian.repulsive")
     return RepulsiveSpec(
-        alpha=float(require(block, "alpha", "hamiltonian.repulsive")),
+        alpha=_real(require(block, "alpha", "hamiltonian.repulsive"),
+                    "hamiltonian.repulsive.alpha"),
         regularized=bool(block.get("regularized", True)),
     )
 
 
 def build_quadratic(block: dict, dims: int) -> QuadraticSpec:
+    _mapping(block, "hamiltonian.quadratic")
+    counts = {key: check_integer(block.get(key, 0), f"hamiltonian.quadratic.{key}", minimum=0)
+              for key in ("n_minus", "n_plus", "n_E")}
     return QuadraticSpec(
         dims=dims,
-        n_minus=int(block.get("n_minus", 0)),
-        n_plus=int(block.get("n_plus", 0)),
-        n_E=int(block.get("n_E", 0)),
+        **counts,
         omegas=_reals(block.get("omegas", ()), "hamiltonian.quadratic.omegas"),
         fields=_reals(block.get("fields", ()), "hamiltonian.quadratic.fields"),
     )
@@ -122,6 +144,7 @@ def build_perturbation(block: Optional[dict]):
     """Symbolic preset or raw sample table; None means V = 0."""
     if block is None:
         return None
+    _mapping(block, "hamiltonian.perturbation")
     if "preset" in block:
         name = block["preset"]
         if name not in PRESETS:
@@ -134,15 +157,15 @@ def build_perturbation(block: Optional[dict]):
             inspect.signature(factory).bind(**args)
         except TypeError as exc:
             raise ConfigurationError(f"hamiltonian.perturbation.args: {exc}") from exc
-        return factory(**args)
+        return factory(**{name: _real(value, f"hamiltonian.perturbation.args.{name}")
+                          for name, value in args.items()})
     if "table" in block:
         return np.asarray(block["table"], dtype=float)
     raise ConfigurationError("perturbation block needs 'preset' or 'table'")
 
 
 def build_schedule(block: dict) -> np.ndarray:
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"schedule must be a mapping, got {block!r}")
+    _mapping(block, "schedule")
     if "times" in block:
         times = np.asarray(_reals(block["times"], "schedule.times"))
     else:

@@ -10,6 +10,7 @@ from . import classical as cl
 from . import scattering as sc
 from .config import (
     ExperimentConfig,
+    _mapping,
     build_grid,
     build_perturbation,
     build_quadratic,
@@ -59,7 +60,8 @@ def _bound_check(name, measured, bound) -> dict:
 
 
 def _hamiltonian_blocks(raw, grid):
-    block = require(raw, "hamiltonian", raw.get("experiment", "experiment"))
+    block = _mapping(require(raw, "hamiltonian", raw.get("experiment", "experiment")),
+                     "hamiltonian")
     quad = build_quadratic(block["quadratic"], grid.dims) if "quadratic" in block else None
     rep = build_repulsive(block["repulsive"]) if "repulsive" in block else None
     pert = build_perturbation(block.get("perturbation"))

@@ -187,16 +187,24 @@ def transform(psi: WaveFunction, target_representation: str) -> WaveFunction:
     if target_representation == psi.representation:
         return psi
     g = psi.grid
-    vals = psi.values
+    # the scalar normalisation rides on each N-point axis phase, and after the
+    # first (allocating) pass every FFT and multiply runs in place: one grid
+    # pass per axis besides the FFT
     if psi.representation == POSITION and target_representation == MOMENTUM:
+        norm = g.spacing / np.sqrt(2.0 * np.pi)
+        vals = np.fft.fft(psi.values, axis=0)
         for ax in range(g.dims):
-            vals = np.fft.fft(vals, axis=ax)
-            vals = vals * _axis_phases(g, ax, -1.0) * (g.spacing / np.sqrt(2.0 * np.pi))
+            if ax:
+                np.fft.fft(vals, axis=ax, out=vals)
+            vals *= _axis_phases(g, ax, -1.0) * norm
         return WaveFunction(g, vals, MOMENTUM)
     if psi.representation == MOMENTUM and target_representation == POSITION:
+        norm = g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi)
+        vals = psi.values * (_axis_phases(g, 0, +1.0) * norm)
         for ax in range(g.dims):
-            vals = np.fft.ifft(vals * _axis_phases(g, ax, +1.0), axis=ax)
-            vals = vals * (g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi))
+            if ax:
+                vals *= _axis_phases(g, ax, +1.0) * norm
+            np.fft.ifft(vals, axis=ax, out=vals)
         return WaveFunction(g, vals, POSITION)
     raise ConfigurationError(f"unknown representation {target_representation!r}")
 

@@ -128,14 +128,21 @@ def _check_guard_time(spec: QuadraticSpec, t: float, guard: float):
 
 
 def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> np.ndarray:
-    """M_t(x) = exp( i sum x_k^2 h_k/(2 g_k) - i (t/2) sum E_k x_k )."""
-    phase = np.zeros(grid.shape)
+    """M_t(x) = exp( i sum x_k^2 h_k/(2 g_k) - i (t/2) sum E_k x_k ).
+
+    The phase is a sum of per-axis terms, so M_t is the broadcast product of
+    one N-point factor exp(i phi_k(x_k)) per axis: d N complex exponentials
+    rather than N^d.  In 1-D the single factor is returned as it is.
+    """
+    chirp = None
     for k in range(grid.dims):
         xk = grid.axis_nodes(k)
-        phase = phase + xk**2 * fac.h[k] / (2.0 * fac.g[k])
+        phase = xk**2 * fac.h[k] / (2.0 * fac.g[k])
         if spec.sector(k) == "stark":
             phase = phase - (t / 2.0) * spec.field(k) * xk
-    return np.exp(1j * phase)
+        factor = np.exp(1j * phase)
+        chirp = factor if chirp is None else chirp * factor
+    return chirp
 
 
 def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:

@@ -33,12 +33,15 @@ def bracket_r(*coords):
 
 
 def p_alpha(x, alpha: float):
-    """Rescaled position variable: ln<x> for alpha = 2, <x>^(1-alpha/2) below."""
+    """Rescaled position variable: ln<x> for alpha = 2, <x>^(1-alpha/2) below.
+
+    ln<x> is evaluated as log1p(x^2)/2, which does not round 1 + x^2 first
+    and so keeps full relative accuracy at small |x|."""
     _check_alpha(alpha)
-    bx = bracket_x(x)
     if alpha == 2.0:
-        return np.log(bx)
-    return bx ** (1.0 - alpha / 2.0)
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.log1p(x * x)
+    return bracket_x(x) ** (1.0 - alpha / 2.0)
 
 
 def p_alpha_inverse(p, alpha: float):

@@ -30,7 +30,6 @@ from .grids import (
 from .mehler import _chirp_phase, chirped_spectrum, trajectory_factors
 from .potentials import (
     QuadraticSpec,
-    bracket_x,
     p_alpha,
     p_alpha_inverse,
     sigma_alpha,
@@ -96,8 +95,14 @@ class DensitySnapshot:
             nodes, spacing = grid.nodes, grid.spacing
         else:
             nodes, spacing = grid.freq_nodes, grid.freq_spacing
-        rho = psi.density() * psi.measure
-        axes = tuple(k for k in range(grid.dims) if k != axis)
+        return cls.from_density(psi.density() * psi.measure, nodes, spacing, t, scale, axis)
+
+    @classmethod
+    def from_density(cls, rho: np.ndarray, nodes: np.ndarray, spacing: float, t: float,
+                     scale: float = 1.0, axis: int = 0) -> "DensitySnapshot":
+        """Snapshot of the `axis` marginal of the cell masses rho, sampled on
+        the per-axis lattice `nodes`; normalised, then ordered by node."""
+        axes = tuple(k for k in range(rho.ndim) if k != axis)
         marg = rho.sum(axis=axes) if axes else rho
         order = np.argsort(nodes)
         return cls(t=t, nodes=nodes[order], weights=(marg / marg.sum())[order],
@@ -504,18 +509,21 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
         grid = psi0.grid
         for t in times:
             hat, g = chirped_spectrum(psi0, t, hamiltonian)
+            # one density per time serves the radial mean and every marginal
+            rho = hat.density() * hat.measure
+            margs = [DensitySnapshot.from_density(rho, grid.freq_nodes, grid.freq_spacing, t,
+                                                  scale=float(abs(g[ax])), axis=ax)
+                     for ax in range(grid.dims)] if grid.dims == 1 or per_direction else []
             if grid.dims == 1:
-                snap = DensitySnapshot.from_wavefunction(hat, t, scale=float(abs(g[0])))
+                snap = margs[0]
                 means.append(snap.mean_of(lambda y: p_alpha(y, alpha)) / t)
                 snaps.append(snap)
                 hists.append(snap.velocity_histogram(alpha, edges * 1.0))
             else:
-                means.append(_radial_mean_nd(hat, g, alpha) / t)
+                means.append(_radial_mean_nd(rho, grid, g, alpha) / t)
             if per_direction:
-                for ax in range(grid.dims):
-                    marg = DensitySnapshot.from_wavefunction(hat, t, scale=float(abs(g[ax])),
-                                                             axis=ax)
-                    val = marg.mean_of(lambda y: np.log(bracket_x(y))) / t
+                for ax, marg in enumerate(margs):
+                    val = marg.mean_of(lambda y: p_alpha(y, 2.0)) / t
                     per_dir.setdefault(ax, []).append(val)
     elif isinstance(hamiltonian, EvolutionConfig):
         if psi0.grid.dims != 1:
@@ -545,11 +553,10 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
     )
 
 
-def _radial_mean_nd(hat: WaveFunction, g: np.ndarray, alpha: float) -> float:
-    """<p_alpha(|x|)> for the scaled n-D density, with a Gauss-refined origin
-    cell (the only cell where p_alpha(g.u) varies below lattice resolution)."""
-    grid = hat.grid
-    rho = hat.density() * hat.measure
+def _radial_mean_nd(rho: np.ndarray, grid: Grid, g: np.ndarray, alpha: float) -> float:
+    """<p_alpha(|x|)> for the scaled n-D density (cell masses rho on the dual
+    lattice of grid), with a Gauss-refined origin cell (the only cell where
+    p_alpha(g.u) varies below lattice resolution)."""
     rho = rho / rho.sum()
     r2 = np.zeros(grid.shape)
     for k in range(grid.dims):

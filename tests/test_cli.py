@@ -153,6 +153,19 @@ BAD_INPUTS = [
     pytest.param(COOK_ZERO_CFG, "start: 1.0", "start: one", "schedule.start", id="start"),
     pytest.param(COOK_ZERO_CFG, "stop: 5.0", "stop: [5.0]", "schedule.stop", id="stop"),
     pytest.param(COOK_ZERO_CFG, "count: 9", "count: 9.5", "schedule.count", id="count"),
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {width: abc}", "state.width",
+                 id="state-width"),
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {momentum: [1, 2, 3]}",
+                 "state.momentum", id="state-momentum-length"),
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {center: [x]}",
+                 "state.center[0]", id="state-center"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {preset: power, args: {height: abc, exponent: 2.0}}",
+                 "hamiltonian.perturbation.args.height", id="preset-value"),
+    pytest.param(CONVERGENCE_CFG, "repulsive: {alpha: 1.0}", "repulsive: {alpha: one}",
+                 "hamiltonian.repulsive.alpha", id="repulsive-alpha"),
+    pytest.param(VELOCITY_CFG, "{n_minus: 1, omegas: [1.0]}", "{n_minus: 1.0, omegas: [1.0]}",
+                 "hamiltonian.quadratic.n_minus", id="n_minus"),
 ]
 
 
@@ -177,6 +190,23 @@ def test_nd_velocity_histogram_rejected(tmp_path, capsys):
     assert rc == 2
     assert "histogram_csv" in capsys.readouterr().err
     assert not (tmp_path / "out" / "hist.csv").exists()
+
+
+def test_state_center_and_momentum_take_a_scalar_or_one_value_per_axis(tmp_path):
+    text = (VELOCITY_CFG
+            .replace("{dims: 1, points: 512, half_width: 12.0}",
+                     "{dims: 2, points: 64, half_width: 12.0}")
+            .replace("{n_minus: 1, omegas: [1.0]}", "{n_minus: 2, omegas: [1.0, 1.0]}")
+            .replace("times: [2.0, 4.0, 6.0, 8.0, 10.0]", "times: [0.5]"))
+    cfgs = [text.replace("state: {width: 1.0}", state) for state in (
+        "state: {center: [0.5, 0.5], momentum: [0.2, 0.2]}",
+        "state: {center: 0.5, momentum: 0.2}")]
+    summaries = []
+    for i, cfg_text in enumerate(cfgs):
+        cfg = _write(tmp_path, f"v{i}.yaml", cfg_text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) in (0, 1)
+        summaries.append(json.loads((tmp_path / "out" / f"v{i}.summary.json").read_text()))
+    assert summaries[0]["metrics"] == summaries[1]["metrics"]
 
 
 def test_cook_zero_potential_writes_zero_column(tmp_path):
@@ -247,6 +277,38 @@ def test_suite_aggregates_and_continues(tmp_path):
     by_id = {r["id"]: r for r in report["results"]}
     assert not by_id["bad"]["pass"]
     assert by_id["good"]["pass"]
+
+
+def test_suite_records_any_exception_and_continues(tmp_path, monkeypatch, capsys):
+    import repscat.cli as cli
+
+    _write(tmp_path, "good.yaml", MOURRE_CFG)
+    manifest = _write(
+        tmp_path, "m.yaml",
+        yaml.safe_dump({"experiments": [
+            {"id": "first", "config": "good.yaml"},
+            {"id": "boom", "config": "good.yaml"},
+            {"id": "last", "config": "good.yaml"},
+        ]}),
+    )
+    real = cli._run_one
+
+    def run_one(config_path, out_dir, seed, quiet):
+        if os.path.basename(out_dir) == "boom":
+            raise RuntimeError("injected failure")
+        return real(config_path, out_dir, seed, quiet)
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    rc = main(["suite", manifest, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
+    by_id = {r["id"]: r for r in report["results"]}
+    assert [r["id"] for r in report["results"]] == ["first", "boom", "last"]
+    assert by_id["boom"]["pass"] is False
+    assert by_id["boom"]["error"] == "RuntimeError: injected failure"
+    assert by_id["first"]["pass"] and by_id["last"]["pass"]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "error: boom: RuntimeError: injected failure" in err
 
 
 def test_cli_import_loads_no_scipy():

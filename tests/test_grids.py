@@ -16,7 +16,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
-from repscat.grids import _edge_mask, assert_contained, inner
+from repscat.grids import _axis_phases, _edge_mask, assert_contained, inner
 from repscat.errors import DomainEscapeError
 
 # quad oracle: integral sqrt(1+x^2) exp(-x^2) dx / sqrt(pi), epsabs 1e-14
@@ -219,3 +219,36 @@ def test_equal_grids_built_apart_compare_and_hash_equal(rng):
     psi = random_state(a, rng)
     phi = WaveFunction(b, psi.values.copy(), psi.representation)
     assert inner(psi, phi) == pytest.approx(inner(psi, psi), rel=1e-15)
+
+
+def _reference_transform(psi, target):
+    """The transform before it ran in place: per axis an FFT, then the axis
+    phase and the normalisation as two fresh full-grid products."""
+    g = psi.grid
+    vals = psi.values
+    if target == "momentum":
+        for ax in range(g.dims):
+            vals = np.fft.fft(vals, axis=ax)
+            vals = vals * _axis_phases(g, ax, -1.0) * (g.spacing / np.sqrt(2.0 * np.pi))
+    else:
+        for ax in range(g.dims):
+            vals = np.fft.ifft(vals * _axis_phases(g, ax, +1.0), axis=ax)
+            vals = vals * (g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi))
+    return vals
+
+
+@pytest.mark.parametrize("dims, points", [(1, 64), (1, 4096), (2, 128), (3, 16)])
+def test_transform_matches_two_pass_reference(rng, dims, points):
+    g = make_grid(dims, points, 9.0)
+    psi = random_state(g, rng)
+    before = psi.values.copy()
+    hat = to_momentum(psi)
+    ref = _reference_transform(psi, "momentum")
+    assert np.max(np.abs(hat.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+    back = to_position(hat)
+    ref = _reference_transform(hat, "position")
+    assert np.max(np.abs(back.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the in-place passes work on fresh arrays only
+    assert np.array_equal(psi.values, before)
+    assert not np.shares_memory(back.values, hat.values)
+    assert not hat.values.flags.writeable and not back.values.flags.writeable

@@ -20,7 +20,7 @@ from repscat import (
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import Observable
-from repscat.mehler import _czt, chirp_resolution_ok, mehler_phase
+from repscat.mehler import _chirp_phase, _czt, chirp_resolution_ok, mehler_phase
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -295,3 +295,51 @@ def test_chirp_resolution_ok_pinned():
         False, 1, 20.42929690680208, 16.755160819145562)
     assert chirp_resolution_ok(psi, 1.0, spec, margin=0.5) == (
         False, 0, 8.743717264390117, 16.755160819145562)
+
+
+def _reference_chirp(grid, spec, fac, t):
+    """The chirp before it was built per axis: the summed phase on the full
+    grid, then one complex exponential over all N^d points."""
+    phase = np.zeros(grid.shape)
+    for k in range(grid.dims):
+        xk = grid.axis_nodes(k)
+        phase = phase + xk**2 * fac.h[k] / (2.0 * fac.g[k])
+        if spec.sector(k) == "stark":
+            phase = phase - (t / 2.0) * spec.field(k) * xk
+    return np.exp(1j * phase)
+
+
+CHIRP_TIMES = [0.05, 0.3, 1.0, 2.5, 5.0]
+
+
+@pytest.mark.parametrize("spec", [FREE, HYPER, TRIG, STARK], ids=["free", "hyper", "trig", "stark"])
+@pytest.mark.parametrize("t", CHIRP_TIMES + [-0.7])
+def test_chirp_1d_bit_identical_to_full_grid_formula(spec, t):
+    grid = make_grid(1, 1024, 12.0)
+    fac = trajectory_factors(t, spec)
+    assert np.array_equal(_chirp_phase(grid, spec, fac, t), _reference_chirp(grid, spec, fac, t))
+
+
+@pytest.mark.parametrize("spec, points", [
+    (QuadraticSpec(dims=2, n_minus=2, omegas=(1.0, 2.0)), 512),
+    (QuadraticSpec(dims=2, n_minus=1, omegas=(0.5,)), 256),
+    (QuadraticSpec(dims=2, n_E=2, fields=(1.0, -0.5)), 256),
+    (QuadraticSpec(dims=3, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.7,)), 64),
+], ids=["hyper-hyper", "hyper-free", "stark-stark", "hyper-stark-free"])
+@pytest.mark.parametrize("t", CHIRP_TIMES)
+def test_chirp_nd_matches_full_grid_formula(spec, points, t):
+    # the per-axis product differs from exp(i sum phi_k) only by the rounding
+    # of the summed phase, a few ulps of sum_k max|phi_k|
+    grid = make_grid(spec.dims, points, 12.0)
+    fac = trajectory_factors(t, spec)
+    got = _chirp_phase(grid, spec, fac, t)
+    ref = _reference_chirp(grid, spec, fac, t)
+    assert got.shape == grid.shape
+    phi_max = 0.0
+    for k in range(grid.dims):
+        x = grid.nodes
+        phi = x**2 * fac.h[k] / (2.0 * fac.g[k])
+        if spec.sector(k) == "stark":
+            phi = phi - (t / 2.0) * spec.field(k) * x
+        phi_max += float(np.max(np.abs(phi)))
+    assert np.max(np.abs(got - ref)) <= 8.0 * np.finfo(float).eps * phi_max

@@ -183,3 +183,15 @@ def test_power_preset():
     f = preset_power(2.0, 1.0)
     assert f(0.0) == 2.0
     assert f(np.sqrt(3.0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_p_alpha_log_branch_small_argument_series(sign):
+    # ln<y> = y^2/2 - y^4/4 + y^6/6 - ...; five terms leave a truncation
+    # below 1e-20 relative on |y| <= 1e-2, where rounding 1 + y^2 first
+    # would cost up to 1e-12
+    y = sign * np.geomspace(1e-8, 1e-2, 61)
+    y2 = y * y
+    series = y2 / 2 - y2**2 / 4 + y2**3 / 6 - y2**4 / 8 + y2**5 / 10
+    got = p_alpha(y, 2.0)
+    assert np.max(np.abs(got - series) / series) <= 1e-15

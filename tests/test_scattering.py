@@ -301,3 +301,35 @@ def test_tiered_cell_average_matches_32_point_rule(name):
                 got = _cell_average(fn, scale, nodes, h)
                 ref = _cell_average_32(fn, scale, nodes, h)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), scale
+
+
+# Means and per-direction ln<x_j>/t traces recorded before the chirp was built
+# per axis and the n-D branch shared one density per time.
+PER_DIRECTION_PINS = [
+    (QuadraticSpec(dims=2, n_minus=2, omegas=(1.0, 2.0)),
+     [2.196461737860039, 2.718937304040393, 3.2532695304658357, 3.4582327418372216],
+     [1.010789669170034, 1.1479628837448104, 1.4678370137968173, 1.6351679927757268],
+     [1.7739272855299804, 2.5847664722088153, 3.2676638414049726, 3.5117319187875764]),
+    (QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,)),
+     [1.3655369019238128, 1.3302763226345178, 1.503595688477962, 1.6154224672569273],
+     [1.010789669170034, 1.1479628837448106, 1.4678370137968175, 1.6351679927757274],
+     [0.628447889091009, 0.5538255298884777, 0.5356917480323009, 0.5244973584694482]),
+]
+
+
+@pytest.mark.parametrize("spec, means, dir0, dir1", PER_DIRECTION_PINS,
+                         ids=["hyper-hyper", "hyper-stark"])
+def test_nd_velocity_trace_pinned(spec, means, dir0, dir1):
+    g = make_grid(2, 128, 10.0)
+    psi = gaussian(g, center=(0.5, -0.3), momentum=(0.2, -0.1))
+    trace = velocity_trace(psi, spec, 2.0, [0.5, 1.0, 2.0, 3.0], per_direction=True)
+    np.testing.assert_allclose(trace.means, means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.per_direction[0], dir0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.per_direction[1], dir1, rtol=1e-12, atol=0)
+
+
+def test_1d_per_direction_trace_is_the_log_mean():
+    # in 1-D the one marginal is the velocity snapshot itself
+    g = make_grid(1, 512, 12.0)
+    trace = velocity_trace(gaussian(g), HYPER, 2.0, [2.0, 4.0], per_direction=True)
+    np.testing.assert_array_equal(trace.per_direction[0], trace.means)
