@@ -11,6 +11,8 @@ from . import scattering as sc
 from .config import (
     ExperimentConfig,
     _mapping,
+    _real,
+    _reals,
     build_grid,
     build_perturbation,
     build_quadratic,
@@ -19,7 +21,7 @@ from .config import (
     build_state,
     require,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .grids import l2_norm, to_position
 from .mehler import propagate_factored
 from .phasespace import (
@@ -77,13 +79,15 @@ def run_propagate(raw, out_dir):
     grid = build_grid(require(raw, "grid", "propagate"))
     psi0 = build_state(raw.get("state", {}), grid)
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
-    t = float(require(raw, "t", "propagate"))
+    t = _real(require(raw, "t", "propagate"), "t")
+    norm_tol = _real(raw.get("norm_tol", 1e-10), "norm_tol")
+    roundtrip_tol = _real(raw.get("roundtrip_tol", 1e-8), "roundtrip_tol")
     norm0 = l2_norm(psi0)
     if quad is not None and rep is None and pert is None:
         out = propagate_factored(psi0, t, quad)
         back = propagate_factored(out, -t, quad)
     else:
-        dt = float(require(raw, "dt", "propagate"))
+        dt = _real(require(raw, "dt", "propagate"), "dt")
         cfg = evolution_config(grid, dt, repulsive=rep, quadratic=quad, perturbation=pert)
         out, _ = propagate(psi0, t, cfg)
         back, _ = propagate(out, -t, cfg)
@@ -91,8 +95,8 @@ def run_propagate(raw, out_dir):
     rt = np.sqrt(np.sum(np.abs(back.values - to_position(psi0).values) ** 2) * out.measure)
     metrics = {"norm_drift": drift, "roundtrip_error": float(rt), "t": t}
     checks = [
-        _bound_check("unitarity", drift, float(raw.get("norm_tol", 1e-10))),
-        _bound_check("reversibility", float(rt), float(raw.get("roundtrip_tol", 1e-8))),
+        _bound_check("unitarity", drift, norm_tol),
+        _bound_check("reversibility", float(rt), roundtrip_tol),
     ]
     return metrics, checks
 
@@ -101,7 +105,9 @@ def run_velocity(raw, out_dir):
     grid = build_grid(require(raw, "grid", "velocity"))
     psi0 = build_state(raw.get("state", {}), grid)
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
-    alpha = float(require(raw, "alpha", "velocity"))
+    alpha = _real(require(raw, "alpha", "velocity"), "alpha")
+    sigma = sigma_alpha(alpha)
+    tol = _real(raw.get("tol", 0.2 * sigma), "tol")
     times = build_schedule(require(raw, "schedule", "velocity"))
     if raw.get("histogram_csv") and grid.dims > 1:
         raise ConfigurationError("histogram_csv: velocity histograms are one-dimensional; "
@@ -110,10 +116,9 @@ def run_velocity(raw, out_dir):
         trace = sc.velocity_trace(psi0, quad, alpha, times,
                                   per_direction=bool(raw.get("per_direction", False)))
     else:
-        dt = float(require(raw, "dt", "velocity"))
+        dt = _real(require(raw, "dt", "velocity"), "dt")
         cfg = evolution_config(grid, dt, repulsive=rep, perturbation=pert)
         trace = sc.velocity_trace(psi0, cfg, alpha, times)
-    sigma = sigma_alpha(alpha)
     final = float(trace.means[-1])
     rich = trace.richardson_limit() if len(trace.means) >= 2 else final
     metrics = {
@@ -126,8 +131,7 @@ def run_velocity(raw, out_dir):
     }
     for ax, series in sorted(trace.per_direction.items()):
         metrics[f"direction_{ax}_final"] = float(series[-1])
-    checks = [_bound_check("velocity_limit", abs(final - sigma),
-                           float(raw.get("tol", 0.2 * sigma)))]
+    checks = [_bound_check("velocity_limit", abs(final - sigma), tol)]
     if raw.get("csv"):
         sc.velocity_trace_to_csv(trace, os.path.join(out_dir, raw["csv"]))
     if raw.get("histogram_csv"):
@@ -140,12 +144,15 @@ def run_cook(raw, out_dir):
     psi0 = build_state(raw.get("state", {}), grid)
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
     times = build_schedule(require(raw, "schedule", "cook"))
+    expected = (_real(raw["expected_exponent"], "expected_exponent")
+                if "expected_exponent" in raw else None)
+    tol = _real(raw.get("tol", 0.3), "tol")
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
     if quad is not None:
         record = sc.cook_scan(psi0, quad, pert, times)
     else:
-        dt = float(require(raw, "dt", "cook"))
+        dt = _real(require(raw, "dt", "cook"), "dt")
         cfg = evolution_config(grid, dt, repulsive=rep)
         record = sc.cook_scan(psi0, cfg, pert, times)
     metrics = {
@@ -157,9 +164,8 @@ def run_cook(raw, out_dir):
         "max_integrand": float(np.max(record.integrand)) if record.integrand.size else 0.0,
     }
     checks = []
-    if "expected_exponent" in raw:
-        checks.append(_check("tail_exponent", float(raw["expected_exponent"]),
-                             record.tail_exponent, float(raw.get("tol", 0.3))))
+    if expected is not None:
+        checks.append(_check("tail_exponent", expected, record.tail_exponent, tol))
     if raw.get("csv"):
         sc.cook_record_to_csv(record, os.path.join(out_dir, raw["csv"]))
     return metrics, checks
@@ -169,7 +175,10 @@ def run_wave_operator(raw, out_dir):
     grid = build_grid(require(raw, "grid", "wave-operator"))
     psi0 = build_state(raw.get("state", {}), grid)
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
-    Ts = [float(t) for t in require(raw, "horizons", "wave-operator")]
+    Ts = _reals(require(raw, "horizons", "wave-operator"), "horizons")
+    if len(Ts) < 2:
+        raise ConfigurationError(f"horizons must be a list of at least 2 times, got {Ts!r}")
+    isometry_tol = _real(raw.get("isometry_tol", 1e-8), "isometry_tol")
     if quad is None:
         raise ConfigurationError("wave-operator experiment requires a quadratic block")
     if pert is None:
@@ -185,7 +194,7 @@ def run_wave_operator(raw, out_dir):
         "isometry_defect": max(defects),
     }
     checks = [
-        _bound_check("isometry", max(defects), float(raw.get("isometry_tol", 1e-8))),
+        _bound_check("isometry", max(defects), isometry_tol),
         {"name": "cauchy_decreasing",
          "expected": True,
          "measured": bool(np.all(np.diff(diffs) <= 1e-8)),
@@ -196,9 +205,10 @@ def run_wave_operator(raw, out_dir):
 
 
 def run_classical(raw, out_dir):
-    alpha = float(require(raw, "alpha", "classical"))
-    dt = float(raw.get("dt", 1e-3))
-    t_final = float(require(raw, "t_final", "classical"))
+    alpha = _real(require(raw, "alpha", "classical"), "alpha")
+    dt = _real(raw.get("dt", 1e-3), "dt")
+    t_final = _real(require(raw, "t_final", "classical"), "t_final")
+    tol = _real(raw.get("tol", 0.03 if alpha < 2.0 else 0.02), "tol")
     start = raw.get("start")
     if start is None:
         point = cl.zero_energy_start(alpha)
@@ -215,24 +225,24 @@ def run_classical(raw, out_dir):
         fit = cl.escape_exponent(traj, window)
         metrics["kappa_estimate"] = fit["kappa_estimate"]
         metrics["kappa_expected"] = kappa
-        checks.append(_check("kappa", kappa, fit["kappa_estimate"],
-                             float(raw.get("tol", 0.03)) * kappa))
+        checks.append(_check("kappa", kappa, fit["kappa_estimate"], tol * kappa))
     else:
         rate = cl.log_growth_rate(traj, window)
         metrics["log_growth_rate"] = rate
-        checks.append(_check("log_growth_rate", 2.0, rate,
-                             float(raw.get("tol", 0.02)) * 2.0))
+        checks.append(_check("log_growth_rate", 2.0, rate, tol * 2.0))
     if raw.get("csv"):
         cl.trajectory_to_csv(traj, os.path.join(out_dir, raw["csv"]))
     return metrics, checks
 
 
 def run_mourre_scan(raw, out_dir):
-    alpha = float(require(raw, "alpha", "mourre-scan"))
-    E = float(require(raw, "E", "mourre-scan"))
-    eta = float(require(raw, "eta", "mourre-scan"))
-    radius_range = tuple(float(r) for r in raw.get("radius_range", (0.5, 50.0)))
-    samples = int(raw.get("samples", 10_000))
+    alpha = _real(require(raw, "alpha", "mourre-scan"), "alpha")
+    E = _real(require(raw, "E", "mourre-scan"), "E")
+    eta = _real(require(raw, "eta", "mourre-scan"), "eta")
+    radius_range = tuple(_reals(raw.get("radius_range", (0.5, 50.0)), "radius_range"))
+    if len(radius_range) != 2:
+        raise ConfigurationError(f"radius_range must be [r_min, r_max], got {radius_range!r}")
+    samples = check_integer(raw.get("samples", 10_000), "samples", minimum=1)
     result = mourre_shell_scan(alpha, E, eta, radius_range, samples)
     metrics = {
         "min_bracket": result["min_bracket"],
@@ -264,8 +274,11 @@ def run_convergence(raw, out_dir):
     grid = build_grid(require(raw, "grid", "convergence"))
     psi0 = build_state(raw.get("state", {}), grid)
     quad, rep, pert = _hamiltonian_blocks(raw, grid)
-    t = float(require(raw, "t", "convergence"))
-    dts = [float(d) for d in require(raw, "dt_sequence", "convergence")]
+    t = _real(require(raw, "t", "convergence"), "t")
+    dts = _reals(require(raw, "dt_sequence", "convergence"), "dt_sequence")
+    if len(dts) < 4:
+        raise ConfigurationError(f"dt_sequence must be a list of at least 4 steps, got {dts!r}")
+    tol = _real(raw.get("tol", 0.1), "tol")
     cfg = evolution_config(grid, max(dts), repulsive=rep, quadratic=quad, perturbation=pert)
     result = convergence_order(psi0, t, cfg, dts,
                                reference=raw.get("reference", "oracle"))
@@ -275,7 +288,7 @@ def run_convergence(raw, out_dir):
         "dts": [float(d) for d in result["dts"]],
         "floor_flagged": result["floor_flagged"],
     }
-    checks = [_check("strang_order", 2.0, result["slope"], float(raw.get("tol", 0.1)))]
+    checks = [_check("strang_order", 2.0, result["slope"], tol)]
     return metrics, checks
 
 

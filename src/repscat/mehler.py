@@ -30,7 +30,7 @@ from .grids import (
 )
 from .potentials import QuadraticSpec
 
-#: Default guard distance around kernel singular times.
+#: Guard distance around kernel singular times.
 SINGULAR_GUARD = 1e-3
 
 #: Kernel-quadrature oracle limits and stated time domain.
@@ -110,7 +110,7 @@ def _branch_amplitude(sector: str, omega: float, t: float, g_val: float) -> comp
     return phase / np.sqrt(abs(g_val))
 
 
-def _check_guard_time(spec: QuadraticSpec, t: float, guard: float):
+def _check_guard_time(spec: QuadraticSpec, t: float):
     if t == 0.0:
         return
     for k in range(spec.dims):
@@ -119,11 +119,11 @@ def _check_guard_time(spec: QuadraticSpec, t: float, guard: float):
         w = spec.omega(k)
         period = np.pi / (2.0 * w)
         dist = abs(abs(t) / period - round(abs(t) / period)) * period
-        if round(abs(t) / period) > 0 and dist < guard:
+        if round(abs(t) / period) > 0 and dist < SINGULAR_GUARD:
             raise SingularTimeError(
-                f"t={t} is within {guard} of a singular time of coordinate {k}"
+                f"t={t} is within {SINGULAR_GUARD} of a singular time of coordinate {k}"
             )
-        if abs(np.sin(2 * w * t) / w) < 1e-14 and abs(t) > guard:
+        if abs(np.sin(2 * w * t) / w) < 1e-14 and abs(t) > SINGULAR_GUARD:
             raise SingularTimeError(f"g_{k}(2t) vanished at t={t}")
 
 
@@ -220,9 +220,7 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec,
     return True, -1, 0.0, ximax
 
 
-def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec,
-                       guard: float = SINGULAR_GUARD,
-                       check_domain: bool = True) -> WaveFunction:
+def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveFunction:
     """Apply exp(-i t H0) through the M_t D_t F M_t factorization.
 
     The dilation is realized as an exact chirp-z resampling of the
@@ -235,16 +233,15 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec,
         raise ConfigurationError("grid dims do not match quadratic spec dims")
     if t == 0.0:
         return psi0
-    _check_guard_time(spec, t, guard)
-    if check_domain:
-        assert_contained(psi0, context="propagate_factored input")
-        ok, axis, needed, ximax = chirp_resolution_ok(psi0, t, spec)
-        if not ok:
-            raise ConfigurationError(
-                f"chirp unresolved on axis {axis} at t={t}: needs frequencies up to "
-                f"{needed:.1f} vs Nyquist {ximax:.1f}; refine the grid or move t "
-                "away from kernel singularities"
-            )
+    _check_guard_time(spec, t)
+    assert_contained(psi0, context="propagate_factored input")
+    ok, axis, needed, ximax = chirp_resolution_ok(psi0, t, spec)
+    if not ok:
+        raise ConfigurationError(
+            f"chirp unresolved on axis {axis} at t={t}: needs frequencies up to "
+            f"{needed:.1f} vs Nyquist {ximax:.1f}; refine the grid or move t "
+            "away from kernel singularities"
+        )
     fac = trajectory_factors(t, spec)
     chirp = _chirp_phase(grid, spec, fac, t)
     vals = chirp * psi0.values
@@ -258,8 +255,7 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec,
     if e2:
         vals = vals * np.exp(-1j * t**3 * e2 / 12.0)
     out = WaveFunction(grid, vals, POSITION)
-    if check_domain:
-        assert_contained(out, context=f"propagate_factored output at t={t}")
+    assert_contained(out, context=f"propagate_factored output at t={t}")
     return out
 
 
@@ -282,8 +278,7 @@ def mehler_phase(t: float, spec: QuadraticSpec):
     return S
 
 
-def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec,
-                     guard: float = SINGULAR_GUARD) -> WaveFunction:
+def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveFunction:
     """Direct O(N^2)-per-axis quadrature of the Mehler integral.
 
     Independent oracle for propagate_factored; restricted to small grids in
@@ -296,7 +291,7 @@ def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec,
         raise OracleScaleError("kernel oracle limited to <= 2 dims and <= 256 points per dim")
     if abs(t) < ORACLE_MIN_TIME:
         raise OracleScaleError(f"kernel oracle domain is |t| >= {ORACLE_MIN_TIME}")
-    _check_guard_time(spec, t, guard)
+    _check_guard_time(spec, t)
     fac = trajectory_factors(t, spec)
     x = grid.nodes
     vals = psi0.values
@@ -346,8 +341,7 @@ def avron_herbst(psi0: WaveFunction, t: float, E: float) -> WaveFunction:
     return out
 
 
-def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec,
-                     guard: float = SINGULAR_GUARD):
+def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     """F(M_t psi0) on the dual lattice, plus the dilation scales g_k(2t).
 
     This is the factorization identity used for large-t observables:
@@ -363,7 +357,7 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec,
     grid = psi0.grid
     if grid.dims != spec.dims:
         raise ConfigurationError("grid dims do not match quadratic spec dims")
-    _check_guard_time(spec, t, guard)
+    _check_guard_time(spec, t)
     fac = trajectory_factors(t, spec)
     chirp = _chirp_phase(grid, spec, fac, t)
     phi = to_momentum(WaveFunction(grid, chirp * psi0.values, POSITION))

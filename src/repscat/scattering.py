@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .potentials import (
     p_alpha_inverse,
     sigma_alpha,
 )
-from .splitstep import EvolutionConfig, evolution_config, propagate
+from .splitstep import EvolutionConfig, _fourier_step, evolution_config, propagate
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -224,8 +224,7 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 
 def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
-              time_schedule: Sequence[float],
-              tail_start: Optional[float] = None) -> CookRecord:
+              time_schedule: Sequence[float]) -> CookRecord:
     """Sample t -> ||V exp(-i t H0) phi|| and fit/integrate its tail.
 
     hamiltonian: a QuadraticSpec (factorized route, any t reachable) or an
@@ -234,7 +233,8 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
 
     The integral estimate is composite Simpson over the schedule plus the
     fitted-tail extrapolation to infinity (NaN when the tail does not decay
-    integrably).  Guard violations truncate the record with a flag.
+    integrably).  The tail is fitted from the geometric midpoint of the
+    sampled times on.  Guard violations truncate the record with a flag.
     """
     times = np.asarray(sorted(float(t) for t in time_schedule))
     if times.size < 4 or times[0] <= 0:
@@ -264,8 +264,7 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
         raise ConfigurationError("hamiltonian must be a QuadraticSpec or EvolutionConfig")
     vals = np.asarray(vals)
     times = times[: len(vals)]
-    if tail_start is None:
-        tail_start = float(np.sqrt(times[0] * times[-1]))  # geometric midpoint
+    tail_start = float(np.sqrt(times[0] * times[-1]))
     kind, expo, window, fit = _fit_tails(times, vals, tail_start)
     full_slope = _fit_tails(times, vals, times[0])[1]
 
@@ -334,13 +333,14 @@ def cook_record_to_csv(record: CookRecord, path):
 # Wave operators.
 # ---------------------------------------------------------------------------
 
-def wave_operator(phi: WaveFunction, T: float, h_cfg, h0_cfg, **kwargs) -> WaveFunction:
+def wave_operator(phi: WaveFunction, T: float, h_cfg, h0_cfg) -> WaveFunction:
     """Omega_T phi = exp(i T H) exp(-i T H0) phi.
 
     h0_cfg QuadraticSpec + h_cfg (QuadraticSpec, V callable): interaction
     picture — the free factorization turns exp(i T H) exp(-i T H0) into an
     ordered product of exact unitary conjugated-potential phases on the fixed
-    lattice, so T is not limited by the e^{2wt} spreading.
+    lattice (slices of width ~0.025 down to s0, then split-step with dt = 1e-3
+    on [0, s0]), so T is not limited by the e^{2wt} spreading.
 
     h0_cfg / h_cfg both EvolutionConfig: literal finite-time composition by
     split-step (guards limit the reachable T).
@@ -351,7 +351,7 @@ def wave_operator(phi: WaveFunction, T: float, h_cfg, h0_cfg, **kwargs) -> WaveF
         spec, perturbation = h_cfg
         if not isinstance(spec, QuadraticSpec):
             raise ConfigurationError("h_cfg must be (QuadraticSpec, perturbation)")
-        return _wave_operator_factorized(phi, T, spec, perturbation, **kwargs)
+        return _wave_operator_factorized(phi, T, spec, perturbation)
     if isinstance(h0_cfg, EvolutionConfig) and isinstance(h_cfg, EvolutionConfig):
         free, _ = propagate(to_position(phi), T, h0_cfg)
         out, _ = propagate(free, -T, h_cfg)
@@ -359,10 +359,11 @@ def wave_operator(phi: WaveFunction, T: float, h_cfg, h0_cfg, **kwargs) -> WaveF
     raise ConfigurationError("unsupported propagator configuration pair")
 
 
-def _interaction_phase_slice(u: np.ndarray, grid: Grid, spec: QuadraticSpec,
-                             s: float, delta: float, perturbation: Callable) -> np.ndarray:
-    """exp(i delta W_s) u with W_s = exp(i s H0) V exp(-i s H0)
-    = M_s^* F^* V(g(2s) .) F M_s — exactly unitary on the lattice."""
+def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: float,
+                             perturbation: Callable):
+    """exp(i delta W_s) = M_s^* F^* exp(i delta V(g(2s) .)) F M_s with W_s =
+    exp(i s H0) V exp(-i s H0), exactly unitary on the lattice: returns the
+    chirp M_s and the dual-lattice multiplier exp(i delta V(g(2s) .))."""
     fac = trajectory_factors(s, spec)
     chirp = _chirp_phase(grid, spec, fac, s)
     if grid.dims == 1:
@@ -371,9 +372,7 @@ def _interaction_phase_slice(u: np.ndarray, grid: Grid, spec: QuadraticSpec,
     else:
         coords = tuple(fac.g[k] * grid.axis_freqs(k) for k in range(grid.dims))
         vbar = perturbation(*coords)
-    out = chirp * u
-    out = np.fft.ifftn(np.exp(1j * delta * vbar) * np.fft.fftn(out))
-    return np.conj(chirp) * out
+    return chirp, np.exp(1j * delta * vbar)
 
 
 def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
@@ -400,9 +399,7 @@ def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
 
 
 def _wave_operator_factorized(phi: WaveFunction, T: float, spec: QuadraticSpec,
-                              perturbation: Callable, slice_width: float = 0.025,
-                              s0: Optional[float] = None,
-                              splitstep_dt: float = 1e-3) -> WaveFunction:
+                              perturbation: Callable) -> WaveFunction:
     if spec.n_plus > 0:
         raise ConfigurationError(
             "interaction-picture wave operators cross kernel singular times on "
@@ -410,25 +407,23 @@ def _wave_operator_factorized(phi: WaveFunction, T: float, spec: QuadraticSpec,
         )
     phi = to_position(phi)
     grid = phi.grid
-    floor = _chirp_resolution_floor(phi, spec)
-    if s0 is None:
-        s0 = max(2.0 * floor, 0.05)
-    if s0 < floor:
-        raise ConfigurationError(f"s0={s0} below chirp resolution floor {floor:.3g}")
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
     if T <= s0:
-        return _wave_operator_direct(phi, T, spec, perturbation, splitstep_dt)
-    n = max(1, int(round((T - s0) / slice_width)))
+        return _wave_operator_direct(phi, T, spec, perturbation)
+    n = max(1, int(round((T - s0) / 0.025)))
     delta = (T - s0) / n
     u = phi.values.copy()
+    work = np.empty_like(u)
     for k in range(n, 0, -1):
-        s = s0 + (k - 0.5) * delta
-        u = _interaction_phase_slice(u, grid, spec, s, delta, perturbation)
-    psi = WaveFunction(grid, u, POSITION)
-    return _wave_operator_direct(psi, s0, spec, perturbation, splitstep_dt)
+        chirp, multiplier = _interaction_phase_slice(grid, spec, s0 + (k - 0.5) * delta,
+                                                     delta, perturbation)
+        np.multiply(chirp, u, out=u)
+        _fourier_step(u, work, multiplier, np.conj(chirp))
+    return _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, spec, perturbation)
 
 
 def _wave_operator_direct(phi: WaveFunction, T: float, spec: QuadraticSpec,
-                          perturbation: Callable, dt: float) -> WaveFunction:
+                          perturbation: Callable) -> WaveFunction:
     """exp(i T H) exp(-i T H0) phi by split-step on both halves (small T).
 
     Matching discretizations make the V = 0 case an exact identity, and the
@@ -436,19 +431,16 @@ def _wave_operator_direct(phi: WaveFunction, T: float, spec: QuadraticSpec,
     edge guard is relaxed here: wave-operator states legitimately carry a
     small spread scattered component.
     """
-    cfg0 = evolution_config(phi.grid, dt, quadratic=spec, edge_mass_tol=1e-2)
-    cfg = evolution_config(phi.grid, dt, quadratic=spec, perturbation=perturbation,
+    cfg0 = evolution_config(phi.grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2)
+    cfg = evolution_config(phi.grid, 1e-3, quadratic=spec, perturbation=perturbation,
                            edge_mass_tol=1e-2)
-    free, _ = propagate(phi, T, cfg0)
-    out, _ = propagate(free, -T, cfg)
-    return out
+    return wave_operator(phi, T, cfg, cfg0)
 
 
-def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], h_cfg, h0_cfg,
-                       **kwargs):
+def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], h_cfg, h0_cfg):
     """||Omega_T2 phi - Omega_T1 phi|| for consecutive T pairs, with the
     wave-operator states themselves."""
-    omegas = {T: wave_operator(phi, T, h_cfg, h0_cfg, **kwargs) for T in Ts}
+    omegas = {T: wave_operator(phi, T, h_cfg, h0_cfg) for T in Ts}
     diffs = []
     for t1, t2 in zip(Ts, Ts[1:]):
         d = omegas[t2].values - omegas[t1].values

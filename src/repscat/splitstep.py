@@ -23,7 +23,6 @@ from .grids import (
     Observable,
     WaveFunction,
     _guard_edge,
-    assert_contained,
     expectation,
     l2_norm,
     to_position,
@@ -88,18 +87,40 @@ def evolution_config(grid: Grid, dt: float,
     return EvolutionConfig(grid=grid, dt=dt, potential=pot, **guards)
 
 
+def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray,
+                  phase: np.ndarray) -> None:
+    """buf <- phase * F^-1(multiplier * F buf) in place through `spec`: every
+    Strang step and wave-operator slice.  Complex multiply is not bitwise
+    commutative, so the operand order is fixed here for all of them."""
+    np.fft.fftn(buf, out=spec)
+    np.multiply(multiplier, spec, out=spec)
+    np.fft.ifftn(spec, out=buf)
+    np.multiply(phase, buf, out=buf)
+
+
+def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, dt: float, n: int,
+                  context: str):
+    """n Strang steps of length dt from the position samples vals, on two
+    buffers allocated here (so the result never aliases vals), guarding every
+    state once.  Returns (samples, max edge mass)."""
+    half_v = np.exp(-0.5j * dt * cfg.potential)
+    full_v = half_v * half_v if n > 1 else half_v
+    kin = np.exp(-1j * dt * cfg.kinetic)
+    guard_args = (cfg.grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, context)
+    buf = half_v * vals
+    spec = np.empty_like(buf)
+    max_edge = 0.0
+    for k in range(n):
+        _fourier_step(buf, spec, kin, full_v if k < n - 1 else half_v)
+        max_edge = max(max_edge, _guard_edge(buf, *guard_args))
+    return buf, max_edge
+
+
 def strang_step(psi: WaveFunction, cfg: EvolutionConfig, dt: Optional[float] = None) -> WaveFunction:
     """One Strang step exp(-i dt V/2) F^-1 exp(-i dt xi^2) F exp(-i dt V/2)."""
     psi = to_position(psi)
-    h = cfg.dt if dt is None else dt
-    half_v = np.exp(-0.5j * h * cfg.potential)
-    kin = np.exp(-1j * h * cfg.kinetic)
-    vals = half_v * psi.values
-    vals = np.fft.ifftn(kin * np.fft.fftn(vals))
-    vals = half_v * vals
-    out = WaveFunction(psi.grid, vals, POSITION)
-    assert_contained(out, cfg.edge_fraction, cfg.edge_mass_tol, context="strang_step")
-    return out
+    vals, _ = _strang_steps(psi.values, cfg, cfg.dt if dt is None else dt, 1, "strang_step")
+    return WaveFunction(psi.grid, vals, POSITION)
 
 
 def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
@@ -125,33 +146,16 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
             n_full += 1
         rem = 0.0
 
-    grid = cfg.grid
-    half_v = np.exp(-0.5j * cfg.dt * cfg.potential)
-    full_v = half_v * half_v
-    kin = np.exp(-1j * cfg.dt * cfg.kinetic)
-    vals = psi0.values
-    max_edge = 0.0
-    guard_args = (grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, "propagate")
+    vals, max_edge = psi0.values, 0.0
     if n_full:
-        # Two buffers for the whole loop: buf holds position samples, spec
-        # their spectrum.  Both are local, so returned states never alias.
-        buf = half_v * vals
-        spec = np.empty_like(buf)
-        for k in range(n_full):
-            np.fft.fftn(buf, out=spec)
-            np.multiply(kin, spec, out=spec)  # operand order as in strang_step
-            np.fft.ifftn(spec, out=buf)
-            np.multiply(full_v if k < n_full - 1 else half_v, buf, out=buf)
-            max_edge = max(max_edge, _guard_edge(buf, *guard_args))
-        vals = buf
+        vals, max_edge = _strang_steps(vals, cfg, cfg.dt, n_full, "propagate")
     if rem:
-        psi = WaveFunction(grid, vals, POSITION)
-        psi = strang_step(psi, cfg, dt=rem)
-        vals = psi.values
-    if rem or not n_full:
-        # the full-step loop already guarded its last state
-        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
-    out = WaveFunction(grid, vals, POSITION)
+        vals, rem_edge = _strang_steps(vals, cfg, rem, 1, "propagate")
+        max_edge = max(max_edge, rem_edge)
+    elif not n_full:  # t below the step resolution: no step runs, guard the input
+        max_edge = _guard_edge(vals, cfg.grid, POSITION, cfg.edge_fraction,
+                               cfg.edge_mass_tol, "propagate")
+    out = WaveFunction(cfg.grid, vals, POSITION)
     return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}
 
 
@@ -226,16 +230,15 @@ def classical_envelope(alpha: float, t: float, initial_radius: float = 0.0) -> f
     return float(p_alpha_inverse(p_end, alpha))
 
 
-def suggest_grid(alpha: float, t_max: float, initial_radius: float,
-                 momentum_pad: float = 4.0, safety: float = 1.5):
+def suggest_grid(alpha: float, t_max: float, initial_radius: float):
     """Box half-width and point count for a split-step run up to t_max.
 
-    The box follows the classical envelope times a safety factor; the point
-    count keeps the classical momentum sqrt(<L>^alpha) plus the packet's own
-    bandwidth below 80% of Nyquist.
+    The box is 1.5 times the classical envelope; the point count keeps the
+    classical momentum sqrt(<L>^alpha) plus a packet bandwidth of 4 below
+    80% of Nyquist.
     """
     radius = classical_envelope(alpha, t_max, initial_radius)
-    half_width = safety * max(radius, initial_radius + 1.0)
-    xi_needed = np.sqrt((1.0 + half_width**2) ** (alpha / 2.0)) + momentum_pad
+    half_width = 1.5 * max(radius, initial_radius + 1.0)
+    xi_needed = np.sqrt((1.0 + half_width**2) ** (alpha / 2.0)) + 4.0
     n = int(2 ** np.ceil(np.log2(2.0 * half_width * xi_needed * 1.25 / np.pi)))
     return float(half_width), max(n, 8)

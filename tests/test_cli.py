@@ -75,6 +75,15 @@ hamiltonian:
 t: 0.4
 """
 
+WAVE_CFG = """
+experiment: wave-operator
+grid: {dims: 1, points: 2048, half_width: 12.0}
+hamiltonian:
+  quadratic: {n_minus: 1, omegas: [1.0]}
+  perturbation: {preset: log-power, args: {height: 1.0, exponent: 2.0}}
+horizons: [2.0, 4.0, 6.0]
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -177,6 +186,68 @@ def test_bad_hamiltonian_and_schedule_inputs_exit_2(tmp_path, capsys, base, line
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+REPULSIVE_DT_LINE = "  repulsive: {alpha: 1.0}\ndt: abc"
+
+# Top-level experiment keys: each error must name its key ("t must be ...").
+BAD_TOP_LEVEL = [
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: abc", "t", id="propagate-t"),
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\nnorm_tol: loose", "norm_tol",
+                 id="propagate-norm_tol"),
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\nroundtrip_tol: [1]", "roundtrip_tol",
+                 id="propagate-roundtrip_tol"),
+    pytest.param(PROPAGATE_CFG, QUAD_LINE, REPULSIVE_DT_LINE, "dt", id="propagate-dt"),
+    pytest.param(VELOCITY_CFG, "alpha: 2.0", "alpha: abc", "alpha", id="velocity-alpha"),
+    pytest.param(VELOCITY_CFG, "csv: velocity.csv", "csv: velocity.csv\ntol: x", "tol",
+                 id="velocity-tol"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE, REPULSIVE_DT_LINE, "dt", id="velocity-dt"),
+    pytest.param(COOK_ZERO_CFG, "csv: cook.csv", "csv: cook.csv\nexpected_exponent: steep",
+                 "expected_exponent", id="cook-expected_exponent"),
+    pytest.param(COOK_ZERO_CFG, "csv: cook.csv", "csv: cook.csv\ntol: true", "tol",
+                 id="cook-tol"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE, REPULSIVE_DT_LINE, "dt", id="cook-dt"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, x]", "horizons[1]",
+                 id="wave-horizons-item"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: 2.0", "horizons",
+                 id="wave-horizons-scalar"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: []", "horizons",
+                 id="wave-horizons-empty"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]",
+                 "horizons: [2.0, 4.0, 6.0]\nisometry_tol: tight", "isometry_tol",
+                 id="wave-isometry_tol"),
+    pytest.param(CLASSICAL_CFG, "alpha: 1.0", "alpha: abc", "alpha", id="classical-alpha"),
+    pytest.param(CLASSICAL_CFG, "dt: 0.001", "dt: abc", "dt", id="classical-dt"),
+    pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: abc", "t_final",
+                 id="classical-t_final"),
+    pytest.param(CLASSICAL_CFG, "csv: traj.csv", "csv: traj.csv\ntol: x", "tol",
+                 id="classical-tol"),
+    pytest.param(MOURRE_CFG, "alpha: 1.0", "alpha: abc", "alpha", id="mourre-alpha"),
+    pytest.param(MOURRE_CFG, "E: 0.0", "E: abc", "E", id="mourre-E"),
+    pytest.param(MOURRE_CFG, "eta: 0.1", "eta: []", "eta", id="mourre-eta"),
+    pytest.param(MOURRE_CFG, "radius_range: [1.0, 40.0]", "radius_range: [1.0, x]",
+                 "radius_range[1]", id="mourre-radius_range-item"),
+    pytest.param(MOURRE_CFG, "radius_range: [1.0, 40.0]", "radius_range: [1.0]",
+                 "radius_range", id="mourre-radius_range-length"),
+    pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000.5", "samples",
+                 id="mourre-samples-float"),
+    pytest.param(MOURRE_CFG, "samples: 2000", "samples: 0", "samples", id="mourre-samples-zero"),
+    pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: abc", "t", id="convergence-t"),
+    pytest.param(CONVERGENCE_CFG, "dt_sequence: [4.0e-3, 2.0e-3, 1.0e-3, 5.0e-4]",
+                 "dt_sequence: 4.0e-3", "dt_sequence", id="convergence-dt_sequence"),
+    pytest.param(CONVERGENCE_CFG, "dt_sequence: [4.0e-3, 2.0e-3, 1.0e-3, 5.0e-4]",
+                 "dt_sequence: []", "dt_sequence", id="convergence-dt_sequence-empty"),
+    pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: 0.1\ntol: x", "tol", id="convergence-tol"),
+]
+
+
+@pytest.mark.parametrize("base, line, bad_line, key", BAD_TOP_LEVEL)
+def test_bad_top_level_inputs_exit_2(tmp_path, capsys, base, line, bad_line, key):
+    assert line in base
+    cfg = _write(tmp_path, "bad.yaml", base.replace(line, bad_line))
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert f"{key} must be" in capsys.readouterr().err
 
 
 def test_nd_velocity_histogram_rejected(tmp_path, capsys):

@@ -17,11 +17,15 @@ from repscat import (
     velocity_trace,
     wave_operator,
 )
+from repscat.grids import POSITION
+from repscat.mehler import _chirp_phase, trajectory_factors
 from repscat.potentials import PRESETS, bracket_x, p_alpha, preset_log_power, preset_power
 from repscat.scattering import (
     DensitySnapshot,
     _cell_average,
     _chirp_resolution_floor,
+    _wave_operator_direct,
+    _wave_operator_factorized,
     cauchy_differences,
     cook_record_to_csv,
     histograms_to_csv,
@@ -135,6 +139,45 @@ def test_wave_operator_identity_when_free(l2):
     assert l2(out, psi) < 1e-10
     out0 = wave_operator(psi, 0.0, (HYPER, LOGW), HYPER)
     assert l2(out0, psi) == 0.0
+
+
+def _reference_wave_operator(phi, T, spec, perturbation):
+    """The interaction-picture slice loop on fresh arrays: each slice forms
+    M_s^* F^-1 exp(i delta vbar) F M_s u as a new array."""
+    grid = phi.grid
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    n = max(1, int(round((T - s0) / 0.025)))
+    delta = (T - s0) / n
+    u = phi.values
+    for k in range(n, 0, -1):
+        s = s0 + (k - 0.5) * delta
+        fac = trajectory_factors(s, spec)
+        chirp = _chirp_phase(grid, spec, fac, s)
+        if grid.dims == 1:
+            vbar = _cell_average(perturbation, float(fac.g[0]), grid.freq_nodes,
+                                 grid.freq_spacing)
+        else:
+            vbar = perturbation(*(fac.g[j] * grid.axis_freqs(j) for j in range(grid.dims)))
+        u = np.conj(chirp) * np.fft.ifftn(np.exp(1j * delta * vbar) * np.fft.fftn(chirp * u))
+    return _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, spec, perturbation)
+
+
+@pytest.mark.parametrize("grid, spec, perturbation, T", [
+    (make_grid(1, 512, 12.0), HYPER, LOGW, 3.0),
+    (make_grid(2, 64, 4.0), QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,),
+                                          fields=(0.5,)), preset_power(1.0, 1.0), 1.0),
+])
+def test_wave_operator_slices_match_reference_loop(grid, spec, perturbation, T):
+    psi = gaussian(grid, width=0.7, momentum=0.3)
+    start = psi.values.copy()
+    out = _wave_operator_factorized(psi, T, spec, perturbation)
+    ref = _reference_wave_operator(psi, T, spec, perturbation)
+    if grid.dims == 1:
+        assert np.array_equal(out.values, ref.values)
+    else:
+        np.testing.assert_allclose(out.values, ref.values, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref.values)))
+    assert np.array_equal(psi.values, start)
 
 
 def test_wave_operator_isometry_and_cauchy():

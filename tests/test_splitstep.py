@@ -29,6 +29,14 @@ from repscat.potentials import preset_compact_bump
 from repscat.splitstep import energy_expectation, hamiltonian_matrix
 
 
+def _reference_strang_step(vals, cfg, dt):
+    """One Strang step on fresh arrays: exp(-i dt V/2) F^-1 exp(-i dt xi^2) F
+    exp(-i dt V/2), the formula the buffered kernel replaced."""
+    half_v = np.exp(-0.5j * dt * cfg.potential)
+    kin = np.exp(-1j * dt * cfg.kinetic)
+    return half_v * np.fft.ifftn(kin * np.fft.fftn(half_v * vals))
+
+
 def _reference_propagate(psi0, t, cfg):
     """Strang loop that allocates fresh arrays every step.  `propagate` runs
     the same arithmetic on two reused buffers; complex multiply is not
@@ -65,7 +73,7 @@ def _reference_propagate(psi0, t, cfg):
         vals = half_v * vals
         max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     if rem:
-        vals = strang_step(WaveFunction(grid, vals, POSITION), cfg, dt=rem).values
+        vals = _reference_strang_step(vals, cfg, rem)
     if rem or not n_full:
         max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     return WaveFunction(grid, vals, POSITION), {"steps": n_full + (1 if rem else 0),
@@ -77,6 +85,28 @@ def test_strang_zero_dt_is_identity(l2):
     cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
     psi = gaussian(g)
     assert l2(strang_step(psi, cfg, dt=0.0), psi) < 1e-14
+
+
+@pytest.mark.parametrize("dims, points, half_width", [(1, 256, 10.0), (2, 64, 10.0),
+                                                      (3, 16, 8.0)])
+@pytest.mark.parametrize("dt", [None, 3e-3, -2e-3])
+def test_strang_step_matches_allocating_formula(dims, points, half_width, dt):
+    g = make_grid(dims, points, half_width)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.5),
+                           perturbation=preset_compact_bump(0.5, 1.0))
+    psi = gaussian(g, center=0.5, momentum=0.7)
+    out = strang_step(psi, cfg, dt=dt)
+    ref = _reference_strang_step(psi.values, cfg, cfg.dt if dt is None else dt)
+    np.testing.assert_allclose(out.values, ref, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    assert not np.shares_memory(out.values, psi.values)
+
+
+def test_strang_step_names_itself_when_the_state_escapes():
+    g = make_grid(1, 128, 10.0)
+    cfg = evolution_config(g, 1e-2, perturbation=lambda x: 0.0 * x)
+    with pytest.raises(DomainEscapeError, match=r"\(strang_step\)"):
+        strang_step(gaussian(g, center=9.0), cfg)
 
 
 def test_free_splitting_is_exact(l2):
@@ -251,10 +281,10 @@ def test_one_step_propagate_reports_output_edge_mass():
     assert 0.0 < tele["max_edge_mass"] == boundary_mass_fraction(out)
 
 
-@pytest.mark.parametrize("t, calls", [(5e-2, 5), (5.5e-2, 7)])
+@pytest.mark.parametrize("t, calls", [(5e-2, 5), (5.5e-2, 6), (1e-15, 1)])
 def test_propagate_guards_each_state_once(monkeypatch, t, calls):
-    # one edge-mass evaluation per full step; a remainder step adds
-    # strang_step's own guard and the closing guard that records its mass
+    # one edge-mass evaluation per step, the remainder step included; a time
+    # below the step resolution runs no step and guards the input state
     masses = []
     edge_mass = grids._edge_mass
 
