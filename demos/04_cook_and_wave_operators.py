@@ -41,7 +41,7 @@ def main():
 
     print("== finite-time wave operators Omega_T, W = <ln<x>>^-2 ==")
     Ts = [2.0, 4.0, 6.0, 8.0]
-    diffs, omegas = cauchy_differences(phi, Ts, (HYPER, preset_log_power(1.0, 2.0)), HYPER)
+    diffs, omegas = cauchy_differences(phi, Ts, HYPER, preset_log_power(1.0, 2.0))
     for om in omegas.values():
         assert abs(rs.l2_norm(om) - 1.0) < 1e-8
     print("   isometry holds to 1e-8 at every horizon")

@@ -14,7 +14,6 @@ from .classical import (
 )
 from .errors import (
     ConfigurationError,
-    DerivativeError,
     DomainEscapeError,
     NoEscapeError,
     NumericalStateError,

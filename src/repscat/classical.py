@@ -7,12 +7,12 @@ holds verbatim; the escape exponent kappa = 2/(2-alpha) is convention-free.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_rows
 from .errors import ConfigurationError, NoEscapeError, check_integer
 from .potentials import p_alpha
 
@@ -196,11 +196,7 @@ def zero_energy_start(alpha: float, x0: float = 1.0) -> PhasePoint:
 def trajectory_to_csv(traj: Trajectory, path):
     """Columns t, x..., xi..., energy."""
     dims = traj.xs.shape[1]
-    h = traj.energies()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{k}" for k in range(dims)]
-                        + [f"xi{k}" for k in range(dims)] + ["energy"])
-        for i, t in enumerate(traj.times):
-            row = [t, *traj.xs[i], *traj.xis[i], h[i]]
-            writer.writerow([format(float(v), ".17g") for v in row])
+    write_rows(path, ["t"] + [f"x{k}" for k in range(dims)]
+               + [f"xi{k}" for k in range(dims)] + ["energy"],
+               ((t, *x, *xi, h) for t, x, xi, h
+                in zip(traj.times, traj.xs, traj.xis, traj.energies())))

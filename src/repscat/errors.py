@@ -40,10 +40,6 @@ class NoEscapeError(RepscatError):
     """A trajectory did not escape over the requested fit window."""
 
 
-class DerivativeError(RepscatError):
-    """Finite-difference step underflowed or derivatives are unavailable."""
-
-
 def check_integer(value, key: str, minimum=None) -> int:
     """`value` as an int; floats and booleans are refused, not truncated."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)

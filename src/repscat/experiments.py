@@ -10,6 +10,7 @@ from . import classical as cl
 from . import scattering as sc
 from .config import (
     ExperimentConfig,
+    _axis_reals,
     _mapping,
     _real,
     _reals,
@@ -75,6 +76,18 @@ def _hamiltonian_blocks(raw, grid):
     return quad, rep, pert
 
 
+def _refuse_on_quadratic_route(quad, **blocks):
+    """The quadratic route evolves the factorized saddle alone: a Hamiltonian
+    block it would not use is refused rather than silently dropped."""
+    if quad is None:
+        return
+    for key, value in blocks.items():
+        if value is not None:
+            raise ConfigurationError(
+                f"hamiltonian.{key}: the quadratic (factorized) route of this experiment "
+                f"cannot include it; drop hamiltonian.{key} or hamiltonian.quadratic")
+
+
 def run_propagate(raw, out_dir):
     grid = build_grid(require(raw, "grid", "propagate"))
     psi0 = build_state(raw.get("state", {}), grid)
@@ -112,6 +125,7 @@ def run_velocity(raw, out_dir):
     if raw.get("histogram_csv") and grid.dims > 1:
         raise ConfigurationError("histogram_csv: velocity histograms are one-dimensional; "
                                  "drop it for an n-D grid")
+    _refuse_on_quadratic_route(quad, repulsive=rep, perturbation=pert)
     if quad is not None:
         trace = sc.velocity_trace(psi0, quad, alpha, times,
                                   per_direction=bool(raw.get("per_direction", False)))
@@ -147,6 +161,7 @@ def run_cook(raw, out_dir):
     expected = (_real(raw["expected_exponent"], "expected_exponent")
                 if "expected_exponent" in raw else None)
     tol = _real(raw.get("tol", 0.3), "tol")
+    _refuse_on_quadratic_route(quad, repulsive=rep)
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
     if quad is not None:
@@ -183,10 +198,11 @@ def run_wave_operator(raw, out_dir):
         raise ConfigurationError("wave-operator experiment requires a quadratic block")
     if pert is None:
         raise ConfigurationError("wave-operator experiment requires a perturbation")
-    diffs, omegas = sc.cauchy_differences(psi0, Ts, (quad, pert), quad)
+    _refuse_on_quadratic_route(quad, repulsive=rep)
+    diffs, omegas = sc.cauchy_differences(psi0, Ts, quad, pert)
     defects = [abs(l2_norm(om) - l2_norm(psi0)) for om in omegas.values()]
     record = sc.cook_scan(psi0, quad, pert, np.geomspace(min(Ts), max(Ts), 33))
-    bounds = [record.tail_integral_between(t1, t2) for t1, t2 in zip(Ts, Ts[1:])]
+    bounds = [record.tail_integral(t1, t2) for t1, t2 in zip(Ts, Ts[1:])]
     metrics = {
         "horizons": Ts,
         "cauchy_differences": diffs,
@@ -213,7 +229,12 @@ def run_classical(raw, out_dir):
     if start is None:
         point = cl.zero_energy_start(alpha)
     else:
-        point = cl.PhasePoint(np.atleast_1d(start["x"]), np.atleast_1d(start["xi"]))
+        _mapping(start, "start")
+        x = require(start, "x", "start")
+        # x sets the dimension: one number, or a nonempty list of them
+        dims = len(x) if isinstance(x, (list, tuple)) and x else 1
+        point = cl.PhasePoint(_axis_reals(x, "start.x", dims),
+                              _axis_reals(require(start, "xi", "start"), "start.xi", dims))
     traj = cl.flow(point, alpha, t_final, dt,
                    regularized=bool(raw.get("regularized", True)),
                    record_every=raw.get("record_every", 10))
@@ -280,8 +301,7 @@ def run_convergence(raw, out_dir):
         raise ConfigurationError(f"dt_sequence must be a list of at least 4 steps, got {dts!r}")
     tol = _real(raw.get("tol", 0.1), "tol")
     cfg = evolution_config(grid, max(dts), repulsive=rep, quadratic=quad, perturbation=pert)
-    result = convergence_order(psi0, t, cfg, dts,
-                               reference=raw.get("reference", "oracle"))
+    result = convergence_order(psi0, t, cfg, dts)
     metrics = {
         "slope": result["slope"],
         "errors": [float(e) for e in result["errors"]],

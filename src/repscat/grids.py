@@ -321,9 +321,10 @@ def expectation(psi: WaveFunction, obs: Observable) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _edge_mask(dims: int, points_per_dim: int, half_width: float, edge_fraction: float,
+def _edge_mask(dims: int, points_per_dim: int, half_width: float,
                representation: str) -> np.ndarray:
-    """Read-only mask of the nodes with any |coordinate| in the outer edge band.
+    """Read-only mask of the nodes with any |coordinate| in the outer
+    EDGE_FRACTION band of the lattice.
 
     Keyed by the grid's geometry, not the Grid, so no grid outlives its run.
     The mask lives in an anonymous memory map, outside the malloc heap: a
@@ -331,10 +332,10 @@ def _edge_mask(dims: int, points_per_dim: int, half_width: float, edge_fraction:
     being reused and raises peak RSS."""
     grid = make_grid(dims, points_per_dim, half_width)
     if representation == POSITION:
-        cut = (1.0 - edge_fraction) * grid.half_width
+        cut = (1.0 - EDGE_FRACTION) * grid.half_width
         nodes = [grid.axis_nodes(k) for k in range(grid.dims)]
     else:
-        cut = (1.0 - edge_fraction) * float(np.max(np.abs(grid.freq_nodes)))
+        cut = (1.0 - EDGE_FRACTION) * float(np.max(np.abs(grid.freq_nodes)))
         nodes = [grid.axis_freqs(k) for k in range(grid.dims)]
     mask = np.frombuffer(mmap.mmap(-1, grid.points_per_dim ** grid.dims), dtype=bool)
     mask = mask.reshape(grid.shape)
@@ -344,42 +345,40 @@ def _edge_mask(dims: int, points_per_dim: int, half_width: float, edge_fraction:
     return mask
 
 
-def _edge_mass(values: np.ndarray, grid: Grid, representation: str,
-               edge_fraction: float) -> float:
+def _edge_mass(values: np.ndarray, grid: Grid, representation: str) -> float:
     rho = np.abs(values) ** 2
     total = rho.sum()
     if total == 0.0:
         return 0.0
-    mask = _edge_mask(grid.dims, grid.points_per_dim, grid.half_width, edge_fraction,
-                      representation)
+    mask = _edge_mask(grid.dims, grid.points_per_dim, grid.half_width, representation)
     return float(rho[mask].sum() / total)
 
 
-def _guard_edge(values: np.ndarray, grid: Grid, representation: str,
-                edge_fraction: float, tol: float, context: str) -> float:
+def _guard_edge(values: np.ndarray, grid: Grid, representation: str, tol: float,
+                context: str) -> float:
     """Edge mass of raw samples, raising DomainEscapeError at or above tol.
 
     Hot loops pass their arrays here directly, so no WaveFunction is built
-    per step."""
-    frac = _edge_mass(values, grid, representation, edge_fraction)
+    per step.  Mass at the edge of the position lattice has outrun the box;
+    at the edge of the dual lattice it has outrun the grid's resolution."""
+    frac = _edge_mass(values, grid, representation)
     if frac >= tol:
         where = f" ({context})" if context else ""
+        advice = "enlarge the box" if representation == POSITION else "refine the grid"
         raise DomainEscapeError(
-            f"boundary mass fraction {frac:.3e} >= {tol:.1e}{where}; enlarge the box"
-        )
+            f"boundary mass fraction {frac:.3e} >= {tol:.1e}{where}; {advice}")
     return frac
 
 
-def boundary_mass_fraction(psi: WaveFunction, edge_fraction: float = EDGE_FRACTION) -> float:
+def boundary_mass_fraction(psi: WaveFunction) -> float:
     """Fraction of |psi|^2 mass with any |coordinate| in the outer edge band."""
-    return _edge_mass(psi.values, psi.grid, psi.representation, edge_fraction)
+    return _edge_mass(psi.values, psi.grid, psi.representation)
 
 
-def assert_contained(psi: WaveFunction, edge_fraction: float = EDGE_FRACTION,
-                     tol: float = EDGE_MASS_TOL, context: str = ""):
+def assert_contained(psi: WaveFunction, context: str = ""):
     """Domain-escape guard: periodic wrap-around silently corrupts scattering
     experiments with accelerating states, so refuse to continue."""
-    _guard_edge(psi.values, psi.grid, psi.representation, edge_fraction, tol, context)
+    _guard_edge(psi.values, psi.grid, psi.representation, EDGE_MASS_TOL, context)
 
 
 def tail_radii(rho: np.ndarray, nodes: np.ndarray, tail: float) -> np.ndarray:

@@ -22,8 +22,8 @@ from .grids import (
     POSITION,
     Grid,
     WaveFunction,
+    _guard_edge,
     assert_contained,
-    boundary_mass_fraction,
     tail_radii,
     to_momentum,
     to_position,
@@ -361,8 +361,6 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     fac = trajectory_factors(t, spec)
     chirp = _chirp_phase(grid, spec, fac, t)
     phi = to_momentum(WaveFunction(grid, chirp * psi0.values, POSITION))
-    if boundary_mass_fraction(phi) >= EDGE_MASS_TOL:
-        raise DomainEscapeError(
-            "chirped spectrum reaches the dual-lattice edge; refine the grid"
-        )
+    _guard_edge(phi.values, grid, phi.representation, EDGE_MASS_TOL,
+                f"chirped spectrum at t={t}")
     return phi, fac.g.copy()

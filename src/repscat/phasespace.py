@@ -3,12 +3,12 @@ h = xi^2 - <x>^alpha, and energy-shell scans for the lower bound sigma - eta."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .csvout import write_rows
 from .errors import ConfigurationError
 from .potentials import bracket_x, sigma_alpha
 
@@ -101,23 +101,21 @@ def _clamped_spline(x: np.ndarray, y: np.ndarray) -> Callable:
     return evaluate
 
 
-@dataclass(frozen=True)
 class CutoffSpec:
     """C-infinity bump psi: 1 on [-plateau, plateau], 0 outside [-support, support],
-    shoulders built from the integral of the standard exp(-1/(1-s^2)) mollifier."""
+    shoulders built from the integral of the standard exp(-1/(1-s^2)) mollifier,
+    tabulated at _table_size points and splined."""
 
-    support: float = 0.5
-    plateau: float = 0.25
-    _table_size: int = 4097
+    support = 0.5
+    plateau = 0.25
+    _table_size = 4097
 
-    def __post_init__(self):
-        if not 0 < self.plateau < self.support:
-            raise ConfigurationError("need 0 < plateau < support")
+    def __init__(self):
         s = np.linspace(-1.0, 1.0, self._table_size)
         dense = _mollifier(s)
         cdf = np.concatenate([[0.0], np.cumsum((dense[1:] + dense[:-1]) / 2.0 * np.diff(s))])
         cdf /= cdf[-1]
-        object.__setattr__(self, "_step_spline", _clamped_spline(s, cdf))
+        self._step_spline = _clamped_spline(s, cdf)
 
     def _smoothstep(self, v):
         # 0 at v=-1, 1 at v=+1, flat at both ends
@@ -174,19 +172,19 @@ def _shell_ratio(x, xi, alpha):
     return (xi**2 - bx_a) / (xi**2 + bx_a)
 
 
-def symbol_a_alpha(x, xi, alpha, cutoff: CutoffSpec = DEFAULT_CUTOFF):
+def symbol_a_alpha(x, xi, alpha):
     """Conjugate symbol for alpha < 2:
     x xi <x>^-alpha psi((xi^2 - <x>^alpha)/(xi^2 + <x>^alpha))."""
     if not (0.0 < alpha < 2.0):
         raise ConfigurationError("symbol_a_alpha requires alpha in (0, 2)")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    return x * xi * bracket_x(x) ** (-alpha) * cutoff(_shell_ratio(x, xi, alpha))
+    return x * xi * bracket_x(x) ** (-alpha) * DEFAULT_CUTOFF(_shell_ratio(x, xi, alpha))
 
 
-def a_alpha_symbol(alpha: float, cutoff: CutoffSpec = DEFAULT_CUTOFF) -> SymbolFn:
+def a_alpha_symbol(alpha: float) -> SymbolFn:
     def fn(x, xi):
-        return symbol_a_alpha(x, xi, alpha, cutoff)
+        return symbol_a_alpha(x, xi, alpha)
 
     def du_dx(x, xi):
         bx = bracket_x(x)
@@ -205,13 +203,15 @@ def a_alpha_symbol(alpha: float, cutoff: CutoffSpec = DEFAULT_CUTOFF) -> SymbolF
         u = _shell_ratio(x, xi, alpha)
         core = x * xi * bx ** (-alpha)
         dcore = xi * bx ** (-alpha) - alpha * x**2 * xi * bx ** (-alpha - 2.0)
-        return dcore * cutoff(u) + core * cutoff.derivative(u) * du_dx(x, xi)
+        return (dcore * DEFAULT_CUTOFF(u)
+                + core * DEFAULT_CUTOFF.derivative(u) * du_dx(x, xi))
 
     def dxi(x, xi):
         bx = bracket_x(x)
         u = _shell_ratio(x, xi, alpha)
         core = x * xi * bx ** (-alpha)
-        return x * bx ** (-alpha) * cutoff(u) + core * cutoff.derivative(u) * du_dxi(x, xi)
+        return (x * bx ** (-alpha) * DEFAULT_CUTOFF(u)
+                + core * DEFAULT_CUTOFF.derivative(u) * du_dxi(x, xi))
 
     return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
 
@@ -309,15 +309,8 @@ def symbol_accel_alpha(x, xi, alpha):
 # Mourre shell scans.
 # ---------------------------------------------------------------------------
 
-def _scan_bracket(alpha: float, cutoff: CutoffSpec) -> tuple:
-    h = hamiltonian_symbol(alpha)
-    a = a2_symbol() if alpha == 2.0 else a_alpha_symbol(alpha, cutoff)
-    return h, a
-
-
 def mourre_shell_scan(alpha: float, E: float, eta: float,
-                      radius_range=(0.5, 50.0), samples: int = 10_000,
-                      cutoff: CutoffSpec = DEFAULT_CUTOFF) -> dict:
+                      radius_range=(0.5, 50.0), samples: int = 10_000) -> dict:
     """Scan {h, a} over the energy shell xi^2 = <x>^alpha + E.
 
     The shell is a graph over x for this h, so points are sampled as
@@ -330,7 +323,8 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
         raise ConfigurationError("eta must be positive")
     if not (0.0 < alpha <= 2.0):
         raise ConfigurationError("alpha must lie in (0, 2]")
-    h, a = _scan_bracket(alpha, cutoff)
+    h = hamiltonian_symbol(alpha)
+    a = a2_symbol() if alpha == 2.0 else a_alpha_symbol(alpha)
     n_radii = max(samples // 4, 2)
     radii = np.geomspace(max(radius_range[0], 1e-6), radius_range[1], n_radii)
     # shell constraint: xi^2 = <x>^alpha + E >= 0
@@ -378,8 +372,5 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
 
 def scan_to_csv(result: dict, path):
     """Columns x, xi, bracket, shell_E."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "xi", "bracket", "shell_E"])
-        for x, xi, br in result["points"]:
-            writer.writerow([format(v, ".17g") for v in (x, xi, br, result["shell_E"])])
+    write_rows(path, ["x", "xi", "bracket", "shell_E"],
+               ((x, xi, br, result["shell_E"]) for x, xi, br in result["points"]))

@@ -10,12 +10,12 @@ are handled by per-cell averaging, never by point sampling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .csvout import write_rows
 from .errors import ConfigurationError, DomainEscapeError
 from .grids import (
     POSITION,
@@ -176,9 +176,6 @@ class CookRecord:
     tail_integral: Callable = field(repr=False)
     truncated: bool = False
 
-    def tail_integral_between(self, t_lo: float, t_hi: float) -> float:
-        return self.tail_integral(t_lo, t_hi)
-
 
 def _fit_tails(times, vals, tail_start):
     mask = times >= tail_start
@@ -322,41 +319,26 @@ def _factorized_coupling_norm(phi: WaveFunction, t: float, spec: QuadraticSpec,
 
 
 def cook_record_to_csv(record: CookRecord, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "integrand"])
-        for t, v in zip(record.times, record.integrand):
-            writer.writerow([format(t, ".17g"), format(v, ".17g")])
+    write_rows(path, ["t", "integrand"], zip(record.times, record.integrand))
 
 
 # ---------------------------------------------------------------------------
 # Wave operators.
 # ---------------------------------------------------------------------------
 
-def wave_operator(phi: WaveFunction, T: float, h_cfg, h0_cfg) -> WaveFunction:
-    """Omega_T phi = exp(i T H) exp(-i T H0) phi.
+def wave_operator(phi: WaveFunction, T: float, spec: QuadraticSpec,
+                  perturbation: Callable) -> WaveFunction:
+    """Omega_T phi = exp(i T H) exp(-i T H0) phi for H0 the quadratic spec
+    and H = H0 + V, V the scalar perturbation.
 
-    h0_cfg QuadraticSpec + h_cfg (QuadraticSpec, V callable): interaction
-    picture — the free factorization turns exp(i T H) exp(-i T H0) into an
-    ordered product of exact unitary conjugated-potential phases on the fixed
-    lattice (slices of width ~0.025 down to s0, then split-step with dt = 1e-3
-    on [0, s0]), so T is not limited by the e^{2wt} spreading.
-
-    h0_cfg / h_cfg both EvolutionConfig: literal finite-time composition by
-    split-step (guards limit the reachable T).
+    Interaction picture: the free factorization turns exp(i T H) exp(-i T H0)
+    into an ordered product of exact unitary conjugated-potential phases on
+    the fixed lattice (slices of width ~0.025 down to s0, then split-step
+    with dt = 1e-3 on [0, s0]), so T is not limited by the e^{2wt} spreading.
     """
     if T == 0.0:
         return to_position(phi)
-    if isinstance(h0_cfg, QuadraticSpec):
-        spec, perturbation = h_cfg
-        if not isinstance(spec, QuadraticSpec):
-            raise ConfigurationError("h_cfg must be (QuadraticSpec, perturbation)")
-        return _wave_operator_factorized(phi, T, spec, perturbation)
-    if isinstance(h0_cfg, EvolutionConfig) and isinstance(h_cfg, EvolutionConfig):
-        free, _ = propagate(to_position(phi), T, h0_cfg)
-        out, _ = propagate(free, -T, h_cfg)
-        return out
-    raise ConfigurationError("unsupported propagator configuration pair")
+    return _wave_operator_factorized(phi, T, spec, perturbation)
 
 
 def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: float,
@@ -434,13 +416,16 @@ def _wave_operator_direct(phi: WaveFunction, T: float, spec: QuadraticSpec,
     cfg0 = evolution_config(phi.grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2)
     cfg = evolution_config(phi.grid, 1e-3, quadratic=spec, perturbation=perturbation,
                            edge_mass_tol=1e-2)
-    return wave_operator(phi, T, cfg, cfg0)
+    free, _ = propagate(phi, T, cfg0)
+    out, _ = propagate(free, -T, cfg)
+    return out
 
 
-def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], h_cfg, h0_cfg):
+def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
+                       perturbation: Callable):
     """||Omega_T2 phi - Omega_T1 phi|| for consecutive T pairs, with the
     wave-operator states themselves."""
-    omegas = {T: wave_operator(phi, T, h_cfg, h0_cfg) for T in Ts}
+    omegas = {T: wave_operator(phi, T, spec, perturbation) for T in Ts}
     diffs = []
     for t1, t2 in zip(Ts, Ts[1:]):
         d = omegas[t2].values - omegas[t1].values
@@ -464,17 +449,17 @@ class VelocityTrace:
     histogram_edges: np.ndarray
     histograms: tuple                       # masses per time
 
-    def richardson_limit(self, i: int = -2, j: int = -1) -> float:
-        """Two-point extrapolation in 1/t: with m(t) = sigma + c/t, the
-        combination (t2 m2 - t1 m1)/(t2 - t1) removes the 1/t term."""
-        t1, t2 = self.times[i], self.times[j]
-        m1, m2 = self.means[i], self.means[j]
+    def richardson_limit(self) -> float:
+        """Two-point extrapolation in 1/t from the last two times: with
+        m(t) = sigma + c/t, (t2 m2 - t1 m1)/(t2 - t1) removes the 1/t term."""
+        t1, t2 = self.times[-2:]
+        m1, m2 = self.means[-2:]
         return float((t2 * m2 - t1 * m1) / (t2 - t1))
 
 
-def _histogram_edges(alpha: float, margin: float = 2.0, bins: int = 120) -> np.ndarray:
-    top = margin * sigma_alpha(alpha) + 1.0
-    return np.linspace(0.0, top, bins + 1)
+def _histogram_edges(alpha: float) -> np.ndarray:
+    """120 equal bins of p_alpha(x)/t over [0, 2 sigma_alpha + 1]."""
+    return np.linspace(0.0, 2.0 * sigma_alpha(alpha) + 1.0, 121)
 
 
 def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
@@ -597,21 +582,13 @@ def minimal_maximal_velocity_mass(trace: VelocityTrace, theta_low: float,
 
 
 def velocity_trace_to_csv(trace: VelocityTrace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = ["t", "mean"] + [f"ln_x{ax}_over_t" for ax in sorted(trace.per_direction)]
-        writer.writerow(cols)
-        for i, t in enumerate(trace.times):
-            row = [t, trace.means[i]]
-            for ax in sorted(trace.per_direction):
-                row.append(trace.per_direction[ax][i])
-            writer.writerow([format(float(v), ".17g") for v in row])
+    axes = sorted(trace.per_direction)
+    write_rows(path, ["t", "mean"] + [f"ln_x{ax}_over_t" for ax in axes],
+               zip(trace.times, trace.means, *(trace.per_direction[ax] for ax in axes)))
 
 
 def histograms_to_csv(trace: VelocityTrace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "bin_lo", "bin_hi", "mass"])
-        for t, masses in zip(trace.times, trace.histograms):
-            for lo, hi, m in zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], masses):
-                writer.writerow([format(float(v), ".17g") for v in (t, lo, hi, m)])
+    edges = trace.histogram_edges
+    write_rows(path, ["t", "bin_lo", "bin_hi", "mass"],
+               ((t, lo, hi, m) for t, masses in zip(trace.times, trace.histograms)
+                for lo, hi, m in zip(edges[:-1], edges[1:], masses)))

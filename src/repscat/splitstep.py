@@ -16,7 +16,6 @@ from .errors import (
     PhaseWindingError,
 )
 from .grids import (
-    EDGE_FRACTION,
     EDGE_MASS_TOL,
     POSITION,
     Grid,
@@ -34,33 +33,27 @@ ORACLE_MAX_POINTS = 128
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Sampled potential/kinetic data plus guard thresholds for split-step runs."""
+    """Sampled potential data, the grid's kinetic symbol xi^2 and the
+    edge-mass tolerance for split-step runs."""
 
     grid: Grid
     dt: float
     potential: np.ndarray
-    kinetic: np.ndarray = field(default=None)
-    edge_fraction: float = EDGE_FRACTION
     edge_mass_tol: float = EDGE_MASS_TOL
+    kinetic: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
-        if np.iscomplexobj(self.potential) or (
-            self.kinetic is not None and np.iscomplexobj(self.kinetic)
-        ):
-            raise ConfigurationError("potential and kinetic samples must be real")
+        if np.iscomplexobj(self.potential):
+            raise ConfigurationError("potential samples must be real")
         pot = np.asarray(self.potential, dtype=float)
         if pot.shape != self.grid.shape:
             raise ConfigurationError("potential samples do not match the grid")
         if not np.all(np.isfinite(pot)):
             raise ConfigurationError("potential samples must be finite and real")
         object.__setattr__(self, "potential", pot)
-        kin = self.kinetic if self.kinetic is not None else self.grid.kinetic_samples()
-        kin = np.asarray(kin, dtype=float)
-        if kin.shape != self.grid.shape:
-            raise ConfigurationError("kinetic samples do not match the grid")
-        object.__setattr__(self, "kinetic", kin)
+        object.__setattr__(self, "kinetic", self.grid.kinetic_samples())
         winding = self.dt * float(np.max(np.abs(pot)))
         if winding > np.pi:
             raise PhaseWindingError(
@@ -72,7 +65,7 @@ def evolution_config(grid: Grid, dt: float,
                      repulsive: Optional[RepulsiveSpec] = None,
                      quadratic: Optional[QuadraticSpec] = None,
                      perturbation=None,
-                     **guards) -> EvolutionConfig:
+                     edge_mass_tol: float = EDGE_MASS_TOL) -> EvolutionConfig:
     """Compose -<x>^alpha (or quadratic U) plus perturbation samples."""
     pot = np.zeros(grid.shape)
     if repulsive is not None:
@@ -84,7 +77,7 @@ def evolution_config(grid: Grid, dt: float,
         if np.iscomplexobj(extra):
             raise ConfigurationError("perturbation samples must be real")
         pot = pot + np.broadcast_to(np.asarray(extra, dtype=float), grid.shape)
-    return EvolutionConfig(grid=grid, dt=dt, potential=pot, **guards)
+    return EvolutionConfig(grid=grid, dt=dt, potential=pot, edge_mass_tol=edge_mass_tol)
 
 
 def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray,
@@ -106,7 +99,7 @@ def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, dt: float, n: int,
     half_v = np.exp(-0.5j * dt * cfg.potential)
     full_v = half_v * half_v if n > 1 else half_v
     kin = np.exp(-1j * dt * cfg.kinetic)
-    guard_args = (cfg.grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, context)
+    guard_args = (cfg.grid, POSITION, cfg.edge_mass_tol, context)
     buf = half_v * vals
     spec = np.empty_like(buf)
     max_edge = 0.0
@@ -153,8 +146,7 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
         vals, rem_edge = _strang_steps(vals, cfg, rem, 1, "propagate")
         max_edge = max(max_edge, rem_edge)
     elif not n_full:  # t below the step resolution: no step runs, guard the input
-        max_edge = _guard_edge(vals, cfg.grid, POSITION, cfg.edge_fraction,
-                               cfg.edge_mass_tol, "propagate")
+        max_edge = _guard_edge(vals, cfg.grid, POSITION, cfg.edge_mass_tol, "propagate")
     out = WaveFunction(cfg.grid, vals, POSITION)
     return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}
 
@@ -184,21 +176,15 @@ def dense_oracle(psi0: WaveFunction, t: float, cfg: EvolutionConfig) -> WaveFunc
     return WaveFunction(psi0.grid, vals, POSITION)
 
 
-def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig,
-                      dt_sequence, reference: str = "oracle"):
-    """Least-squares slope of log(error) vs log(dt) for the Strang scheme.
-
-    reference 'oracle' uses the dense matrix exponential; 'richardson' uses a
-    run at the finest dt / 4.  Points at the roundoff floor are dropped and
-    flagged.  Returns dict(slope, errors, dts, floor_flagged).
+def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig, dt_sequence):
+    """Least-squares slope of log(error) vs log(dt) for the Strang scheme,
+    against the dense matrix exponential.  Points at the roundoff floor are
+    dropped and flagged.  Returns dict(slope, errors, dts, floor_flagged).
     """
     dts = sorted(float(d) for d in dt_sequence)
     if len(dts) < 4:
         raise ConfigurationError("need at least 4 dt values in geometric progression")
-    if reference == "oracle":
-        ref = dense_oracle(psi0, t, cfg)
-    else:
-        ref, _ = propagate(psi0, t, replace(cfg, dt=dts[0] / 4.0))
+    ref = dense_oracle(psi0, t, cfg)
     ref_norm = np.sqrt(np.sum(np.abs(ref.values) ** 2) * ref.measure)
     errs = []
     for d in dts:

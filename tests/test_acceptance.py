@@ -196,7 +196,7 @@ def test_criterion_8_cook_integrability():
     slope_w = rec.tail_exponent_full
 
     Ts = [2.0, 4.0, 6.0, 8.0]
-    diffs, omegas = cauchy_differences(psi, Ts, (HYPER, LOGW2), HYPER)
+    diffs, omegas = cauchy_differences(psi, Ts, HYPER, LOGW2)
     defect = max(abs(rs.l2_norm(om) - 1.0) for om in omegas.values())
     decreasing = bool(np.all(np.diff(diffs) <= 1e-8))
     bounded = True

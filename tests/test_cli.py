@@ -116,6 +116,10 @@ def test_malformed_alpha_rejected(tmp_path, capsys):
     ("t_final: 160.0", "t_final: .nan"),
     ("record_every: 50", "record_every: 2.5"),
     ("record_every: 50", "record_every: true"),
+    ("csv: traj.csv", "start: {x: abc, xi: 1.0}"),
+    ("csv: traj.csv", "start: {x: [1.0], xi: [1.0, 2.0]}"),
+    ("csv: traj.csv", "start: {xi: 1.0}"),
+    ("csv: traj.csv", "start: [1, 2]"),
 ])
 def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     cfg = _write(tmp_path, "cls.yaml", CLASSICAL_CFG.replace(line, bad_line))
@@ -175,6 +179,15 @@ BAD_INPUTS = [
                  "hamiltonian.repulsive.alpha", id="repulsive-alpha"),
     pytest.param(VELOCITY_CFG, "{n_minus: 1, omegas: [1.0]}", "{n_minus: 1.0, omegas: [1.0]}",
                  "hamiltonian.quadratic.n_minus", id="n_minus"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE, QUAD_LINE + "\n  repulsive: {alpha: 1.0}",
+                 "hamiltonian.repulsive", id="velocity-quadratic-repulsive"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {preset: power, args: {height: 100.0, exponent: 0.5}}",
+                 "hamiltonian.perturbation", id="velocity-quadratic-perturbation"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE, QUAD_LINE + "\n  repulsive: {alpha: 1.0}",
+                 "hamiltonian.repulsive", id="cook-quadratic-repulsive"),
+    pytest.param(WAVE_CFG, QUAD_LINE, QUAD_LINE + "\n  repulsive: {alpha: 1.0}",
+                 "hamiltonian.repulsive", id="wave-quadratic-repulsive"),
 ]
 
 

@@ -19,7 +19,7 @@ from repscat import (
     trajectory_factors,
 )
 from repscat.errors import DomainEscapeError
-from repscat.grids import Observable
+from repscat.grids import Observable, assert_contained
 from repscat.mehler import _chirp_phase, _czt, chirp_resolution_ok, mehler_phase
 
 FREE = QuadraticSpec(dims=1)
@@ -220,6 +220,18 @@ def test_avron_herbst_escape_guard():
     psi = gaussian(g)
     with pytest.raises(DomainEscapeError):
         avron_herbst(psi, 4.0, 1.0)  # shift 16 > box
+
+
+def test_edge_guard_advice_follows_the_lattice():
+    """Mass at the edge of the position lattice asks for a larger box; mass
+    at the edge of the dual lattice, as in a chirped spectrum, for a finer
+    grid."""
+    g = make_grid(1, 32, 8.0)
+    with pytest.raises(DomainEscapeError, match=r"enlarge the box$"):
+        assert_contained(gaussian(g, center=7.5, width=0.3))
+    with pytest.raises(DomainEscapeError,
+                       match=r"\(chirped spectrum at t=1.0\); refine the grid$"):
+        chirped_spectrum(gaussian(g, momentum=6.0), 1.0, HYPER)
 
 
 def test_observable_without_grid_matches_direct():

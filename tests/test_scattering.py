@@ -135,9 +135,9 @@ def test_cook_record_csv(tmp_path):
 def test_wave_operator_identity_when_free(l2):
     g = make_grid(1, 512, 12.0)
     psi = gaussian(g)
-    out = wave_operator(psi, 3.0, (HYPER, lambda x: 0.0 * x), HYPER)
+    out = wave_operator(psi, 3.0, HYPER, lambda x: 0.0 * x)
     assert l2(out, psi) < 1e-10
-    out0 = wave_operator(psi, 0.0, (HYPER, LOGW), HYPER)
+    out0 = wave_operator(psi, 0.0, HYPER, LOGW)
     assert l2(out0, psi) == 0.0
 
 
@@ -186,7 +186,7 @@ def test_wave_operator_isometry_and_cauchy():
     g = make_grid(1, 2048, 12.0)
     psi = gaussian(g)
     Ts = [2.0, 4.0, 6.0]
-    diffs, omegas = cauchy_differences(psi, Ts, (HYPER, LOGW), HYPER)
+    diffs, omegas = cauchy_differences(psi, Ts, HYPER, LOGW)
     for om in omegas.values():
         assert abs(l2_norm(om) - 1.0) <= 1e-8
     assert diffs[1] < diffs[0]

@@ -62,7 +62,7 @@ def _reference_propagate(psi0, t, cfg):
     kin = np.exp(-1j * cfg.dt * cfg.kinetic)
     vals = psi0.values
     max_edge = 0.0
-    guard_args = (grid, POSITION, cfg.edge_fraction, cfg.edge_mass_tol, "propagate")
+    guard_args = (grid, POSITION, cfg.edge_mass_tol, "propagate")
     if n_full:
         vals = half_v * vals
         for k in range(n_full - 1):
