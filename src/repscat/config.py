@@ -71,6 +71,13 @@ def _real(value, key: str) -> float:
     raise ConfigurationError(f"{key} must be a number, got {value!r}")
 
 
+def _boolean(value, key: str) -> bool:
+    """A YAML boolean; strings such as "no" are refused rather than read as true."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _reals(values, key: str) -> list:
     """A list of real config values; item i is named key[i] in errors."""
     if not isinstance(values, (list, tuple)):
@@ -124,7 +131,8 @@ def build_repulsive(block: dict) -> RepulsiveSpec:
     return RepulsiveSpec(
         alpha=_real(require(block, "alpha", "hamiltonian.repulsive"),
                     "hamiltonian.repulsive.alpha"),
-        regularized=bool(block.get("regularized", True)),
+        regularized=_boolean(block.get("regularized", True),
+                             "hamiltonian.repulsive.regularized"),
     )
 
 
@@ -141,7 +149,8 @@ def build_quadratic(block: dict, dims: int) -> QuadraticSpec:
 
 
 def build_perturbation(block: Optional[dict]):
-    """Symbolic preset or raw sample table; None means V = 0."""
+    """Symbolic preset or raw sample table (one value per grid point, in the
+    grid's row-major order; the caller checks its length); None means V = 0."""
     if block is None:
         return None
     _mapping(block, "hamiltonian.perturbation")
@@ -160,7 +169,7 @@ def build_perturbation(block: Optional[dict]):
         return factory(**{name: _real(value, f"hamiltonian.perturbation.args.{name}")
                           for name, value in args.items()})
     if "table" in block:
-        return np.asarray(block["table"], dtype=float)
+        return np.asarray(_reals(block["table"], "hamiltonian.perturbation.table"))
     raise ConfigurationError("perturbation block needs 'preset' or 'table'")
 
 

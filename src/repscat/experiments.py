@@ -11,6 +11,7 @@ from . import scattering as sc
 from .config import (
     ExperimentConfig,
     _axis_reals,
+    _boolean,
     _mapping,
     _real,
     _reals,
@@ -68,11 +69,17 @@ def _hamiltonian_blocks(raw, grid):
     quad = build_quadratic(block["quadratic"], grid.dims) if "quadratic" in block else None
     rep = build_repulsive(block["repulsive"]) if "repulsive" in block else None
     pert = build_perturbation(block.get("perturbation"))
-    if quad is not None and pert is not None and not callable(pert):
-        raise ConfigurationError(
-            "quadratic-route experiments need a symbolic perturbation preset; "
-            "raw sample tables cannot be evaluated at dilated coordinates"
-        )
+    if pert is not None and not callable(pert):
+        if quad is not None:
+            raise ConfigurationError(
+                "quadratic-route experiments need a symbolic perturbation preset; "
+                "raw sample tables cannot be evaluated at dilated coordinates"
+            )
+        if pert.size != grid.points_per_dim ** grid.dims:
+            raise ConfigurationError(
+                f"hamiltonian.perturbation.table must hold one value per grid point "
+                f"({grid.points_per_dim ** grid.dims}), got {pert.size}")
+        pert = pert.reshape(grid.shape)
     return quad, rep, pert
 
 
@@ -126,13 +133,12 @@ def run_velocity(raw, out_dir):
         raise ConfigurationError("histogram_csv: velocity histograms are one-dimensional; "
                                  "drop it for an n-D grid")
     _refuse_on_quadratic_route(quad, repulsive=rep, perturbation=pert)
-    if quad is not None:
-        trace = sc.velocity_trace(psi0, quad, alpha, times,
-                                  per_direction=bool(raw.get("per_direction", False)))
-    else:
+    per_direction = _boolean(raw.get("per_direction", False), "per_direction")
+    hamiltonian = quad
+    if quad is None:
         dt = _real(require(raw, "dt", "velocity"), "dt")
-        cfg = evolution_config(grid, dt, repulsive=rep, perturbation=pert)
-        trace = sc.velocity_trace(psi0, cfg, alpha, times)
+        hamiltonian = evolution_config(grid, dt, repulsive=rep, perturbation=pert)
+    trace = sc.velocity_trace(psi0, hamiltonian, alpha, times, per_direction=per_direction)
     final = float(trace.means[-1])
     rich = trace.richardson_limit() if len(trace.means) >= 2 else final
     metrics = {
@@ -164,12 +170,15 @@ def run_cook(raw, out_dir):
     _refuse_on_quadratic_route(quad, repulsive=rep)
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
-    if quad is not None:
-        record = sc.cook_scan(psi0, quad, pert, times)
-    else:
+    elif not callable(pert):
+        # a table lists V at the spatial nodes, where the split-step route samples it
+        table = pert
+        pert = lambda *c: table
+    hamiltonian = quad
+    if quad is None:
         dt = _real(require(raw, "dt", "cook"), "dt")
-        cfg = evolution_config(grid, dt, repulsive=rep)
-        record = sc.cook_scan(psi0, cfg, pert, times)
+        hamiltonian = evolution_config(grid, dt, repulsive=rep)
+    record = sc.cook_scan(psi0, hamiltonian, pert, times)
     metrics = {
         "tail_kind": record.tail_kind,
         "tail_exponent": record.tail_exponent,
@@ -236,7 +245,7 @@ def run_classical(raw, out_dir):
         point = cl.PhasePoint(_axis_reals(x, "start.x", dims),
                               _axis_reals(require(start, "xi", "start"), "start.xi", dims))
     traj = cl.flow(point, alpha, t_final, dt,
-                   regularized=bool(raw.get("regularized", True)),
+                   regularized=_boolean(raw.get("regularized", True), "regularized"),
                    record_every=raw.get("record_every", 10))
     metrics = {"energy_drift": traj.energy_drift(), "truncated": traj.truncated}
     checks = []
@@ -264,6 +273,7 @@ def run_mourre_scan(raw, out_dir):
     if len(radius_range) != 2:
         raise ConfigurationError(f"radius_range must be [r_min, r_max], got {radius_range!r}")
     samples = check_integer(raw.get("samples", 10_000), "samples", minimum=1)
+    check_heuristic = _boolean(raw.get("check_heuristic", True), "check_heuristic")
     result = mourre_shell_scan(alpha, E, eta, radius_range, samples)
     metrics = {
         "min_bracket": result["min_bracket"],
@@ -275,7 +285,7 @@ def run_mourre_scan(raw, out_dir):
     finite = bool(np.isfinite(result["R_threshold"]))
     checks = [{"name": "finite_good_radius", "expected": True, "measured": finite,
                "tol": 0.0, "pass": finite}]
-    if alpha < 2.0 and raw.get("check_heuristic", True):
+    if alpha < 2.0 and check_heuristic:
         xs = np.geomspace(max(radius_range[0], 1.0), radius_range[1], 64)
         h = plain_hamiltonian_symbol(alpha)
         a = heuristic_a_symbol(alpha)

@@ -1,17 +1,20 @@
 """Scattering laboratory: Cook integrands, finite-time wave operators, the
 local-velocity operator, and asymptotic-velocity traces.
 
-Large-time alpha = 2 observables never propagate on an enlarged grid: the
-chirp/dilation factorization reduces any position-density functional at time
-t to a fixed-lattice sum with coordinates scaled by g_k(2t).  Functions of
-g*u varying below the lattice resolution (the 1/g-scale structure near u=0)
-are handled by per-cell averaging, never by point sampling.
+Cook integrands and velocity traces are functionals of one density series,
+the cell masses of |exp(-i t H0) psi0|^2 at each time.  On the factorized
+route they sit on the fixed dual lattice with coordinates scaled by g_k(2t),
+so large-time observables never propagate on an enlarged grid; on the
+split-step route they sit on the spatial grid.  One rule, _lattice_values,
+gives a function at those lattice points: cell averages on a 1-D dual
+lattice, where fn(g*u) varies below the lattice resolution near u = 0, and
+point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from .grids import (
     Observable,
     WaveFunction,
     expectation,
-    l2_norm,
     tail_radii,
     to_position,
 )
@@ -69,6 +71,61 @@ def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float)
     return out
 
 
+class _Lattice(NamedTuple):
+    """The points x_k = g_k u_k that carry a density series' cell masses: u on
+    the dual lattice of `grid` (dual, the factorized route) or on its spatial
+    nodes (g = 1, the split-step route)."""
+
+    grid: Grid
+    g: np.ndarray
+    dual: bool
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Per-axis nodes u (FFT-ordered on the dual lattice)."""
+        return self.grid.freq_nodes if self.dual else self.grid.nodes
+
+    @property
+    def spacing(self) -> float:
+        return self.grid.freq_spacing if self.dual else self.grid.spacing
+
+
+def _lattice_values(fn: Callable, lattice: _Lattice) -> np.ndarray:
+    """fn at the points of `lattice`: cell averages of fn(g u) on a 1-D dual
+    lattice, point samples on an n-D one (which miss the sub-cell structure
+    near u = 0, ROADMAP item 1) and on the spatial grid."""
+    grid, g = lattice.grid, lattice.g
+    if not lattice.dual:
+        return fn(*grid.meshgrid())
+    if grid.dims == 1:
+        return _cell_average(fn, float(g[0]), grid.freq_nodes, grid.freq_spacing)
+    return fn(*(gk * grid.axis_freqs(k) for k, gk in enumerate(g)))
+
+
+def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
+    """Yield (t, rho, lattice) for each t in the increasing `times`: the cell
+    masses rho of |exp(-i t H0) psi0|^2 and the lattice they sit on.
+
+    A QuadraticSpec takes the factorization identity, rho = |F(M_t psi0)|^2
+    on the dual lattice scaled by g_k(2t), so any t is reachable with no grid
+    growth; an EvolutionConfig propagates in sequence on the spatial grid.  A
+    DomainEscapeError passes through to the consumer.
+    """
+    if isinstance(hamiltonian, QuadraticSpec):
+        for t in times:
+            hat, g = chirped_spectrum(psi0, t, hamiltonian)
+            yield t, hat.density() * hat.measure, _Lattice(hat.grid, g, True)
+    elif isinstance(hamiltonian, EvolutionConfig):
+        psi, prev = to_position(psi0), 0.0
+        lattice = _Lattice(psi.grid, np.ones(psi.grid.dims), False)
+        for t in times:
+            psi, _ = propagate(psi, t - prev, hamiltonian)
+            prev = t
+            yield t, psi.density() * psi.measure, lattice
+    else:
+        raise ConfigurationError("hamiltonian must be a QuadraticSpec or EvolutionConfig")
+
+
 @dataclass(frozen=True)
 class DensitySnapshot:
     """Weighted point masses representing |psi(t, x)|^2 with x = scale * node.
@@ -83,19 +140,6 @@ class DensitySnapshot:
     weights: np.ndarray
     scale: float
     spacing: float
-
-    @classmethod
-    def from_wavefunction(cls, psi: WaveFunction, t: float, scale: float = 1.0,
-                          axis: int = 0) -> "DensitySnapshot":
-        """Snapshot of the `axis` marginal of |psi|^2 on psi's own lattice:
-        spatial nodes in the position representation, dual nodes in the
-        momentum one.  The density is normalised, then ordered by node."""
-        grid = psi.grid
-        if psi.representation == POSITION:
-            nodes, spacing = grid.nodes, grid.spacing
-        else:
-            nodes, spacing = grid.freq_nodes, grid.freq_spacing
-        return cls.from_density(psi.density() * psi.measure, nodes, spacing, t, scale, axis)
 
     @classmethod
     def from_density(cls, rho: np.ndarray, nodes: np.ndarray, spacing: float, t: float,
@@ -171,7 +215,6 @@ class CookRecord:
     tail_kind: str                # 'power' or 'exponential'
     tail_exponent: float          # power p in t^p, or rate lambda in e^(-lambda t)
     tail_exponent_full: float     # power-law fit over the whole schedule
-    tail_window: tuple
     integral_estimate: float
     tail_integral: Callable = field(repr=False)
     truncated: bool = False
@@ -183,15 +226,15 @@ def _fit_tails(times, vals, tail_start):
     v = vals[mask]
     pos = v > 0
     if np.sum(pos) < 3:
-        return "power", -np.inf, (float(t[0]) if t.size else 0.0, float(times[-1])), None
+        return "power", -np.inf, None
     t, v = t[pos], v[pos]
     p_slope, p_off = np.polyfit(np.log(t), np.log(v), 1)
     e_slope, e_off = np.polyfit(t, np.log(v), 1)
     p_res = np.sum((np.log(v) - (p_slope * np.log(t) + p_off)) ** 2)
     e_res = np.sum((np.log(v) - (e_slope * t + e_off)) ** 2)
     if e_res < p_res:
-        return "exponential", float(-e_slope), (float(t[0]), float(t[-1])), (e_slope, e_off)
-    return "power", float(p_slope), (float(t[0]), float(t[-1])), (p_slope, p_off)
+        return "exponential", float(-e_slope), (e_slope, e_off)
+    return "power", float(p_slope), (p_slope, p_off)
 
 
 def _divide(num, den):
@@ -231,38 +274,26 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
     The integral estimate is composite Simpson over the schedule plus the
     fitted-tail extrapolation to infinity (NaN when the tail does not decay
     integrably).  The tail is fitted from the geometric midpoint of the
-    sampled times on.  Guard violations truncate the record with a flag.
+    sampled times on.  Guard violations truncate the record with a flag, or
+    raise when they trip at the first time.
     """
     times = np.asarray(sorted(float(t) for t in time_schedule))
     if times.size < 4 or times[0] <= 0:
         raise ConfigurationError("schedule needs >= 4 positive times")
+    v2 = lambda *x: perturbation(*x) ** 2
     vals = []
     truncated = False
-    if isinstance(hamiltonian, QuadraticSpec):
-        for t in times:
-            try:
-                vals.append(_factorized_coupling_norm(phi, t, hamiltonian, perturbation))
-            except DomainEscapeError:
-                truncated = True
-                break
-    elif isinstance(hamiltonian, EvolutionConfig):
-        psi = to_position(phi)
-        prev = 0.0
-        for t in times:
-            try:
-                psi, _ = propagate(psi, t - prev, hamiltonian)
-            except DomainEscapeError:
-                truncated = True
-                break
-            prev = t
-            w = perturbation(*psi.grid.meshgrid())
-            vals.append(l2_norm(WaveFunction(psi.grid, w * psi.values, POSITION)))
-    else:
-        raise ConfigurationError("hamiltonian must be a QuadraticSpec or EvolutionConfig")
+    try:
+        for _, rho, lattice in _density_series(phi, hamiltonian, times):
+            vals.append(float(np.sqrt(np.sum(_lattice_values(v2, lattice) * rho))))
+    except DomainEscapeError:
+        if not vals:  # nothing to fit or integrate
+            raise
+        truncated = True
     vals = np.asarray(vals)
     times = times[: len(vals)]
     tail_start = float(np.sqrt(times[0] * times[-1]))
-    kind, expo, window, fit = _fit_tails(times, vals, tail_start)
+    kind, expo, fit = _fit_tails(times, vals, tail_start)
     full_slope = _fit_tails(times, vals, times[0])[1]
 
     def tail_integral(t_lo, t_hi):
@@ -295,27 +326,10 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
         tail_kind=kind,
         tail_exponent=expo,
         tail_exponent_full=full_slope,
-        tail_window=window,
         integral_estimate=integral,
         tail_integral=tail_integral,
         truncated=truncated,
     )
-
-
-def _factorized_coupling_norm(phi: WaveFunction, t: float, spec: QuadraticSpec,
-                              perturbation: Callable) -> float:
-    """||V exp(-i t H0) phi|| via the unitary-dilation identity: the norm is
-    a fixed-lattice sum of cell-averaged |V(g.u)|^2 against |F(M_t phi)|^2."""
-    hat, g = chirped_spectrum(phi, t, spec)
-    grid = hat.grid
-    rho = hat.density() * hat.measure
-    if grid.dims == 1:
-        v2 = _cell_average(lambda y: perturbation(y) ** 2, float(g[0]),
-                           grid.freq_nodes, grid.freq_spacing)
-        return float(np.sqrt(np.sum(v2 * rho)))
-    coords = tuple(gk * grid.axis_freqs(k) for k, gk in enumerate(g))
-    v2 = perturbation(*coords) ** 2
-    return float(np.sqrt(np.sum(v2 * rho)))
 
 
 def cook_record_to_csv(record: CookRecord, path):
@@ -348,12 +362,7 @@ def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: f
     chirp M_s and the dual-lattice multiplier exp(i delta V(g(2s) .))."""
     fac = trajectory_factors(s, spec)
     chirp = _chirp_phase(grid, spec, fac, s)
-    if grid.dims == 1:
-        vbar = _cell_average(perturbation, float(fac.g[0]), grid.freq_nodes,
-                             grid.freq_spacing)
-    else:
-        coords = tuple(fac.g[k] * grid.axis_freqs(k) for k in range(grid.dims))
-        vbar = perturbation(*coords)
+    vbar = _lattice_values(perturbation, _Lattice(grid, fac.g, True))
     return chirp, np.exp(1j * delta * vbar)
 
 
@@ -445,7 +454,7 @@ class VelocityTrace:
     times: np.ndarray
     means: np.ndarray                       # <p_alpha(x)/t>
     snapshots: tuple                        # DensitySnapshot per time (radial route)
-    per_direction: dict                     # axis -> ln<x_j>/t series (alpha=2 routes)
+    per_direction: dict                     # axis -> ln<x_j>/t series (per_direction)
     histogram_edges: np.ndarray
     histograms: tuple                       # masses per time
 
@@ -467,64 +476,44 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
                    per_direction: bool = False) -> VelocityTrace:
     """Track <p_alpha(x)>/t and its distribution along the evolution.
 
-    QuadraticSpec hamiltonians use the factorization identity (any t, no
-    grid growth); EvolutionConfig hamiltonians propagate sequentially.
-    For multi-axis quadratic specs the radial mean uses the product density
-    over the scaled dual lattice, and per-direction ln<x_j>/t traces come
-    from the axis marginals.
+    The densities come from _density_series: QuadraticSpec hamiltonians use
+    the factorization identity (any t, no grid growth), EvolutionConfig
+    hamiltonians (1-D only) propagate sequentially.  For multi-axis quadratic
+    specs the radial mean uses the product density over the scaled dual
+    lattice, and per-direction ln<x_j>/t traces come from the axis marginals.
     """
     times = np.asarray(sorted(float(t) for t in time_schedule))
     if times.size == 0 or times[0] <= 0:
         raise ConfigurationError("schedule must contain positive times")
+    dims = psi0.grid.dims
+    if isinstance(hamiltonian, EvolutionConfig) and dims != 1:
+        raise ConfigurationError("grid snapshots are one-dimensional")
     edges = _histogram_edges(alpha)
     means = []
     snaps = []
     hists = []
-    per_dir: dict = {}
-
-    if isinstance(hamiltonian, QuadraticSpec):
-        grid = psi0.grid
-        for t in times:
-            hat, g = chirped_spectrum(psi0, t, hamiltonian)
-            # one density per time serves the radial mean and every marginal
-            rho = hat.density() * hat.measure
-            margs = [DensitySnapshot.from_density(rho, grid.freq_nodes, grid.freq_spacing, t,
-                                                  scale=float(abs(g[ax])), axis=ax)
-                     for ax in range(grid.dims)] if grid.dims == 1 or per_direction else []
-            if grid.dims == 1:
-                snap = margs[0]
-                means.append(snap.mean_of(lambda y: p_alpha(y, alpha)) / t)
-                snaps.append(snap)
-                hists.append(snap.velocity_histogram(alpha, edges * 1.0))
-            else:
-                means.append(_radial_mean_nd(rho, grid, g, alpha) / t)
-            if per_direction:
-                for ax, marg in enumerate(margs):
-                    val = marg.mean_of(lambda y: p_alpha(y, 2.0)) / t
-                    per_dir.setdefault(ax, []).append(val)
-    elif isinstance(hamiltonian, EvolutionConfig):
-        if psi0.grid.dims != 1:
-            raise ConfigurationError("grid snapshots are one-dimensional")
-        psi = to_position(psi0)
-        prev = 0.0
-        for t in times:
-            psi, _ = propagate(psi, t - prev, hamiltonian)
-            prev = t
-            snap = DensitySnapshot.from_wavefunction(psi, t)
-            means.append(snap.mean_of(lambda y: p_alpha(y, alpha), cell_averaged=False) / t)
+    per_dir = {ax: [] for ax in range(dims)} if per_direction else {}
+    for t, rho, lat in _density_series(psi0, hamiltonian, times):
+        # one density per time serves the radial mean and every marginal
+        margs = [DensitySnapshot.from_density(rho, lat.nodes, lat.spacing, t,
+                                              scale=float(abs(lat.g[ax])), axis=ax)
+                 for ax in range(dims)] if dims == 1 or per_direction else []
+        if dims == 1:
+            snap = margs[0]
+            means.append(snap.mean_of(lambda y: p_alpha(y, alpha), cell_averaged=lat.dual) / t)
             snaps.append(snap)
             hists.append(snap.velocity_histogram(alpha, edges))
-    else:
-        raise ConfigurationError("hamiltonian must be a QuadraticSpec or EvolutionConfig")
-
-    for ax in per_dir:
-        per_dir[ax] = np.asarray(per_dir[ax])
+        else:
+            means.append(_radial_mean_nd(rho, lat.grid, lat.g, alpha) / t)
+        for ax in per_dir:
+            per_dir[ax].append(margs[ax].mean_of(lambda y: p_alpha(y, 2.0),
+                                                 cell_averaged=lat.dual) / t)
     return VelocityTrace(
         alpha=alpha,
         times=times,
         means=np.asarray(means),
         snapshots=tuple(snaps),
-        per_direction=per_dir,
+        per_direction={ax: np.asarray(series) for ax, series in per_dir.items()},
         histogram_edges=edges,
         histograms=tuple(np.asarray(h) for h in hists),
     )

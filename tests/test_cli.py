@@ -39,6 +39,16 @@ schedule: {times: [1.0, 2.0]}
 dt: 0.001
 """
 
+VELOCITY_SPLIT_CFG = """
+experiment: velocity
+alpha: 1.0
+grid: {dims: 1, points: 256, half_width: 40.0}
+hamiltonian:
+  repulsive: {alpha: 1.0}
+schedule: {times: [1.0, 2.0]}
+dt: 0.01
+"""
+
 CLASSICAL_CFG = """
 experiment: classical
 alpha: 1.0
@@ -120,6 +130,7 @@ def test_malformed_alpha_rejected(tmp_path, capsys):
     ("csv: traj.csv", "start: {x: [1.0], xi: [1.0, 2.0]}"),
     ("csv: traj.csv", "start: {xi: 1.0}"),
     ("csv: traj.csv", "start: [1, 2]"),
+    ("csv: traj.csv", 'regularized: "no"'),
 ])
 def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     cfg = _write(tmp_path, "cls.yaml", CLASSICAL_CFG.replace(line, bad_line))
@@ -146,6 +157,7 @@ def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
 
 
 QUAD_LINE = "  quadratic: {n_minus: 1, omegas: [1.0]}"
+REPULSIVE_LINE = "  repulsive: {alpha: 1.0}"
 
 
 BAD_INPUTS = [
@@ -188,6 +200,15 @@ BAD_INPUTS = [
                  "hamiltonian.repulsive", id="cook-quadratic-repulsive"),
     pytest.param(WAVE_CFG, QUAD_LINE, QUAD_LINE + "\n  repulsive: {alpha: 1.0}",
                  "hamiltonian.repulsive", id="wave-quadratic-repulsive"),
+    pytest.param(VELOCITY_SPLIT_CFG, REPULSIVE_LINE,
+                 REPULSIVE_LINE + "\n  perturbation: {table: [a, b]}",
+                 "hamiltonian.perturbation.table[0]", id="table-entry"),
+    pytest.param(VELOCITY_SPLIT_CFG, REPULSIVE_LINE,
+                 REPULSIVE_LINE + "\n  perturbation: {table: [1.0, 2.0]}",
+                 "hamiltonian.perturbation.table", id="table-length"),
+    pytest.param(CONVERGENCE_CFG, REPULSIVE_LINE,
+                 '  repulsive: {alpha: 1.0, regularized: "no"}',
+                 "hamiltonian.repulsive.regularized", id="repulsive-regularized"),
 ]
 
 
@@ -215,6 +236,8 @@ BAD_TOP_LEVEL = [
     pytest.param(VELOCITY_CFG, "csv: velocity.csv", "csv: velocity.csv\ntol: x", "tol",
                  id="velocity-tol"),
     pytest.param(VELOCITY_CFG, QUAD_LINE, REPULSIVE_DT_LINE, "dt", id="velocity-dt"),
+    pytest.param(VELOCITY_CFG, "csv: velocity.csv", 'csv: velocity.csv\nper_direction: "no"',
+                 "per_direction", id="velocity-per_direction"),
     pytest.param(COOK_ZERO_CFG, "csv: cook.csv", "csv: cook.csv\nexpected_exponent: steep",
                  "expected_exponent", id="cook-expected_exponent"),
     pytest.param(COOK_ZERO_CFG, "csv: cook.csv", "csv: cook.csv\ntol: true", "tol",
@@ -245,6 +268,8 @@ BAD_TOP_LEVEL = [
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000.5", "samples",
                  id="mourre-samples-float"),
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 0", "samples", id="mourre-samples-zero"),
+    pytest.param(MOURRE_CFG, "samples: 2000", 'samples: 2000\ncheck_heuristic: "yes"',
+                 "check_heuristic", id="mourre-check_heuristic"),
     pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: abc", "t", id="convergence-t"),
     pytest.param(CONVERGENCE_CFG, "dt_sequence: [4.0e-3, 2.0e-3, 1.0e-3, 5.0e-4]",
                  "dt_sequence: 4.0e-3", "dt_sequence", id="convergence-dt_sequence"),
@@ -300,6 +325,17 @@ def test_cook_zero_potential_writes_zero_column(tmp_path):
     rows = (tmp_path / "out" / "cook.csv").read_text().splitlines()[1:]
     vals = [float(r.split(",")[1]) for r in rows]
     assert all(v == 0.0 for v in vals)
+
+
+def test_cook_table_perturbation_is_sampled_on_the_grid(tmp_path):
+    # a constant table V = 2 on the split-step route: ||V psi(t)|| = 2 ||psi||
+    text = VELOCITY_SPLIT_CFG.replace("experiment: velocity", "experiment: cook").replace(
+        REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: {table: %s}" % ([2.0] * 256)
+    ).replace("times: [1.0, 2.0]", "times: [0.5, 1.0, 1.5, 2.0]") + "csv: cook.csv\n"
+    cfg = _write(tmp_path, "cook.yaml", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    rows = (tmp_path / "out" / "cook.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == pytest.approx([2.0] * 4, rel=1e-12)
 
 
 def test_summary_is_bit_identical_across_runs(tmp_path):

@@ -11,12 +11,14 @@ from repscat import (
     l2_norm,
     make_grid,
     minimal_maximal_velocity_mass,
+    propagate,
     random_state,
     suggest_grid,
     to_momentum,
     velocity_trace,
     wave_operator,
 )
+from repscat.errors import DomainEscapeError
 from repscat.grids import POSITION
 from repscat.mehler import _chirp_phase, trajectory_factors
 from repscat.potentials import PRESETS, bracket_x, p_alpha, preset_log_power, preset_power
@@ -122,6 +124,46 @@ def test_cook_splitstep_route_small():
     assert record.integrand[-1] < record.integrand[0]
 
 
+def test_cook_splitstep_integrand_matches_reference_loop():
+    # the density-series integrand sqrt(sum V^2 |psi|^2 h) against the norm
+    # of V psi(t) propagated step by step on the spatial grid
+    alpha = 1.0
+    L, n = suggest_grid(alpha, 4.0, 4.0)
+    g = make_grid(1, n, L)
+    cfg = evolution_config(g, 2e-3, repulsive=RepulsiveSpec(alpha))
+    V = preset_power(1.0, 2.0)
+    times = [1.0, 2.0, 3.0, 4.0]
+    record = cook_scan(gaussian(g), cfg, V, times)
+    psi, prev, ref = gaussian(g), 0.0, []
+    for t in times:
+        psi, _ = propagate(psi, t - prev, cfg)
+        prev = t
+        ref.append(l2_norm(WaveFunction(g, V(g.nodes) * psi.values, POSITION)))
+    np.testing.assert_allclose(record.integrand, ref, rtol=1e-13, atol=0)
+
+
+def test_cook_truncates_on_escape_and_raises_when_nothing_was_sampled():
+    g = make_grid(1, 128, 8.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
+    record = cook_scan(gaussian(g), cfg, preset_power(1.0, 2.0), [0.1, 0.2, 0.3, 6.0])
+    assert record.truncated and len(record.integrand) == 3
+    with pytest.raises(DomainEscapeError):
+        cook_scan(gaussian(g), cfg, preset_power(1.0, 2.0), [3.0, 4.0, 5.0, 6.0])
+
+
+def test_cook_2d_factorized_integrand_pinned():
+    # recorded with the n-D dual lattice point-sampled; ROADMAP item 1 (one
+    # exact dilated-lattice quadrature in every dimension) moves these on purpose
+    spec = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,))
+    g = make_grid(2, 128, 10.0)
+    psi = gaussian(g, center=(0.5, -0.3), momentum=(0.2, -0.1))
+    record = cook_scan(psi, spec, preset_power(1.0, 1.0), [0.5, 1.0, 2.0, 3.0])
+    np.testing.assert_allclose(
+        record.integrand,
+        [0.5741403741206346, 0.36311069928525325, 0.165082819429106, 0.11675172989346576],
+        rtol=1e-12, atol=0)
+
+
 def test_cook_record_csv(tmp_path):
     g = make_grid(1, 256, 12.0)
     record = cook_scan(gaussian(g), HYPER, LOGW, np.linspace(1, 4, 7))
@@ -216,6 +258,23 @@ def test_velocity_trace_alpha1_splitstep():
     assert abs(trace.richardson_limit() - 1.0) <= 0.15
 
 
+def test_velocity_splitstep_means_are_point_sampled():
+    # the split-step route samples p_alpha at the spatial nodes, as a plain
+    # propagate loop does
+    alpha = 1.0
+    g = make_grid(1, 512, 40.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(alpha))
+    times = [1.0, 2.0, 3.0]
+    trace = velocity_trace(gaussian(g), cfg, alpha, times)
+    psi, prev, ref = gaussian(g), 0.0, []
+    for t in times:
+        psi, _ = propagate(psi, t - prev, cfg)
+        prev = t
+        rho = psi.density()
+        ref.append(np.sum(p_alpha(g.nodes, alpha) * rho / rho.sum()) / t)
+    np.testing.assert_allclose(trace.means, ref, rtol=1e-13, atol=0)
+
+
 def test_velocity_masses_alpha2():
     g = make_grid(1, 512, 12.0)
     trace = velocity_trace(gaussian(g), HYPER, 2.0, [4.0, 6.0, 8.0, 10.0])
@@ -281,12 +340,14 @@ def test_chirp_resolution_floor_pinned():
     assert _chirp_resolution_floor(phi, saddle) == 0.3291923631618562
 
 
-def test_snapshot_from_wavefunction_normalises_then_orders(rng):
+def test_snapshot_from_density_normalises_then_orders(rng):
     g = make_grid(2, 64, 8.0)
     hat = to_momentum(random_state(g, rng))
-    snap = DensitySnapshot.from_wavefunction(hat, 3.0, scale=2.0, axis=1)
+    rho = hat.density() * hat.measure
+    snap = DensitySnapshot.from_density(rho, g.freq_nodes, g.freq_spacing, 3.0, scale=2.0,
+                                        axis=1)
     order = np.argsort(g.freq_nodes)
-    marg = hat.density().sum(axis=0) * hat.measure
+    marg = rho.sum(axis=0)
     assert np.array_equal(snap.nodes, g.freq_nodes[order])
     assert np.allclose(snap.weights, (marg / marg.sum())[order], rtol=1e-14, atol=0.0)
     assert snap.weights.sum() == pytest.approx(1.0, rel=1e-14)
@@ -375,4 +436,12 @@ def test_1d_per_direction_trace_is_the_log_mean():
     # in 1-D the one marginal is the velocity snapshot itself
     g = make_grid(1, 512, 12.0)
     trace = velocity_trace(gaussian(g), HYPER, 2.0, [2.0, 4.0], per_direction=True)
+    np.testing.assert_array_equal(trace.per_direction[0], trace.means)
+
+
+def test_splitstep_per_direction_trace_is_the_log_mean():
+    # the split-step route reads the same marginal, point-sampled on the grid
+    g = make_grid(1, 512, 12.0)
+    cfg = evolution_config(g, 1e-2, quadratic=HYPER)
+    trace = velocity_trace(gaussian(g), cfg, 2.0, [0.25, 0.5], per_direction=True)
     np.testing.assert_array_equal(trace.per_direction[0], trace.means)
