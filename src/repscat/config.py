@@ -1,10 +1,19 @@
-"""Declarative experiment configs (YAML key/value blocks) and their validation."""
+"""Declarative experiment configs: one key table per experiment kind and per
+shared block, read and checked in one place before any work starts.
+
+A table maps each accepted key to (reader, default): `reader(value, path)`
+returns the typed value or raises a ConfigurationError naming the key path.
+The default REQUIRED means the key must be given; None leaves it unset.  A
+key given as null counts as left out, and any other key is refused.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import inspect
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,18 +21,10 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, check_integer
-from .grids import Grid, WaveFunction, gaussian, make_grid
-from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec
+from .grids import make_grid
+from .potentials import PRESETS, RepulsiveSpec
 
-EXPERIMENT_KINDS = (
-    "propagate",
-    "cook",
-    "wave-operator",
-    "velocity",
-    "classical",
-    "mourre-scan",
-    "convergence",
-)
+REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -46,29 +47,59 @@ def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
             raise ConfigurationError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a mapping")
+    values = read_config(raw)
+    seed = values["seed"] if seed_override is None else seed_override
+    return ExperimentConfig(kind=values["experiment"], raw=raw, seed=seed)
+
+
+def read_config(raw: dict) -> dict:
+    """The config's values, read through the table of its experiment kind."""
     kind = raw.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigurationError(
-            f"{path}: field 'experiment' must be one of {EXPERIMENT_KINDS}, got {kind!r}"
-        )
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
-    return ExperimentConfig(kind=kind, raw=raw, seed=seed)
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigurationError(f"experiment must be one of {tuple(KINDS)}, got {kind!r}")
+    return _read(KINDS[kind], raw, "", f"a {kind} config")
 
 
-def require(block: dict, key: str, context: str):
-    if key not in block:
-        raise ConfigurationError(f"{context}: missing required field '{key}'")
-    return block[key]
+def _read(table: dict, block, key: str, what: str) -> dict:
+    _mapping(block, key)
+    prefix = f"{key}." if key else ""
+    for name in block:
+        if name not in table:
+            raise ConfigurationError(
+                f"unknown key {prefix}{name}: {what} takes only {', '.join(table)}")
+    values = {}
+    for name, (reader, default) in table.items():
+        value = block.get(name)
+        if value is None and default is REQUIRED:
+            raise ConfigurationError(f"{prefix}{name} must be given")
+        value = default if value is None else value
+        values[name] = None if value is None else reader(value, prefix + name)
+    return values
+
+
+def _block(table: dict, finish=lambda values, key: values):
+    """Reader of a nested block: its keys through `table`, then `finish`."""
+    return lambda block, key: finish(_read(table, block, key, key), key)
 
 
 def _real(value, key: str) -> float:
-    """A real config value; booleans are refused rather than read as 0 or 1."""
+    """A finite real; booleans are refused rather than read as 0 or 1."""
     if not isinstance(value, bool):
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigurationError(f"{key} must be a number, got {value!r}")
+        else:
+            if math.isfinite(x):
+                return x
+    raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+
+
+def _positive(value, key: str) -> float:
+    x = _real(value, key)
+    if not x > 0:
+        raise ConfigurationError(f"{key} must be > 0, got {value!r}")
+    return x
 
 
 def _boolean(value, key: str) -> bool:
@@ -85,112 +116,135 @@ def _reals(values, key: str) -> list:
     return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
-def _axis_reals(value, key: str, dims: int):
-    """One real for every axis, or a list of `dims` reals (one per axis)."""
-    if not isinstance(value, (list, tuple)):
-        return _real(value, key)
-    if len(value) != dims:
+def _axis_reals(value, key: str):
+    """One real for every axis, or a list of reals (the runner checks its length)."""
+    return _reals(value, key) if isinstance(value, (list, tuple)) else _real(value, key)
+
+
+def _increasing(values, key: str) -> list:
+    """Positive, strictly increasing numbers: schedule times, wave-operator
+    horizons, a Mourre scan's radius range."""
+    numbers = _reals(values, key)
+    if not numbers or numbers[0] <= 0 or any(b <= a for a, b in zip(numbers, numbers[1:])):
         raise ConfigurationError(
-            f"{key} must be a number or a list of {dims} numbers (one per axis), got {value!r}")
-    return _reals(value, key)
+            f"{key} must be a nonempty list of positive, strictly increasing numbers, "
+            f"got {values!r}")
+    return numbers
 
 
-def _mapping(block, key: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{key} must be a mapping, got {block!r}")
-    return block
+def _counted(reader, least: int, most=math.inf):
+    """`reader` for a list of `least` to `most` entries."""
+    def read(values, key):
+        out = reader(values, key)
+        if not least <= len(out) <= most:
+            count = least if least == most else f"at least {least}"
+            raise ConfigurationError(f"{key} must be a list of {count} values, got {values!r}")
+        return out
+    return read
 
 
-def build_grid(block: dict) -> Grid:
-    _mapping(block, "grid")
-    return make_grid(
-        dims=check_integer(block.get("dims", 1), "grid.dims"),
-        points_per_dim=check_integer(require(block, "points", "grid"), "grid.points"),
-        half_width=_real(require(block, "half_width", "grid"), "grid.half_width"),
-    )
+def _choice(*options):
+    def read(value, key):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigurationError(f"{key} must be one of {options}, got {value!r}")
+        return value
+    return read
 
 
-def build_state(block: dict, grid: Grid) -> WaveFunction:
-    _mapping(block, "state")
-    kind = block.get("kind", "gaussian")
-    if kind != "gaussian":
-        raise ConfigurationError(f"state: unknown kind {kind!r}")
-    width = _real(block.get("width", 1.0), "state.width")
-    if not width > 0:
-        raise ConfigurationError(f"state.width must be > 0, got {width!r}")
-    return gaussian(
-        grid,
-        center=_axis_reals(block.get("center", 0.0), "state.center", grid.dims),
-        width=width,
-        momentum=_axis_reals(block.get("momentum", 0.0), "state.momentum", grid.dims),
-    )
+def _count(minimum):
+    return lambda value, key: check_integer(value, key, minimum=minimum)
 
 
-def build_repulsive(block: dict) -> RepulsiveSpec:
-    _mapping(block, "hamiltonian.repulsive")
-    return RepulsiveSpec(
-        alpha=_real(require(block, "alpha", "hamiltonian.repulsive"),
-                    "hamiltonian.repulsive.alpha"),
-        regularized=_boolean(block.get("regularized", True),
-                             "hamiltonian.repulsive.regularized"),
-    )
+def _file_name(value, key: str) -> str:
+    """A plain file name, written inside the output directory."""
+    if (not isinstance(value, str) or value in ("", ".", "..") or "\0" in value
+            or os.path.basename(value) != value):
+        raise ConfigurationError(
+            f"{key} must be a plain file name with no directory part, got {value!r}")
+    return value
 
 
-def build_quadratic(block: dict, dims: int) -> QuadraticSpec:
-    _mapping(block, "hamiltonian.quadratic")
-    counts = {key: check_integer(block.get(key, 0), f"hamiltonian.quadratic.{key}", minimum=0)
-              for key in ("n_minus", "n_plus", "n_E")}
-    return QuadraticSpec(
-        dims=dims,
-        **counts,
-        omegas=_reals(block.get("omegas", ()), "hamiltonian.quadratic.omegas"),
-        fields=_reals(block.get("fields", ()), "hamiltonian.quadratic.fields"),
-    )
+def _perturbation(values: dict, key: str):
+    """Symbolic preset, or raw sample table (one value per grid point, in the
+    grid's row-major order; the runner checks its length)."""
+    preset, args, table = values["preset"], values["args"], values["table"]
+    if (preset is None) == (table is None) or (preset is None and args is not None):
+        raise ConfigurationError(f"{key} must be given as a preset (with its args) or a table")
+    if table is not None:
+        return np.asarray(table)
+    factory = PRESETS[preset]
+    args = args or {}
+    try:
+        inspect.signature(factory).bind(**args)
+    except TypeError as exc:
+        raise ConfigurationError(f"{key}.args: {exc}") from exc
+    return factory(**{name: _real(value, f"{key}.args.{name}") for name, value in args.items()})
 
 
-def build_perturbation(block: Optional[dict]):
-    """Symbolic preset or raw sample table (one value per grid point, in the
-    grid's row-major order; the caller checks its length); None means V = 0."""
-    if block is None:
-        return None
-    _mapping(block, "hamiltonian.perturbation")
-    if "preset" in block:
-        name = block["preset"]
-        if name not in PRESETS:
-            raise ConfigurationError(
-                f"perturbation: unknown preset {name!r}; available {sorted(PRESETS)}"
-            )
-        factory = PRESETS[name]
-        args = block.get("args", {})
-        try:
-            inspect.signature(factory).bind(**args)
-        except TypeError as exc:
-            raise ConfigurationError(f"hamiltonian.perturbation.args: {exc}") from exc
-        return factory(**{name: _real(value, f"hamiltonian.perturbation.args.{name}")
-                          for name, value in args.items()})
-    if "table" in block:
-        return np.asarray(_reals(block["table"], "hamiltonian.perturbation.table"))
-    raise ConfigurationError("perturbation block needs 'preset' or 'table'")
+def _schedule(values: dict, key: str) -> np.ndarray:
+    start_stop_count = [values[name] for name in ("start", "stop", "count")]
+    if values["times"] is not None and start_stop_count == [None] * 3:
+        return np.asarray(values["times"])
+    if values["times"] is not None or None in start_stop_count:
+        raise ConfigurationError(f"{key} must be given as times or as start, stop and count")
+    spread = np.geomspace if values["spacing"] == "geometric" else np.linspace
+    return np.asarray(_increasing(spread(*start_stop_count).tolist(), key))
 
 
-def build_schedule(block: dict) -> np.ndarray:
-    _mapping(block, "schedule")
-    if "times" in block:
-        times = np.asarray(_reals(block["times"], "schedule.times"))
-    else:
-        start = _real(require(block, "start", "schedule"), "schedule.start")
-        stop = _real(require(block, "stop", "schedule"), "schedule.stop")
-        count = check_integer(require(block, "count", "schedule"), "schedule.count", minimum=1)
-        spacing = block.get("spacing", "linear")
-        if spacing == "geometric":
-            times = np.geomspace(start, stop, count)
-        elif spacing == "linear":
-            times = np.linspace(start, stop, count)
-        else:
-            raise ConfigurationError(f"schedule: unknown spacing {spacing!r}")
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ConfigurationError("schedule times must be positive and increasing")
-    return times
+def _mapping(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),
+               "half_width": (_real, REQUIRED)},
+              lambda v, key: make_grid(v["dims"], v["points"], v["half_width"]))
+STATE = _block({"kind": (_choice("gaussian"), "gaussian"), "width": (_positive, 1.0),
+                "center": (_axis_reals, 0.0), "momentum": (_axis_reals, 0.0)})
+HAMILTONIAN = _block({
+    "quadratic": (_block({"n_minus": (_count(0), 0), "n_plus": (_count(0), 0),
+                          "n_E": (_count(0), 0), "omegas": (_reals, ()),
+                          "fields": (_reals, ())}), None),
+    "repulsive": (_block({"alpha": (_real, REQUIRED), "regularized": (_boolean, True)},
+                         lambda v, key: RepulsiveSpec(**v)), None),
+    "perturbation": (_block({"preset": (_choice(*PRESETS), None), "args": (_mapping, None),
+                             "table": (_reals, None)}, _perturbation), None),
+})
+SCHEDULE = _block({"times": (_increasing, None), "start": (_positive, None),
+                   "stop": (_positive, None), "count": (_count(1), None),
+                   "spacing": (_choice("linear", "geometric"), "linear")}, _schedule)
+START = _block({"x": (_axis_reals, REQUIRED), "xi": (_axis_reals, REQUIRED)})
+
+_COMMON = {"experiment": (lambda value, key: value, REQUIRED), "seed": (check_integer, 0)}
+_ON_GRID = {**_COMMON, "grid": (GRID, REQUIRED), "state": (STATE, {}),
+            "hamiltonian": (HAMILTONIAN, REQUIRED)}
+
+#: The accepted keys of each experiment kind; experiments.py has one runner per kind.
+KINDS = {
+    "propagate": {**_ON_GRID, "t": (_real, REQUIRED), "dt": (_real, None),
+                  "norm_tol": (_real, 1e-10), "roundtrip_tol": (_real, 1e-8)},
+    "cook": {**_ON_GRID, "schedule": (SCHEDULE, REQUIRED), "dt": (_real, None),
+             "expected_exponent": (_real, None), "tol": (_real, 0.3),
+             "csv": (_file_name, None)},
+    "wave-operator": {**_ON_GRID, "horizons": (_counted(_increasing, 2), REQUIRED),
+                      "isometry_tol": (_real, 1e-8)},
+    "velocity": {**_ON_GRID, "alpha": (_real, REQUIRED), "schedule": (SCHEDULE, REQUIRED),
+                 "dt": (_real, None), "tol": (_real, None),
+                 "per_direction": (_boolean, False), "csv": (_file_name, None),
+                 "histogram_csv": (_file_name, None)},
+    "classical": {**_COMMON, "alpha": (_real, REQUIRED), "t_final": (_real, REQUIRED),
+                  "dt": (_real, 1e-3), "tol": (_real, None), "start": (START, None),
+                  "regularized": (_boolean, True), "record_every": (_count(1), 10),
+                  "csv": (_file_name, None)},
+    "mourre-scan": {**_COMMON, "alpha": (_real, REQUIRED), "E": (_real, REQUIRED),
+                    "eta": (_real, REQUIRED),
+                    "radius_range": (_counted(_increasing, 2, 2), (0.5, 50.0)),
+                    "samples": (_count(1), 10_000), "check_heuristic": (_boolean, True),
+                    "csv": (_file_name, None)},
+    "convergence": {**_ON_GRID, "t": (_real, REQUIRED),
+                    "dt_sequence": (_counted(_reals, 4), REQUIRED), "tol": (_real, 0.1)},
+}
 
 
 def format_float(x) -> object:

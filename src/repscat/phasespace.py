@@ -332,6 +332,7 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     feasible = wx + E >= 0.0
     restricted = not bool(np.all(feasible))
     radii = radii[feasible]
+    target = sigma_alpha(alpha) - eta
     if radii.size == 0:
         return {
             "min_bracket": np.inf,
@@ -339,12 +340,13 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
             "R_threshold": np.inf,
             "constraint_restricted": True,
             "points": np.empty((0, 3)),
+            "shell_E": E,
+            "target": target,
         }
     xi_mag = np.sqrt(bracket_x(radii) ** alpha + E)
     xs = np.concatenate([radii, radii, -radii, -radii])
     xis = np.concatenate([xi_mag, -xi_mag, xi_mag, -xi_mag])
     br = poisson_bracket(h, a, xs, xis)
-    target = sigma_alpha(alpha) - eta
     bad = br < target
     pts = np.column_stack([xs, xis, br])
     # smallest radius R with no violation at any sampled |x| >= R

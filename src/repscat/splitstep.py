@@ -164,14 +164,12 @@ def hamiltonian_matrix(cfg: EvolutionConfig) -> np.ndarray:
 
 def dense_oracle(psi0: WaveFunction, t: float, cfg: EvolutionConfig) -> WaveFunction:
     """exp(-i t H) psi0 through the eigendecomposition of the dense H."""
-    import scipy.linalg  # only the oracle needs scipy; keep it off the import path
-
     psi0 = to_position(psi0)
     ham = hamiltonian_matrix(cfg)
     herm_defect = np.max(np.abs(ham - ham.conj().T))
     if herm_defect > 1e-10:
         raise ConfigurationError(f"assembled Hamiltonian not Hermitian ({herm_defect:.2e})")
-    w, u = scipy.linalg.eigh((ham + ham.conj().T) / 2.0)
+    w, u = np.linalg.eigh((ham + ham.conj().T) / 2.0)
     vals = u @ (np.exp(-1j * t * w) * (u.conj().T @ psi0.values))
     return WaveFunction(psi0.grid, vals, POSITION)
 

@@ -1,13 +1,24 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repscat
 from repscat.cli import main
+from repscat.config import load_config
+from repscat.errors import ConfigurationError
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
+SAMPLE_CONFIGS = sorted(name[:-5] for name in os.listdir(CONFIG_DIR)
+                        if name.endswith(".yaml") and name != "suite.yaml")
 
 VELOCITY_CFG = """
 experiment: velocity
@@ -209,6 +220,20 @@ BAD_INPUTS = [
     pytest.param(CONVERGENCE_CFG, REPULSIVE_LINE,
                  '  repulsive: {alpha: 1.0, regularized: "no"}',
                  "hamiltonian.repulsive.regularized", id="repulsive-regularized"),
+    # unknown keys exit 2 and name their full path
+    pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: 0.1\ntypo_tol: 1", "unknown key typo_tol",
+                 id="unknown-top-level"),
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {widht: 2.0}",
+                 "unknown key state.widht", id="unknown-state-key"),
+    pytest.param(CONVERGENCE_CFG, REPULSIVE_LINE, "  repulsive: {alpha: 1.0, typo: 3}",
+                 "unknown key hamiltonian.repulsive.typo", id="unknown-repulsive-key"),
+    pytest.param(CONVERGENCE_CFG, "half_width: 8.0}", "half_width: 8.0, extra: 1}",
+                 "unknown key grid.extra", id="unknown-grid-key"),
+    pytest.param(CLASSICAL_CFG, "csv: traj.csv", "start: {x: 1.0, xi: 1.0, p: 2.0}",
+                 "unknown key start.p", id="unknown-classical-start-key"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {preset: power, table: [1.0]}",
+                 "hamiltonian.perturbation", id="preset-and-table"),
 ]
 
 
@@ -265,6 +290,8 @@ BAD_TOP_LEVEL = [
                  "radius_range[1]", id="mourre-radius_range-item"),
     pytest.param(MOURRE_CFG, "radius_range: [1.0, 40.0]", "radius_range: [1.0]",
                  "radius_range", id="mourre-radius_range-length"),
+    pytest.param(MOURRE_CFG, "radius_range: [1.0, 40.0]", "radius_range: [1.0, 0.0]",
+                 "radius_range", id="mourre-radius_range-order"),
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000.5", "samples",
                  id="mourre-samples-float"),
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 0", "samples", id="mourre-samples-zero"),
@@ -276,6 +303,20 @@ BAD_TOP_LEVEL = [
     pytest.param(CONVERGENCE_CFG, "dt_sequence: [4.0e-3, 2.0e-3, 1.0e-3, 5.0e-4]",
                  "dt_sequence: []", "dt_sequence", id="convergence-dt_sequence-empty"),
     pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: 0.1\ntol: x", "tol", id="convergence-tol"),
+    pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000\nseed: abc", "seed",
+                 id="seed-string"),
+    pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000\nseed: 1.7", "seed",
+                 id="seed-float"),
+    pytest.param(MOURRE_CFG, "csv: scan.csv", "csv: 3", "csv", id="csv-number"),
+    pytest.param(MOURRE_CFG, "csv: scan.csv", "csv: /nonexistent/scan.csv", "csv", id="csv-path"),
+    pytest.param(VELOCITY_CFG, "csv: velocity.csv", "histogram_csv: ../hist.csv",
+                 "histogram_csv", id="histogram_csv-path"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [4.0, 2.0]", "horizons",
+                 id="wave-horizons-decreasing"),
+    pytest.param(COOK_ZERO_CFG, "start: 1.0", "start: 0.0", "schedule.start",
+                 id="cook-schedule-start-zero"),
+    pytest.param(VELOCITY_CFG, "times: [2.0, 4.0, 6.0, 8.0, 10.0]",
+                 "times: [2.0, 4.0], count: 3", "schedule", id="schedule-times-and-count"),
 ]
 
 
@@ -318,6 +359,17 @@ def test_state_center_and_momentum_take_a_scalar_or_one_value_per_axis(tmp_path)
     assert summaries[0]["metrics"] == summaries[1]["metrics"]
 
 
+def test_mourre_scan_with_an_empty_shell_fails_its_check(tmp_path):
+    # <x>^alpha + E < 0 at every sampled radius: no shell point, R_threshold = inf
+    text = (MOURRE_CFG.replace("E: 0.0", "E: -4.0")
+            .replace("radius_range: [1.0, 40.0]", "radius_range: [0.2, 1.0]"))
+    cfg = _write(tmp_path, "mou.yaml", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    summary = json.loads((tmp_path / "out" / "mou.summary.json").read_text())
+    assert summary["metrics"]["constraint_restricted"] is True
+    assert (tmp_path / "out" / "scan.csv").read_text().splitlines() == ["x,xi,bracket,shell_E"]
+
+
 def test_cook_zero_potential_writes_zero_column(tmp_path):
     cfg = _write(tmp_path, "cook.yaml", COOK_ZERO_CFG)
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
@@ -329,7 +381,9 @@ def test_cook_zero_potential_writes_zero_column(tmp_path):
 
 def test_cook_table_perturbation_is_sampled_on_the_grid(tmp_path):
     # a constant table V = 2 on the split-step route: ||V psi(t)|| = 2 ||psi||
+    # (cook takes no top-level alpha, so the velocity config's line goes)
     text = VELOCITY_SPLIT_CFG.replace("experiment: velocity", "experiment: cook").replace(
+        "\nalpha: 1.0\n", "\n").replace(
         REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: {table: %s}" % ([2.0] * 256)
     ).replace("times: [1.0, 2.0]", "times: [0.5, 1.0, 1.5, 2.0]") + "csv: cook.csv\n"
     cfg = _write(tmp_path, "cook.yaml", text)
@@ -438,3 +492,75 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_convergence_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(repscat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["run", os.path.join(CONFIG_DIR, "convergence.yaml"), "--out", str(tmp_path),
+            "--quiet"]
+    code = ("import sys; sys.modules['scipy'] = None; from repscat.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Property tests: one key of a sample config is replaced, deleted or added.
+SMALL_NUMBERS = st.integers(-1, 1) | st.floats(-2.0, 2.0)
+SCALARS = st.text(max_size=6) | st.booleans() | st.none() | SMALL_NUMBERS
+VALUES = (SCALARS | st.lists(SCALARS, max_size=4)
+          | st.dictionaries(st.text(max_size=6), SCALARS, max_size=3))
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw, names):
+    name = draw(st.sampled_from(names))
+    with open(os.path.join(CONFIG_DIR, f"{name}.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    path = draw(st.sampled_from(sorted(_key_paths(raw))))
+    block = raw = copy.deepcopy(raw)
+    for key in path[:-1]:
+        block = block[key]
+    how = draw(st.sampled_from(["replace", "delete", "add"]))
+    if how == "replace":
+        block[path[-1]] = draw(VALUES)
+    elif how == "delete":
+        del block[path[-1]]
+    else:
+        block[draw(st.text(min_size=1, max_size=6))] = draw(VALUES)
+    return name, raw
+
+
+def _write_config(directory, name, raw):
+    path = os.path.join(directory, f"{name}.yaml")
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_configs(SAMPLE_CONFIGS))
+def test_mutated_config_loads_or_raises_configuration_error(case):
+    name, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            load_config(_write_config(tmp, name, raw))
+        except ConfigurationError:
+            pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutated_configs(["mourre_scan", "convergence", "propagate_mehler"]))
+def test_mutated_config_run_exits_0_1_or_2(case):
+    name, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, name, raw)
+        assert main(["run", path, "--out", os.path.join(tmp, "out"), "--quiet"]) in (0, 1, 2)
