@@ -32,6 +32,10 @@ MOMENTUM = "momentum"
 EDGE_FRACTION = 0.1
 EDGE_MASS_TOL = 1e-6
 
+#: Largest lattice accepted, points_per_dim**dims: 256^3, where one complex
+#: state takes 268 MB.  Larger grids are refused before any array exists.
+MAX_GRID_POINTS = 2**24
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -69,6 +73,12 @@ class Grid:
             raise ConfigurationError(
                 f"points_per_dim must be a power of two >= 8, got {self.points_per_dim}"
             )
+        # compared as exact log2 (powers of two), so a huge dims costs nothing
+        log2_points = self.dims * (int(self.points_per_dim).bit_length() - 1)
+        if log2_points > MAX_GRID_POINTS.bit_length() - 1:
+            raise ConfigurationError(
+                f"grid of points_per_dim**dims = {self.points_per_dim}**{self.dims} points "
+                f"exceeds the {MAX_GRID_POINTS} points allowed")
         if not self.half_width > 0:
             raise ConfigurationError(f"half_width must be > 0, got {self.half_width}")
         n = self.points_per_dim

@@ -340,6 +340,10 @@ def cook_record_to_csv(record: CookRecord, path):
 # Wave operators.
 # ---------------------------------------------------------------------------
 
+#: Interaction-picture slice width on [s0, T].
+_SLICE = 0.025
+
+
 def wave_operator(phi: WaveFunction, T: float, spec: QuadraticSpec,
                   perturbation: Callable) -> WaveFunction:
     """Omega_T phi = exp(i T H) exp(-i T H0) phi for H0 the quadratic spec
@@ -347,12 +351,11 @@ def wave_operator(phi: WaveFunction, T: float, spec: QuadraticSpec,
 
     Interaction picture: the free factorization turns exp(i T H) exp(-i T H0)
     into an ordered product of exact unitary conjugated-potential phases on
-    the fixed lattice (slices of width ~0.025 down to s0, then split-step
-    with dt = 1e-3 on [0, s0]), so T is not limited by the e^{2wt} spreading.
+    the fixed lattice (slices on the shared slice lattice of _slice_edges,
+    down to s0), then split-step with dt = 1e-3 on [0, s0], so T is not
+    limited by the e^{2wt} spreading.
     """
-    if T == 0.0:
-        return to_position(phi)
-    return _wave_operator_factorized(phi, T, spec, perturbation)
+    return _wave_operators(phi, [T], spec, perturbation)[T]
 
 
 def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: float,
@@ -389,42 +392,85 @@ def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
     return s_floor
 
 
-def _wave_operator_factorized(phi: WaveFunction, T: float, spec: QuadraticSpec,
-                              perturbation: Callable) -> WaveFunction:
+def _slice_edges(s0: float, horizons) -> np.ndarray:
+    """Increasing slice edges on [s0, max(horizons)] for horizons above s0:
+    s0, the lattice s0 + k _SLICE, and every horizon.  A lattice point
+    closer than half a slice to a horizon is dropped, so no slice is a
+    sliver; s0 stays, since the anchor ends there."""
+    T = np.asarray(sorted(horizons), dtype=float)
+    lattice = s0 + _SLICE * np.arange(1, int(np.ceil((T[-1] - s0) / _SLICE)))
+    far = np.min(np.abs(lattice[:, None] - T[None, :]), axis=1) >= _SLICE / 2.0
+    return np.sort(np.concatenate(([s0], lattice[far], T)))
+
+
+def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
+                    perturbation: Callable) -> dict:
+    """{T: Omega_T phi} for every horizon in Ts, in one descent over one
+    slice lattice.
+
+    Walking the slices of _slice_edges from the top down, each slice's
+    (chirp, multiplier) is built once and applied in place to every chain
+    whose horizon is at or above the slice's top edge; a chain starts as a
+    copy of phi when the descent reaches its horizon.  Every chain uses the
+    same slices below its horizon, so Omega_T2 = Omega_T1 S(T1, T2) holds
+    exactly on the lattice, and memory is one state per horizon.  Each chain
+    ends with the split-step anchor on [0, s0]; horizons T <= s0 take the
+    anchor alone, and T = 0 returns phi.
+    """
+    phi = to_position(phi)
+    out = {T: phi for T in Ts if T == 0.0}
+    nonzero = [T for T in Ts if T != 0.0]
+    if not nonzero:
+        return out
     if spec.n_plus > 0:
         raise ConfigurationError(
             "interaction-picture wave operators cross kernel singular times on "
             "confining axes; use split-step configs for n_plus > 0"
         )
-    phi = to_position(phi)
     grid = phi.grid
     s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
-    if T <= s0:
-        return _wave_operator_direct(phi, T, spec, perturbation)
-    n = max(1, int(round((T - s0) / 0.025)))
-    delta = (T - s0) / n
-    u = phi.values.copy()
-    work = np.empty_like(u)
-    for k in range(n, 0, -1):
-        chirp, multiplier = _interaction_phase_slice(grid, spec, s0 + (k - 0.5) * delta,
-                                                     delta, perturbation)
-        np.multiply(chirp, u, out=u)
-        _fourier_step(u, work, multiplier, np.conj(chirp))
-    return _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, spec, perturbation)
+    anchor = _anchor_configs(grid, spec, perturbation)
+    for T in nonzero:
+        if T <= s0:
+            out[T] = _wave_operator_direct(phi, T, anchor)
+    horizons = sorted({T for T in nonzero if T > s0})
+    if not horizons:
+        return out
+    edges = _slice_edges(s0, horizons)
+    chains = {}
+    work = np.empty_like(phi.values)
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        if horizons and hi == horizons[-1]:
+            chains[horizons.pop()] = phi.values.copy()
+        chirp, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
+                                                     perturbation)
+        conj = np.conj(chirp)
+        for u in chains.values():
+            np.multiply(chirp, u, out=u)
+            _fourier_step(u, work, multiplier, conj)
+    for T, u in chains.items():
+        out[T] = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, anchor)
+    return out
 
 
-def _wave_operator_direct(phi: WaveFunction, T: float, spec: QuadraticSpec,
-                          perturbation: Callable) -> WaveFunction:
-    """exp(i T H) exp(-i T H0) phi by split-step on both halves (small T).
+def _anchor_configs(grid: Grid, spec: QuadraticSpec, perturbation: Callable):
+    """The free and perturbed split-step configs of _wave_operator_direct,
+    built once per _wave_operators call and shared by its chains."""
+    return (evolution_config(grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2),
+            evolution_config(grid, 1e-3, quadratic=spec, perturbation=perturbation,
+                             edge_mass_tol=1e-2))
+
+
+def _wave_operator_direct(phi: WaveFunction, T: float, anchor) -> WaveFunction:
+    """exp(i T H) exp(-i T H0) phi by split-step on both halves (small T),
+    with `anchor` the (free, perturbed) configs of _anchor_configs.
 
     Matching discretizations make the V = 0 case an exact identity, and the
     shared Strang error cancels to first order in the perturbation.  The
     edge guard is relaxed here: wave-operator states legitimately carry a
     small spread scattered component.
     """
-    cfg0 = evolution_config(phi.grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2)
-    cfg = evolution_config(phi.grid, 1e-3, quadratic=spec, perturbation=perturbation,
-                           edge_mass_tol=1e-2)
+    cfg0, cfg = anchor
     free, _ = propagate(phi, T, cfg0)
     out, _ = propagate(free, -T, cfg)
     return out
@@ -433,8 +479,12 @@ def _wave_operator_direct(phi: WaveFunction, T: float, spec: QuadraticSpec,
 def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
                        perturbation: Callable):
     """||Omega_T2 phi - Omega_T1 phi|| for consecutive T pairs, with the
-    wave-operator states themselves."""
-    omegas = {T: wave_operator(phi, T, spec, perturbation) for T in Ts}
+    wave-operator states themselves (keyed by T, in the order of Ts).  All
+    horizons come from one descent over the shared slice lattice, so each
+    difference is ||S(T1, T2) phi - phi|| for the slice product S on
+    [T1, T2], pushed through the same unitary lower chain."""
+    states = _wave_operators(phi, Ts, spec, perturbation)
+    omegas = {T: states[T] for T in Ts}
     diffs = []
     for t1, t2 in zip(Ts, Ts[1:]):
         d = omegas[t2].values - omegas[t1].values

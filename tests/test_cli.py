@@ -392,6 +392,25 @@ def test_cook_table_perturbation_is_sampled_on_the_grid(tmp_path):
     assert [float(r.split(",")[1]) for r in rows] == pytest.approx([2.0] * 4, rel=1e-12)
 
 
+def test_oversized_grid_exits_2_before_any_allocation(tmp_path, capsys):
+    import tracemalloc
+
+    with open(os.path.join(CONFIG_DIR, "propagate_mehler.yaml")) as fh:
+        text = fh.read().replace("grid: {dims: 1, points: 1024", "grid: {dims: 3, points: 1024")
+    cfg = _write(tmp_path, "big.yaml", text)
+    tracemalloc.start()
+    try:
+        rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "points_per_dim" in err and "dims" in err and "Traceback" not in err
+    # one 1024^3 complex state would take 16 GiB
+    assert peak < 16 * 2**20
+
+
 def test_summary_is_bit_identical_across_runs(tmp_path):
     cfg = _write(tmp_path, "vel.yaml", VELOCITY_CFG)
     main(["run", cfg, "--out", str(tmp_path / "a"), "--seed", "7", "--quiet"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repscat import (
     ConfigurationError,
@@ -16,7 +18,7 @@ from repscat import (
     to_momentum,
     to_position,
 )
-from repscat.grids import _axis_phases, _edge_mask, assert_contained, inner
+from repscat.grids import _axis_phases, _edge_mask, assert_contained, inner, transform
 from repscat.errors import DomainEscapeError
 
 # quad oracle: integral sqrt(1+x^2) exp(-x^2) dx / sqrt(pi), epsabs 1e-14
@@ -46,6 +48,13 @@ def test_make_grid_rejects_bad_sizes():
         make_grid(1, 16, -1.0)
     with pytest.raises(ConfigurationError):
         make_grid(0, 16, 1.0)
+
+
+def test_make_grid_refuses_more_than_max_grid_points():
+    assert make_grid(3, 256, 1.0).shape == (256, 256, 256)  # exactly 2^24: accepted
+    for dims, points in [(3, 512), (2, 8192), (1, 2**25), (10**9, 8)]:
+        with pytest.raises(ConfigurationError, match=r"points_per_dim\*\*dims"):
+            make_grid(dims, points, 1.0)
 
 
 def test_l2_norm_constant():
@@ -251,3 +260,22 @@ def test_transform_matches_two_pass_reference(rng, dims, points):
     assert np.array_equal(psi.values, before)
     assert not np.shares_memory(back.values, hat.values)
     assert not hat.values.flags.writeable and not back.values.flags.writeable
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(1, 8), (1, 64), (1, 256), (2, 8), (2, 16)]),
+       half_width=st.floats(0.5, 50.0), seed=st.integers(0, 2**32 - 1),
+       start=st.sampled_from(["position", "momentum"]))
+def test_transform_is_parseval_on_any_samples(shape, half_width, seed, start):
+    """Norms and inner products survive F and F^-1 on arbitrary samples (at
+    most 256 points), and F^-1 F is the identity to roundoff."""
+    g = make_grid(*shape, half_width)
+    draw = np.random.default_rng(seed).standard_normal((4,) + g.shape)
+    a = WaveFunction(g, draw[0] + 1j * draw[1], start)
+    b = WaveFunction(g, draw[2] + 1j * draw[3], start)
+    other = "momentum" if start == "position" else "position"
+    fa, fb = transform(a, other), transform(b, other)
+    assert l2_norm(fa) == pytest.approx(l2_norm(a), rel=1e-13)
+    assert abs(inner(fa, fb) - inner(a, b)) <= 1e-13 * l2_norm(a) * l2_norm(b)
+    back = transform(fa, start)
+    assert np.max(np.abs(back.values - a.values)) <= 1e-13 * np.max(np.abs(a.values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repscat import (
     OracleScaleError,
@@ -355,3 +357,40 @@ def test_chirp_nd_matches_full_grid_formula(spec, points, t):
             phi = phi - (t / 2.0) * spec.field(k) * x
         phi_max += float(np.max(np.abs(phi)))
     assert np.max(np.abs(got - ref)) <= 8.0 * np.finfo(float).eps * phi_max
+
+
+@st.composite
+def _spec_and_time(draw):
+    """A 1-D quadratic spec with a time away from its singular times: free
+    and Stark t in [0.3, 0.5], hyperbolic w in [0.25, 0.75] with t in [0.3,
+    0.5], trigonometric w in [0.8, 1.25] with t within the middle 40% of one
+    of the first three intervals between singular times m pi/(2 w)."""
+    sector = draw(st.sampled_from(["free", "stark", "hyperbolic", "trigonometric"]))
+    t = draw(st.floats(0.3, 0.5))
+    if sector == "free":
+        return FREE, t
+    if sector == "stark":
+        field = draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return QuadraticSpec(dims=1, n_E=1, fields=(field,)), t
+    if sector == "hyperbolic":
+        return QuadraticSpec(dims=1, n_minus=1, omegas=(draw(st.floats(0.25, 0.75)),)), t
+    w = draw(st.floats(0.8, 1.25))
+    m = draw(st.integers(0, 2))
+    t = (m + draw(st.floats(0.3, 0.7))) * np.pi / (2.0 * w)
+    return QuadraticSpec(dims=1, n_plus=1, omegas=(w,)), t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_spec_and_time(), center=st.floats(-1.0, 1.0), momentum=st.floats(-1.0, 1.0),
+       width=st.floats(0.8, 1.2))
+def test_factored_is_unitary_and_reversible(case, center, momentum, width):
+    """On a 256-point lattice whose box and band hold the state in and out,
+    exp(-itH0) keeps the norm and exp(itH0) undoes it, across every sector
+    and past the trigonometric singular times."""
+    spec, t = case
+    g = make_grid(1, 256, 12.0)
+    psi = gaussian(g, center=center, width=width, momentum=momentum)
+    out = propagate_factored(psi, t, spec)
+    assert l2_norm(out) == pytest.approx(1.0, rel=1e-11)
+    back = propagate_factored(out, -t, spec)
+    assert l2_norm(WaveFunction(g, back.values - psi.values)) <= 1e-8

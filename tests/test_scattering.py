@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,8 @@ from repscat.scattering import (
     DensitySnapshot,
     _cell_average,
     _chirp_resolution_floor,
-    _wave_operator_direct,
-    _wave_operator_factorized,
+    _slice_edges,
+    _wave_operators,
     cauchy_differences,
     cook_record_to_csv,
     histograms_to_csv,
@@ -183,16 +185,26 @@ def test_wave_operator_identity_when_free(l2):
     assert l2(out0, psi) == 0.0
 
 
-def _reference_wave_operator(phi, T, spec, perturbation):
-    """The interaction-picture slice loop on fresh arrays: each slice forms
+def _reference_edges(s0, horizons):
+    """Slice edges for the horizons above s0: s0, each horizon, and every
+    lattice point s0 + k 0.025 at least half a slice from all horizons."""
+    tops = [T for T in horizons if T > s0]
+    edges = [s0] + tops
+    k = 1
+    while s0 + k * 0.025 < max(tops):
+        x = s0 + k * 0.025
+        if all(abs(x - T) >= 0.0125 for T in tops):
+            edges.append(x)
+        k += 1
+    return sorted(edges)
+
+
+def _reference_slices(phi_values, grid, spec, perturbation, edges):
+    """The slice product over `edges`, top slice first, each slice forming
     M_s^* F^-1 exp(i delta vbar) F M_s u as a new array."""
-    grid = phi.grid
-    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
-    n = max(1, int(round((T - s0) / 0.025)))
-    delta = (T - s0) / n
-    u = phi.values
-    for k in range(n, 0, -1):
-        s = s0 + (k - 0.5) * delta
+    u = phi_values
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        s, delta = 0.5 * (lo + hi), hi - lo
         fac = trajectory_factors(s, spec)
         chirp = _chirp_phase(grid, spec, fac, s)
         if grid.dims == 1:
@@ -201,7 +213,23 @@ def _reference_wave_operator(phi, T, spec, perturbation):
         else:
             vbar = perturbation(*(fac.g[j] * grid.axis_freqs(j) for j in range(grid.dims)))
         u = np.conj(chirp) * np.fft.ifftn(np.exp(1j * delta * vbar) * np.fft.fftn(chirp * u))
-    return _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, spec, perturbation)
+    return u
+
+
+def _reference_wave_operator(phi, T, spec, perturbation, horizons):
+    """Omega_T phi on the slice lattice of `horizons`: the slices below T,
+    then the split-step anchor on [0, s0] with freshly built configs (the
+    anchor alone for T <= s0)."""
+    grid = phi.grid
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    if T > s0:
+        edges = [e for e in _reference_edges(s0, horizons) if e <= T]
+        phi, T = WaveFunction(grid, _reference_slices(phi.values, grid, spec, perturbation,
+                                                      edges), POSITION), s0
+    free = evolution_config(grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2)
+    full = evolution_config(grid, 1e-3, quadratic=spec, perturbation=perturbation,
+                            edge_mass_tol=1e-2)
+    return propagate(propagate(phi, T, free)[0], -T, full)[0]
 
 
 @pytest.mark.parametrize("grid, spec, perturbation, T", [
@@ -212,14 +240,69 @@ def _reference_wave_operator(phi, T, spec, perturbation):
 def test_wave_operator_slices_match_reference_loop(grid, spec, perturbation, T):
     psi = gaussian(grid, width=0.7, momentum=0.3)
     start = psi.values.copy()
-    out = _wave_operator_factorized(psi, T, spec, perturbation)
-    ref = _reference_wave_operator(psi, T, spec, perturbation)
+    out = wave_operator(psi, T, spec, perturbation)
+    ref = _reference_wave_operator(psi, T, spec, perturbation, [T])
     if grid.dims == 1:
         assert np.array_equal(out.values, ref.values)
     else:
         np.testing.assert_allclose(out.values, ref.values, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(ref.values)))
     assert np.array_equal(psi.values, start)
+
+
+def test_lockstep_horizons_match_reference_loop():
+    # horizons off the 0.025 lattice, the first below s0 (the anchor alone)
+    grid = make_grid(1, 512, 12.0)
+    psi = gaussian(grid, width=0.7, momentum=0.3)
+    start = psi.values.copy()
+    Ts = [0.03, 2.01, 3.3]
+    outs = _wave_operators(psi, Ts, HYPER, LOGW)
+    assert sorted(outs) == Ts
+    for T in Ts:
+        ref = _reference_wave_operator(psi, T, HYPER, LOGW, Ts)
+        assert np.array_equal(outs[T].values, ref.values)
+    assert np.array_equal(psi.values, start)
+
+
+def test_slice_lattice_has_no_slivers():
+    s0 = 0.0578
+    for horizons in ([2.0, 4.0, 6.0], [2.01, 3.3], [s0 + 0.01, 1.0]):
+        edges = _slice_edges(s0, horizons)
+        assert np.array_equal(edges, _reference_edges(s0, horizons))
+        widths = np.diff(edges)
+        # only a horizon within half a slice of s0 may leave a narrow bottom slice
+        assert np.all(widths[1:] >= 0.0125 - 1e-12) and np.all(widths < 0.0375 + 1e-12)
+
+
+def test_cauchy_difference_is_the_upper_slice_product():
+    """||Omega_T2 phi - Omega_T1 phi|| = ||S(T1, T2) phi - phi||: the chains
+    share every slice below T1 and the anchor, all unitary."""
+    grid = make_grid(1, 512, 12.0)
+    psi = gaussian(grid)
+    Ts = [0.03, 2.01, 3.3]
+    diffs, _ = cauchy_differences(psi, Ts, HYPER, LOGW)
+    s0 = max(2.0 * _chirp_resolution_floor(psi, HYPER), 0.05)
+    edges = _reference_edges(s0, Ts)
+    upper = [e for e in edges if e >= 2.01]
+    step = _reference_slices(psi.values, grid, HYPER, LOGW, upper) - psi.values
+    assert diffs[1] == pytest.approx(float(np.sqrt(np.sum(np.abs(step) ** 2) * psi.measure)),
+                                     rel=1e-12)
+
+
+def test_wave_operator_config_builds_each_slice_once(tmp_path, monkeypatch):
+    from repscat import scattering
+    from repscat.cli import main
+
+    calls = []
+    build = scattering._interaction_phase_slice
+    monkeypatch.setattr(scattering, "_interaction_phase_slice",
+                        lambda *a: calls.append(a[2]) or build(*a))
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "wave_operator.yaml")
+    assert main(["run", config, "--out", str(tmp_path), "--quiet"]) == 0
+    # horizons [2, 4, 6] from s0 ~ 0.058 in slices of 0.025: 238, each s once
+    assert len(calls) <= 250
+    assert len(set(calls)) == len(calls)
 
 
 def test_wave_operator_isometry_and_cauchy():
