@@ -28,8 +28,8 @@ class PhasePoint:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        if x.ndim != 1 or x.shape != xi.shape:
-            raise ConfigurationError("x and xi must be vectors of matching length")
+        if x.ndim != 1 or x.shape != xi.shape or x.size == 0:
+            raise ConfigurationError("x and xi must be nonempty vectors of matching length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
             raise ConfigurationError("phase point entries must be finite")
         object.__setattr__(self, "x", x)
@@ -68,16 +68,24 @@ def _energy(xs, xis, alpha, regularized):
     return ke - np.sqrt(r2) ** alpha
 
 
+def _radius(r2: float) -> float:
+    """|x| for the unregularized force alpha |x|^(alpha-2) x, singular at 0."""
+    if r2 == 0.0:
+        raise ConfigurationError("|x|^alpha force is singular at the origin")
+    return math.sqrt(r2)
+
+
 def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
          regularized: bool = True, record_every: int = 1) -> Trajectory:
     """Leapfrog (kick-drift-kick) integration of xdot = 2 xi, xidot = -grad U.
 
-    U = -<x>^alpha, so the force is alpha <x>^(alpha-2) x, with <x> read as
-    |x| when unregularized.  The step runs on Python floats: for a handful of
-    coordinates that is several times cheaper than numpy's per-call overhead.
-    A step's closing half-kick and the next step's opening half-kick see the
-    same x, so one force evaluation serves both.  Runs that overflow the
-    e^{2t}-type growth are truncated and flagged.
+    U = -<x>^alpha, so the force is c x with c = alpha <x>^(alpha-2), <x> read
+    as |x| when unregularized.  A step updates two lists of Python floats in
+    place, one loop for every dimension: one pass over the coordinates makes
+    the opening half-kicks and drifts and sums |x|^2, a second the closing
+    half-kicks and overflow tests; a step's closing half-kick and the next
+    step's opening one share c.  Rows are copied only when recorded.  Runs
+    that overflow the e^{2t}-type growth are truncated and flagged.
     """
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
@@ -90,49 +98,38 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     h = 0.5 * dt
     d2 = dt * 2.0
     expo = alpha / 2.0 - 1.0 if regularized else alpha - 2.0
-
-    def force(x):
-        r2 = 0.0
-        for v in x:  # left to right, as np.sum adds a few elements
-            r2 += v * v
-        if regularized:
-            c = alpha * (1.0 + r2) ** expo
-        else:
-            r = math.sqrt(r2)
-            if r == 0.0:
-                raise ConfigurationError("|x|^alpha force is singular at the origin")
-            c = alpha * r ** expo
-        return [c * v for v in x]
-
     x = start.x.tolist()
     xi = start.xi.tolist()
-    times = [0.0]
-    xs = [x]
-    xis = [xi]
+    dims = range(len(x))
+    times, xs, xis = [0.0], [x[:]], [xi[:]]
     truncated = False
-    f = force(x) if n > 0 else None
+    r2 = 0.0
+    for q in x:  # left to right, as np.sum adds a few elements
+        r2 += q * q
+    c = alpha * (1.0 + r2 if regularized else _radius(r2)) ** expo if n else 0.0
     for k in range(n):
-        xi = [p + h * g for p, g in zip(xi, f)]
-        x = [q + d2 * p for q, p in zip(x, xi)]
-        f = force(x)
-        xi = [p + h * g for p, g in zip(xi, f)]
-        if max(map(abs, x)) > OVERFLOW_LIMIT or max(map(abs, xi)) > OVERFLOW_LIMIT:
-            truncated = True
+        r2 = 0.0
+        for j in dims:
+            p = xi[j] + h * (c * x[j])
+            xi[j] = p
+            q = x[j] + d2 * p
+            x[j] = q
+            r2 += q * q
+        c = alpha * (1.0 + r2 if regularized else _radius(r2)) ** expo
+        for j in dims:
+            p = xi[j] + h * (c * x[j])
+            xi[j] = p
+            if abs(p) > OVERFLOW_LIMIT or abs(x[j]) > OVERFLOW_LIMIT:
+                truncated = True
+        if truncated:
             break
         if (k + 1) % record_every == 0 or k == n - 1:
             times.append((k + 1) * dt)
-            xs.append(x)
-            xis.append(xi)
-    energy0 = float(_energy(start.x, start.xi, alpha, regularized))
-    return Trajectory(
-        times=np.array(times),
-        xs=np.array(xs),
-        xis=np.array(xis),
-        energy0=energy0,
-        alpha=alpha,
-        regularized=regularized,
-        truncated=truncated,
-    )
+            xs.append(x[:])
+            xis.append(xi[:])
+    return Trajectory(times=np.array(times), xs=np.array(xs), xis=np.array(xis),
+                      energy0=float(_energy(start.x, start.xi, alpha, regularized)),
+                      alpha=alpha, regularized=regularized, truncated=truncated)
 
 
 def quadratic_closed_form(start: PhasePoint, t) -> PhasePoint:

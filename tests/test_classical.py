@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repscat import (
     ConfigurationError,
@@ -173,6 +175,34 @@ def test_flow_matches_reference_loop(start, alpha, t_final, dt, regularized, rec
     assert traj.energy0 == float(_energy(start.x, start.xi, alpha, regularized))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dims=st.integers(1, 3),
+       alpha=st.floats(0.0, 2.0, exclude_min=True), regularized=st.booleans(),
+       record_every=st.integers(1, 60), dt=st.floats(1e-3, 1e-2),
+       t_final=st.floats(0.0, 2.0))
+def test_flow_matches_reference_loop_on_drawn_runs(data, dims, alpha, regularized,
+                                                   record_every, dt, t_final):
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=dims, max_size=dims)
+    start = PhasePoint(data.draw(coords), data.draw(coords))
+    x0, xi0 = start.x.copy(), start.xi.copy()
+    try:
+        times, xs, xis, truncated = _reference_flow(start, alpha, t_final, dt,
+                                                    regularized, record_every)
+    except ConfigurationError:  # |x|^alpha at the origin
+        with pytest.raises(ConfigurationError):
+            flow(start, alpha, t_final, dt, regularized=regularized,
+                 record_every=record_every)
+        return
+    traj = flow(start, alpha, t_final, dt, regularized=regularized,
+                record_every=record_every)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.xs, xs)
+    assert np.array_equal(traj.xis, xis)
+    assert traj.truncated == truncated
+    # the in-place loop works on copies of the start
+    assert np.array_equal(start.x, x0) and np.array_equal(start.xi, xi0)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"record_every": 0}, {"record_every": -3}, {"record_every": 2.5},
     {"t_final": float("nan")}, {"t_final": float("inf")}, {"t_final": -1.0},
@@ -186,6 +216,11 @@ def test_flow_rejects_bad_record_every_and_t_final(kwargs):
 def test_phase_point_must_be_a_vector():
     with pytest.raises(ConfigurationError):
         PhasePoint([[1.0, 0.0]], [[0.5, 0.0]])
+
+
+def test_phase_point_must_not_be_empty():
+    with pytest.raises(ConfigurationError):
+        PhasePoint([], [])
 
 
 def test_p_alpha_rate_empty_window_raises():

@@ -432,6 +432,25 @@ def test_propagate_classical_mourre_convergence_kinds(tmp_path):
         assert rc == 0, name
 
 
+def test_classical_2d_diagonal_start_escapes_like_1d_sample(tmp_path):
+    # zero energy at alpha = 1: |xi| = <x>^(1/2) = 2^(1/4) at |x| = 1; the
+    # motion stays on the diagonal, so |x(t)| is the 1-D sample's x(t)
+    xi = [2.0 ** 0.25 * 0.6, 2.0 ** 0.25 * 0.8]
+    cfg = _write(tmp_path, "cls2d.yaml",
+                 CLASSICAL_CFG + f"start: {{x: [0.6, 0.8], xi: [{xi[0]!r}, {xi[1]!r}]}}\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (out / "traj.csv").read_text().splitlines()[0] == "t,x0,x1,xi0,xi1,energy"
+    summary = json.loads((out / "cls2d.summary.json").read_text())
+    assert summary["metrics"]["truncated"] is False
+    assert [c["name"] for c in summary["checks"] if c["pass"]] == ["kappa"]
+    sample = os.path.join(CONFIG_DIR, "classical_kappa.yaml")
+    assert main(["run", sample, "--out", str(tmp_path / "sample"), "--quiet"]) == 0
+    kappa_1d = json.loads((tmp_path / "sample" / "classical_kappa.summary.json")
+                          .read_text())["metrics"]["kappa_estimate"]
+    assert summary["metrics"]["kappa_estimate"] == pytest.approx(kappa_1d, rel=1e-6)
+
+
 def test_suite_empty_manifest(tmp_path):
     manifest = _write(tmp_path, "m.yaml", "experiments: []\n")
     rc = main(["suite", manifest, "--out", str(tmp_path / "out"), "--quiet"])
