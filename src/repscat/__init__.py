@@ -20,12 +20,10 @@ from .errors import (
     OracleScaleError,
     PhaseWindingError,
     RepscatError,
-    SelfAdjointnessError,
     SingularTimeError,
 )
 from .grids import (
     Grid,
-    Observable,
     WaveFunction,
     boundary_mass_fraction,
     expectation,

@@ -68,11 +68,16 @@ def _energy(xs, xis, alpha, regularized):
     return ke - np.sqrt(r2) ** alpha
 
 
-def _radius(r2: float) -> float:
-    """|x| for the unregularized force alpha |x|^(alpha-2) x, singular at 0."""
-    if r2 == 0.0:
+def _singular_coefficient(alpha: float, r2: float, expo: float) -> float:
+    """alpha |x|^(alpha-2) of the unregularized force, refused where it is
+    singular: at the origin, or so near it that the power overflows."""
+    try:
+        c = alpha * math.sqrt(r2) ** expo if r2 else math.inf
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
         raise ConfigurationError("|x|^alpha force is singular at the origin")
-    return math.sqrt(r2)
+    return c
 
 
 def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
@@ -106,7 +111,9 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     r2 = 0.0
     for q in x:  # left to right, as np.sum adds a few elements
         r2 += q * q
-    c = alpha * (1.0 + r2 if regularized else _radius(r2)) ** expo if n else 0.0
+    c = 0.0
+    if n:
+        c = alpha * (1.0 + r2) ** expo if regularized else _singular_coefficient(alpha, r2, expo)
     for k in range(n):
         r2 = 0.0
         for j in dims:
@@ -115,7 +122,7 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
             q = x[j] + d2 * p
             x[j] = q
             r2 += q * q
-        c = alpha * (1.0 + r2 if regularized else _radius(r2)) ** expo
+        c = alpha * (1.0 + r2) ** expo if regularized else _singular_coefficient(alpha, r2, expo)
         for j in dims:
             p = xi[j] + h * (c * x[j])
             xi[j] = p

@@ -16,10 +16,6 @@ class NumericalStateError(RepscatError):
     """A wavefunction contains NaN/Inf samples or has collapsed to zero."""
 
 
-class SelfAdjointnessError(RepscatError):
-    """An expectation value carries an imaginary residue above threshold."""
-
-
 class DomainEscapeError(RepscatError):
     """Probability mass reached the outer region of the periodic box."""
 

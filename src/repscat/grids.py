@@ -1,4 +1,4 @@
-"""Uniform spatial/frequency lattices, wavefunction storage and observables.
+"""Uniform spatial/frequency lattices, wavefunction storage and expectations.
 
 The transform convention is the unitary angular-frequency one,
 
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainEscapeError,
-    NumericalStateError,
-    SelfAdjointnessError,
-)
+from .errors import ConfigurationError, DomainEscapeError, NumericalStateError
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -227,107 +222,30 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     return transform(psi, MOMENTUM)
 
 
-MULTIPLICATION = "multiplication"
-FOURIER_MULTIPLIER = "fourier_multiplier"
-SYMMETRIZED_MIXED = "symmetrized_mixed"
+def expectation(psi: WaveFunction, samples) -> float:
+    """sum |psi|^2 f / sum |psi|^2 for real samples f on psi's own lattice:
+    a multiplication operator f(x) for a position state, a Fourier
+    multiplier m(xi) for a momentum one (pass to_momentum(psi) and samples
+    on the dual lattice).  Samples broadcast to the grid shape."""
+    if np.iscomplexobj(samples):
+        raise ConfigurationError("expectation samples must be real")
+    try:
+        f = np.broadcast_to(np.asarray(samples, dtype=float), psi.grid.shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"samples of shape {np.shape(samples)} do not fit the grid shape "
+            f"{psi.grid.shape}") from None
+    rho = _checked_density(psi.values)
+    return float(np.sum(rho * f) / rho.sum())
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Self-adjoint lattice observable.
-
-    kind 'multiplication': real samples f(x) on the spatial lattice.
-    kind 'fourier_multiplier': real samples m(xi) on the dual lattice.
-    kind 'symmetrized_mixed': per-axis real samples f_k(x); represents
-        (1/2) sum_k ( f_k(x) D_k + D_k f_k(x) ),  D = -i grad.
-    """
-
-    kind: str
-    samples: object  # ndarray, or tuple of ndarrays for symmetrized_mixed
-
-    def __post_init__(self):
-        if self.kind in (MULTIPLICATION, FOURIER_MULTIPLIER):
-            if np.iscomplexobj(self.samples):
-                raise ConfigurationError("observable samples must be real (self-adjointness)")
-            arr = np.asarray(self.samples, dtype=float)
-            object.__setattr__(self, "samples", arr)
-            arr.flags.writeable = False
-        elif self.kind == SYMMETRIZED_MIXED:
-            if any(np.iscomplexobj(s) for s in self.samples):
-                raise ConfigurationError("observable samples must be real (self-adjointness)")
-            arrs = tuple(np.asarray(s, dtype=float) for s in self.samples)
-            object.__setattr__(self, "samples", arrs)
-        else:
-            raise ConfigurationError(f"unknown observable kind {self.kind!r}")
-
-    @staticmethod
-    def multiplication(grid: Grid, fn_or_samples) -> "Observable":
-        s = fn_or_samples(*grid.meshgrid()) if callable(fn_or_samples) else fn_or_samples
-        s = np.broadcast_to(np.asarray(s, dtype=float), grid.shape)
-        return Observable(MULTIPLICATION, np.array(s))
-
-    @staticmethod
-    def fourier_multiplier(grid: Grid, fn_or_samples) -> "Observable":
-        s = fn_or_samples(*grid.freq_meshgrid()) if callable(fn_or_samples) else fn_or_samples
-        s = np.broadcast_to(np.asarray(s, dtype=float), grid.shape)
-        return Observable(FOURIER_MULTIPLIER, np.array(s))
-
-    @staticmethod
-    def symmetrized_mixed(grid: Grid, fns) -> "Observable":
-        arrs = []
-        for fn in fns:
-            s = fn(*grid.meshgrid()) if callable(fn) else fn
-            arrs.append(np.array(np.broadcast_to(np.asarray(s, dtype=float), grid.shape)))
-        return Observable(SYMMETRIZED_MIXED, tuple(arrs))
-
-
-def apply_momentum_operator(psi: WaveFunction, axis: int) -> WaveFunction:
-    """D_k = -i d/dx_k applied spectrally."""
-    hat = to_momentum(psi)
-    g = psi.grid
-    return to_position(WaveFunction(g, hat.values * g.axis_freqs(axis), MOMENTUM))
-
-
-def apply_observable(psi: WaveFunction, obs: Observable) -> WaveFunction:
-    """Obs psi in the position representation."""
-    if obs.kind == MULTIPLICATION:
-        pos = to_position(psi)
-        return WaveFunction(pos.grid, obs.samples * pos.values, POSITION)
-    if obs.kind == FOURIER_MULTIPLIER:
-        hat = to_momentum(psi)
-        return to_position(WaveFunction(hat.grid, obs.samples * hat.values, MOMENTUM))
-    pos = to_position(psi)
-    out = np.zeros(pos.grid.shape, dtype=complex)
-    for axis, f in enumerate(obs.samples):
-        d_psi = apply_momentum_operator(pos, axis)
-        f_psi = WaveFunction(pos.grid, f * pos.values, POSITION)
-        out = out + 0.5 * (f * d_psi.values + apply_momentum_operator(f_psi, axis).values)
-    return WaveFunction(pos.grid, out, POSITION)
-
-
-def expectation(psi: WaveFunction, obs: Observable) -> float:
-    """<psi, Obs psi> / ||psi||^2, asserting the imaginary residue is noise.
-
-    Raises SelfAdjointnessError when |Im| > 1e-8 |Re| + 1e-12.
-    """
-    _check_finite(psi.values)
-    nsq = np.sum(psi.density()) * psi.measure
-    if nsq == 0.0:
+def _checked_density(values: np.ndarray) -> np.ndarray:
+    """|values|^2, refusing a non-finite state or one of zero mass."""
+    _check_finite(values)
+    rho = np.abs(values) ** 2
+    if rho.sum() == 0.0:
         raise NumericalStateError("expectation of the zero state")
-    if obs.kind == MULTIPLICATION:
-        pos = to_position(psi)
-        num = complex(np.sum(np.conj(pos.values) * obs.samples * pos.values) * pos.measure)
-    elif obs.kind == FOURIER_MULTIPLIER:
-        hat = to_momentum(psi)
-        num = complex(np.sum(np.conj(hat.values) * obs.samples * hat.values) * hat.measure)
-    else:
-        pos = to_position(psi)
-        num = inner(pos, apply_observable(pos, obs))
-    if abs(num.imag) > 1e-8 * abs(num.real) + 1e-12:
-        raise SelfAdjointnessError(
-            f"imaginary residue {num.imag:.3e} too large against real part {num.real:.3e}"
-        )
-    return float(num.real / nsq)
+    return rho
 
 
 @functools.lru_cache(maxsize=64)

@@ -194,8 +194,7 @@ def _stark_norm_sq(spec: QuadraticSpec) -> float:
     return sum(e**2 for e in spec.fields)
 
 
-def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec,
-                        margin: float = 1.0):
+def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
     """Whether the chirp M_t is resolved on psi's grid.
 
     The chirp's instantaneous frequency at the edge of the state's support,
@@ -215,7 +214,7 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec,
         needed = radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
         if spec.sector(k) == "stark":
             needed += abs(t) * abs(spec.field(k)) / 2.0
-        if needed > margin * ximax:
+        if needed > ximax:
             return False, k, needed, ximax
     return True, -1, 0.0, ximax
 

@@ -21,12 +21,13 @@ import numpy as np
 from .csvout import write_rows
 from .errors import ConfigurationError, DomainEscapeError
 from .grids import (
+    MOMENTUM,
     POSITION,
     Grid,
-    Observable,
     WaveFunction,
-    expectation,
+    _checked_density,
     tail_radii,
+    to_momentum,
     to_position,
 )
 from .mehler import _chirp_phase, chirped_spectrum, trajectory_factors
@@ -43,6 +44,11 @@ _FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 #: Cells whose node lies this many cells or more from 0 take the 8-point rule.
 _NEAR_CELLS = 32
+
+#: Entries of one block of DensitySnapshot.velocity_mass's (theta, cell) table:
+#: 16 KB per temporary, so a histogram adds nothing measurable to a run's peak
+#: memory, even on a grid of 2^24 points.
+_MASS_BLOCK = 2**11
 
 
 def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float) -> np.ndarray:
@@ -159,49 +165,42 @@ class DensitySnapshot:
             vals = fn(self.scale * self.nodes)
         return float(np.sum(vals * self.weights))
 
-    def mass_in_radius_band(self, r_lo: float, r_hi: float) -> float:
-        """Exact mass with |x| in [r_lo, r_hi], resolving sub-cell overlap."""
-        lo_u, hi_u = r_lo / abs(self.scale), r_hi / abs(self.scale)
-        cell_lo = self.nodes - self.spacing / 2.0
-        cell_hi = self.nodes + self.spacing / 2.0
-        # overlap of each cell with [-hi_u, -lo_u] union [lo_u, hi_u]
-        right = np.clip(np.minimum(cell_hi, hi_u) - np.maximum(cell_lo, lo_u), 0.0, None)
-        left = np.clip(np.minimum(cell_hi, -lo_u) - np.maximum(cell_lo, -hi_u), 0.0, None)
-        frac = (right + left) / self.spacing
-        return float(np.sum(self.weights * frac))
-
-    def velocity_mass_below(self, theta: float, alpha: float) -> float:
-        """P[ p_alpha(x)/t <= theta ]."""
-        r = float(p_alpha_inverse(theta * self.t, alpha))
-        return self.mass_in_radius_band(0.0, r)
-
-    def velocity_mass_window(self, theta2: float, theta3: float, alpha: float) -> float:
-        r2 = float(p_alpha_inverse(theta2 * self.t, alpha))
-        r3 = float(p_alpha_inverse(theta3 * self.t, alpha))
-        return self.mass_in_radius_band(r2, r3)
-
-    def velocity_histogram(self, alpha: float, edges: np.ndarray) -> np.ndarray:
-        """Masses of p_alpha(x)/t in the given bins (sub-cell exact)."""
-        masses = np.empty(len(edges) - 1)
-        for i in range(len(edges) - 1):
-            masses[i] = self.velocity_mass_window(edges[i], edges[i + 1], alpha)
-        return masses
+    def velocity_mass(self, alpha: float, thetas) -> np.ndarray:
+        """P[p_alpha(x)/t <= theta] for each theta of the 1-D `thetas`: the
+        weight of each cell times its share inside [-r, r], r = p_alpha^-1(theta
+        t) (sub-cell exact); non-decreasing in theta.  The (theta, cell) table
+        is built a block of _MASS_BLOCK entries at a time."""
+        r = p_alpha_inverse(np.asarray(thetas, dtype=float) * self.t, alpha) / abs(self.scale)
+        lo, hi = self.nodes - self.spacing / 2.0, self.nodes + self.spacing / 2.0
+        rows = max(1, _MASS_BLOCK // self.nodes.size)
+        out = np.empty(r.shape)
+        for i in range(0, r.size, rows):
+            ri = r[i:i + rows, None]
+            inside = np.clip(np.minimum(hi, ri) - np.maximum(lo, -ri), 0.0, None)
+            out[i:i + rows] = np.sum(self.weights * (inside / self.spacing), axis=-1)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Local velocity.
 # ---------------------------------------------------------------------------
 
-def _local_velocity(grid: Grid, alpha: float) -> Observable:
-    """sigma_alpha/2 (f(x).D + D.f(x)) with f = x/<x>^(1+alpha/2)."""
-    s = sigma_alpha(alpha)
-    decay = (1.0 + grid.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
-    return Observable.symmetrized_mixed(
-        grid, [s * grid.axis_nodes(k) * decay for k in range(grid.dims)])
-
-
 def local_velocity_expectation(psi: WaveFunction, alpha: float) -> float:
-    return expectation(psi, _local_velocity(psi.grid, alpha))
+    """<psi, A psi> / ||psi||^2 for A = sigma_alpha/2 sum_k (f_k D_k + D_k f_k),
+    f_k = x_k <x>^-(1 + alpha/2), D = -i grad.  Since f_k is real and
+    D_k = F^-1 xi_k F is Hermitian on the lattice, <psi, A psi> =
+    sigma_alpha sum_k Re <f_k psi, D_k psi> exactly: one forward transform
+    and one inverse per axis."""
+    pos = to_position(psi)
+    grid = pos.grid
+    rho = _checked_density(pos.values)
+    hat = to_momentum(pos).values
+    decay = sigma_alpha(alpha) * (1.0 + grid.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
+    num = 0.0
+    for k in range(grid.dims):
+        d_psi = to_position(WaveFunction(grid, hat * grid.axis_freqs(k), MOMENTUM)).values
+        num += np.vdot(grid.axis_nodes(k) * decay * pos.values, d_psi).real
+    return float(num / rho.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +504,6 @@ class VelocityTrace:
     means: np.ndarray                       # <p_alpha(x)/t>
     snapshots: tuple                        # DensitySnapshot per time (radial route)
     per_direction: dict                     # axis -> ln<x_j>/t series (per_direction)
-    histogram_edges: np.ndarray
-    histograms: tuple                       # masses per time
 
     def richardson_limit(self) -> float:
         """Two-point extrapolation in 1/t from the last two times: with
@@ -514,11 +511,6 @@ class VelocityTrace:
         t1, t2 = self.times[-2:]
         m1, m2 = self.means[-2:]
         return float((t2 * m2 - t1 * m1) / (t2 - t1))
-
-
-def _histogram_edges(alpha: float) -> np.ndarray:
-    """120 equal bins of p_alpha(x)/t over [0, 2 sigma_alpha + 1]."""
-    return np.linspace(0.0, 2.0 * sigma_alpha(alpha) + 1.0, 121)
 
 
 def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
@@ -538,10 +530,8 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
     dims = psi0.grid.dims
     if isinstance(hamiltonian, EvolutionConfig) and dims != 1:
         raise ConfigurationError("grid snapshots are one-dimensional")
-    edges = _histogram_edges(alpha)
     means = []
     snaps = []
-    hists = []
     per_dir = {ax: [] for ax in range(dims)} if per_direction else {}
     for t, rho, lat in _density_series(psi0, hamiltonian, times):
         # one density per time serves the radial mean and every marginal
@@ -552,7 +542,6 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
             snap = margs[0]
             means.append(snap.mean_of(lambda y: p_alpha(y, alpha), cell_averaged=lat.dual) / t)
             snaps.append(snap)
-            hists.append(snap.velocity_histogram(alpha, edges))
         else:
             means.append(_radial_mean_nd(rho, lat.grid, lat.g, alpha) / t)
         for ax in per_dir:
@@ -564,8 +553,6 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
         means=np.asarray(means),
         snapshots=tuple(snaps),
         per_direction={ax: np.asarray(series) for ax, series in per_dir.items()},
-        histogram_edges=edges,
-        histograms=tuple(np.asarray(h) for h in hists),
     )
 
 
@@ -606,15 +593,15 @@ def minimal_maximal_velocity_mass(trace: VelocityTrace, theta_low: float,
     if not trace.snapshots:
         raise ConfigurationError("trace carries no density snapshots")
     t2, t3 = theta_window
-    below = []
-    window = []
-    for snap in trace.snapshots:
-        below.append(snap.velocity_mass_below(theta_low, trace.alpha))
-        window.append(snap.velocity_mass_window(t2, t3, trace.alpha))
+    if not t2 <= t3:
+        raise ConfigurationError(f"theta window [{t2}, {t3}] is not increasing")
+    masses = np.array([snap.velocity_mass(trace.alpha, (theta_low, t2, t3))
+                       for snap in trace.snapshots])
+    below, window = masses[:, 0], masses[:, 2] - masses[:, 1]
     return {
         "times": trace.times[: len(below)],
-        "mass_below": np.asarray(below),
-        "mass_in_window": np.asarray(window),
+        "mass_below": below,
+        "mass_in_window": window,
         "below_decaying": bool(np.all(np.diff(below) <= 1e-12 + 0.05 * np.abs(below[:-1]))),
         "window_decaying": bool(np.all(np.diff(window) <= 1e-12 + 0.05 * np.abs(window[:-1]))),
     }
@@ -627,7 +614,10 @@ def velocity_trace_to_csv(trace: VelocityTrace, path):
 
 
 def histograms_to_csv(trace: VelocityTrace, path):
-    edges = trace.histogram_edges
+    """Masses of p_alpha(x)/t in 120 equal bins over [0, 2 sigma_alpha + 1]
+    per snapshot time, built here from the snapshots' cumulative masses."""
+    edges = np.linspace(0.0, 2.0 * sigma_alpha(trace.alpha) + 1.0, 121)
     write_rows(path, ["t", "bin_lo", "bin_hi", "mass"],
-               ((t, lo, hi, m) for t, masses in zip(trace.times, trace.histograms)
-                for lo, hi, m in zip(edges[:-1], edges[1:], masses)))
+               ((snap.t, lo, hi, m) for snap in trace.snapshots
+                for lo, hi, m in zip(edges[:-1], edges[1:],
+                                     np.diff(snap.velocity_mass(trace.alpha, edges)))))

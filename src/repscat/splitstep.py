@@ -19,11 +19,11 @@ from .grids import (
     EDGE_MASS_TOL,
     POSITION,
     Grid,
-    Observable,
     WaveFunction,
     _guard_edge,
     expectation,
     l2_norm,
+    to_momentum,
     to_position,
 )
 from .potentials import QuadraticSpec, RepulsiveSpec, p_alpha, p_alpha_inverse, sigma_alpha
@@ -202,9 +202,8 @@ def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig, dt_seq
 
 def energy_expectation(psi: WaveFunction, cfg: EvolutionConfig) -> float:
     """<xi^2> + <V_total> for conservation diagnostics."""
-    kin = expectation(psi, Observable(kind="fourier_multiplier", samples=cfg.kinetic))
-    pot = expectation(psi, Observable(kind="multiplication", samples=cfg.potential))
-    return kin + pot
+    kin = expectation(to_momentum(psi), cfg.kinetic)
+    return kin + expectation(to_position(psi), cfg.potential)
 
 
 def classical_envelope(alpha: float, t: float, initial_radius: float = 0.0) -> float:

@@ -24,10 +24,11 @@ def _reference_flow(start, alpha, t_final, dt, regularized=True, record_every=1)
         r2 = np.sum(x * x)
         if regularized:
             return alpha * (1.0 + r2) ** (alpha / 2.0 - 1.0) * x
-        r = np.sqrt(r2)
-        if r == 0.0:
+        with np.errstate(divide="ignore", over="ignore"):
+            c = alpha * np.sqrt(r2) ** (alpha - 2.0)
+        if not np.isfinite(c):  # at the origin, or the power overflows near it
             raise ConfigurationError("|x|^alpha force is singular at the origin")
-        return alpha * r ** (alpha - 2.0) * x
+        return c * x
 
     n = int(round(t_final / dt))
     x = start.x.copy()
@@ -211,6 +212,15 @@ def test_flow_rejects_bad_record_every_and_t_final(kwargs):
     args = {"t_final": 1.0, "record_every": 1, **kwargs}
     with pytest.raises(ConfigurationError):
         flow(PhasePoint([1.0], [0.5]), 1.0, dt=1e-3, **args)
+
+
+@pytest.mark.parametrize("x0", [[0.0], [1.0e-161], [-4.0e-200, 0.0], [5e-324, 0.0, 0.0]])
+def test_unregularized_coefficient_refused_where_not_finite(x0):
+    # alpha |x|^(alpha-2) overflows a float near the origin, as it is infinite at it
+    start = PhasePoint(x0, [0.0] * len(x0))
+    for run in (flow, _reference_flow):
+        with pytest.raises(ConfigurationError, match="singular at the origin"):
+            run(start, 0.01, 1.0, 1e-3, regularized=False)
 
 
 def test_phase_point_must_be_a_vector():

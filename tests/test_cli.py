@@ -451,6 +451,21 @@ def test_classical_2d_diagonal_start_escapes_like_1d_sample(tmp_path):
     assert summary["metrics"]["kappa_estimate"] == pytest.approx(kappa_1d, rel=1e-6)
 
 
+def test_classical_start_where_the_force_overflows_exits_2(tmp_path, capsys):
+    # alpha |x|^(alpha-2) at |x| = 1e-161 overflows a float
+    cfg = _write(tmp_path, "near_origin.yaml", """
+experiment: classical
+alpha: 0.01
+regularized: false
+t_final: 1.0
+start: {x: 1.0e-161, xi: 0.0}
+""")
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "singular at the origin" in err and "Traceback" not in err
+
+
 def test_suite_empty_manifest(tmp_path):
     manifest = _write(tmp_path, "m.yaml", "experiments: []\n")
     rc = main(["suite", manifest, "--out", str(tmp_path / "out"), "--quiet"])

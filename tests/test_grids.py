@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from repscat import (
     ConfigurationError,
     NumericalStateError,
-    Observable,
-    SelfAdjointnessError,
     WaveFunction,
     boundary_mass_fraction,
     expectation,
@@ -128,53 +126,61 @@ def test_transform_linearity(rng, l2):
 def test_expectation_bracket_x_on_gaussian():
     g = make_grid(1, 512, 20.0)
     psi = WaveFunction(g, np.pi**-0.25 * np.exp(-g.nodes**2 / 2) + 0j)
-    obs = Observable.multiplication(g, lambda x: np.sqrt(1.0 + x**2))
-    assert expectation(psi, obs) == pytest.approx(BRACKET_X_GAUSSIAN_MEAN, abs=1e-7)
+    assert expectation(psi, np.sqrt(1.0 + g.nodes**2)) == pytest.approx(
+        BRACKET_X_GAUSSIAN_MEAN, abs=1e-7)
 
 
 def test_expectation_odd_observable_even_state():
     g = make_grid(1, 256, 12.0)
     psi = gaussian(g)
-    obs = Observable.multiplication(g, lambda x: x)
-    assert abs(expectation(psi, obs)) < 1e-10
+    assert abs(expectation(psi, g.nodes)) < 1e-10
 
 
 def test_expectation_momentum_squared():
     g = make_grid(1, 512, 20.0)
     psi = gaussian(g)
-    obs = Observable.fourier_multiplier(g, lambda xi: xi**2)
-    assert expectation(psi, obs) == pytest.approx(0.5, abs=1e-8)
+    assert expectation(to_momentum(psi), g.freq_nodes**2) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_expectation_nonnegative_multiplier(rng):
     g = make_grid(1, 64, 8.0)
-    obs = Observable.multiplication(g, lambda x: x**2)
     for _ in range(20):
-        assert expectation(random_state(g, rng), obs) >= 0.0
+        assert expectation(random_state(g, rng), g.nodes**2) >= 0.0
 
 
 def test_expectation_sesquilinear_numerator(rng):
     g = make_grid(1, 64, 8.0)
-    obs = Observable.multiplication(g, lambda x: 1.0 + 0.3 * np.sin(x))
+    obs = 1.0 + 0.3 * np.sin(g.nodes)
     psi = random_state(g, rng)
     scaled = WaveFunction(g, (2.0 - 1.0j) * psi.values)
     assert expectation(scaled, obs) == pytest.approx(expectation(psi, obs), rel=1e-12)
 
 
-def test_observable_rejects_complex_samples():
+def test_expectation_rejects_complex_samples():
     g = make_grid(1, 16, 4.0)
-    with pytest.raises(ConfigurationError):
-        Observable(kind="multiplication", samples=np.ones(16) * 1j)
+    psi = gaussian(g)
+    for samples in (np.ones(16) * 1j, np.full(16, 1.0 + 0.0j), [1j] * 16):
+        with pytest.raises(ConfigurationError, match="real"):
+            expectation(psi, samples)
 
 
-def test_expectation_raises_on_imaginary_residue():
-    g = make_grid(1, 64, 8.0)
-    psi = gaussian(g, momentum=1.0)
-    obs = Observable.multiplication(g, lambda x: 1.0 + 0.0 * x)
-    # plant complex samples behind the constructor's back
-    object.__setattr__(obs, "samples", np.full(64, 1.0 + 0.5j))
-    with pytest.raises(SelfAdjointnessError):
-        expectation(psi, obs)
+def test_expectation_rejects_samples_off_the_grid():
+    psi = gaussian(make_grid(2, 16, 4.0))
+    for samples in (np.ones(8), np.ones((16, 8)), np.ones((2, 16, 16))):
+        with pytest.raises(ConfigurationError, match="grid shape"):
+            expectation(psi, samples)
+    # per-axis samples broadcast over the full lattice
+    g = psi.grid
+    assert expectation(psi, g.axis_nodes(1)) == pytest.approx(
+        expectation(psi, g.meshgrid()[1]), rel=1e-15, abs=1e-15)
+
+
+def test_expectation_rejects_zero_and_nonfinite_states():
+    g = make_grid(1, 16, 4.0)
+    for vals in (np.zeros(16), np.full(16, 1e-200), np.r_[np.nan, np.ones(15)],
+                 np.r_[np.inf, np.ones(15)]):
+        with pytest.raises(NumericalStateError):
+            expectation(WaveFunction(g, vals), g.nodes)
 
 
 def test_boundary_guard_triggers():

@@ -17,13 +17,22 @@ from repscat import (
     random_state,
     suggest_grid,
     to_momentum,
+    to_position,
     velocity_trace,
     wave_operator,
 )
-from repscat.errors import DomainEscapeError
-from repscat.grids import POSITION
+from repscat.errors import ConfigurationError, DomainEscapeError, NumericalStateError
+from repscat.grids import MOMENTUM, POSITION
 from repscat.mehler import _chirp_phase, trajectory_factors
-from repscat.potentials import PRESETS, bracket_x, p_alpha, preset_log_power, preset_power
+from repscat.potentials import (
+    PRESETS,
+    bracket_x,
+    p_alpha,
+    p_alpha_inverse,
+    preset_log_power,
+    preset_power,
+    sigma_alpha,
+)
 from repscat.scattering import (
     DensitySnapshot,
     _cell_average,
@@ -44,6 +53,45 @@ LOGW = preset_log_power(1.0, 2.0)
 
 # quad oracle: 6 * integral (x/(1+x^2)) pi^{-1/2} exp(-(x-2)^2) dx, epsabs 1e-14
 SHIFTED_V2_ORACLE = 2.3631784066189487
+
+
+def _two_sided_local_velocity(psi, alpha):
+    """<psi, A psi> / ||psi||^2 with A = sigma_alpha/2 sum_k (f_k D_k + D_k f_k)
+    applied as written, f_k = x_k <x>^-(1+alpha/2): the complex ratio, whose
+    imaginary part is roundoff since A is symmetric on the lattice."""
+    g = psi.grid
+    vals = psi.values
+
+    def d(v, k):
+        hat = to_momentum(WaveFunction(g, v)).values * g.axis_freqs(k)
+        return to_position(WaveFunction(g, hat, MOMENTUM)).values
+
+    decay = (1.0 + g.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
+    out = np.zeros(g.shape, dtype=complex)
+    for k in range(g.dims):
+        f = g.axis_nodes(k) * decay
+        out += 0.5 * (f * d(vals, k) + d(f * vals, k))
+    return sigma_alpha(alpha) * np.vdot(vals, out) / np.vdot(vals, vals).real
+
+
+@pytest.mark.parametrize("dims, points, half_width", [(1, 128, 10.0), (1, 512, 20.0),
+                                                      (2, 64, 8.0)])
+def test_local_velocity_matches_two_sided_formula(rng, dims, points, half_width):
+    g = make_grid(dims, points, half_width)
+    for alpha in (0.5, 1.0, 2.0):
+        for _ in range(10):
+            psi = random_state(g, rng, bandwidth=0.2)
+            ref = _two_sided_local_velocity(psi, alpha)
+            assert abs(ref.imag) <= 1e-13 * (1.0 + abs(ref.real))
+            assert local_velocity_expectation(psi, alpha) == pytest.approx(ref.real,
+                                                                           rel=1e-12)
+
+
+def test_local_velocity_refuses_zero_and_nonfinite_states():
+    g = make_grid(1, 64, 8.0)
+    for vals in (np.zeros(64), np.r_[np.nan, np.ones(63)]):
+        with pytest.raises(NumericalStateError):
+            local_velocity_expectation(WaveFunction(g, vals), 1.0)
 
 
 def test_local_velocity_parity_zero():
@@ -328,7 +376,9 @@ def test_velocity_trace_alpha2_factorized():
     trace = velocity_trace(psi, HYPER, 2.0, [2.0, 4.0, 6.0, 8.0, 10.0])
     assert np.all(np.diff(trace.means) > 0)          # monotone approach
     assert abs(trace.means[-1] - 2.0) <= 0.2
-    for masses in trace.histograms:
+    edges = np.linspace(0.0, 5.0, 121)
+    for snap in trace.snapshots:
+        masses = np.diff(snap.velocity_mass(2.0, edges))
         assert abs(masses.sum() - 1.0) < 1e-10
 
 
@@ -358,6 +408,83 @@ def test_velocity_splitstep_means_are_point_sampled():
     np.testing.assert_allclose(trace.means, ref, rtol=1e-13, atol=0)
 
 
+def _sub_interval_velocity_mass(snap, alpha, theta):
+    """P[p_alpha(x)/t <= theta] with each cell split into 64 uniform
+    sub-intervals, each carrying 1/64 of the cell's weight and counted by its
+    own overlap with [-r, r]."""
+    r = float(p_alpha_inverse(theta * snap.t, alpha)) / abs(snap.scale)
+    sub = snap.spacing / 64.0
+    lo = (snap.nodes - snap.spacing / 2.0)[:, None] + sub * np.arange(64)
+    share = np.clip(np.minimum(lo + sub, r) - np.maximum(lo, -r), 0.0, None) / sub
+    return float(np.sum(snap.weights * share.mean(axis=1)))
+
+
+def _random_snapshots(rng, count):
+    """1-D snapshots whose lattice lies inside |x| <= 3.6, so the top
+    histogram edge 2 sigma_alpha + 1 (r >= 6 for t >= 1) covers every cell."""
+    for _ in range(count):
+        n = int(rng.integers(8, 200))
+        spacing = float(rng.uniform(0.01, 0.05))
+        scale = float(rng.uniform(0.5, 2.0)) * (3.2 / (n * spacing))
+        weights = rng.random(n) ** 3
+        yield DensitySnapshot(t=float(rng.uniform(1.0, 5.0)),
+                              nodes=spacing * (np.arange(n) - n // 2),
+                              weights=weights / weights.sum(), scale=scale,
+                              spacing=spacing)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_velocity_mass_matches_sub_interval_reference(rng, alpha):
+    top = 2.0 * sigma_alpha(alpha) + 1.0
+    for snap in _random_snapshots(rng, 10):
+        thetas = np.concatenate([np.linspace(0.0, top, 121), rng.uniform(0.0, top, 40)])
+        got = snap.velocity_mass(alpha, thetas)
+        want = [_sub_interval_velocity_mass(snap, alpha, th) for th in thetas]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_velocity_mass_is_a_distribution_function(rng, alpha):
+    top = 2.0 * sigma_alpha(alpha) + 1.0
+    for snap in _random_snapshots(rng, 10):
+        mass = snap.velocity_mass(alpha, np.linspace(0.0, top, 2001))
+        assert np.all(np.diff(mass) >= 0.0)
+        floor = float(p_alpha(0.0, alpha)) / snap.t
+        assert np.all(snap.velocity_mass(alpha, floor - np.array([0.0, 1e-3, 1.0, 10.0]))
+                      == 0.0)
+        assert snap.velocity_mass(alpha, [top])[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_velocity_mass_memory_stays_linear_in_the_lattice():
+    import tracemalloc
+
+    n = 2**16
+    weights = np.full(n, 1.0 / n)
+    # |x| <= 16.4, inside r = p_1^-1(3 t) ~ 36 at the top theta
+    snap = DensitySnapshot(t=2.0, nodes=5e-4 * (np.arange(n) - n // 2), weights=weights,
+                           scale=1.0, spacing=5e-4)
+    thetas = np.linspace(0.0, 3.0, 121)
+    tracemalloc.start()
+    try:
+        mass = snap.velocity_mass(1.0, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mass[-1] == pytest.approx(1.0, abs=1e-12)
+    # one full (theta, cell) table would take 121 * 2^16 * 8 bytes = 62 MB
+    assert peak < 8 * n * 8
+
+
+def test_velocity_mass_on_trace_snapshots_matches_reference():
+    # factorized snapshots: the origin cell spans a large radius at scale g(2t)
+    g = make_grid(1, 512, 12.0)
+    trace = velocity_trace(gaussian(g), HYPER, 2.0, [2.0, 6.0, 10.0])
+    thetas = np.linspace(0.0, 5.0, 121)
+    for snap in trace.snapshots:
+        want = [_sub_interval_velocity_mass(snap, 2.0, th) for th in thetas]
+        np.testing.assert_allclose(snap.velocity_mass(2.0, thetas), want, rtol=0, atol=1e-12)
+
+
 def test_velocity_masses_alpha2():
     g = make_grid(1, 512, 12.0)
     trace = velocity_trace(gaussian(g), HYPER, 2.0, [4.0, 6.0, 8.0, 10.0])
@@ -365,6 +492,12 @@ def test_velocity_masses_alpha2():
     assert out["mass_below"][-1] <= 0.05
     assert out["mass_in_window"][-1] <= 0.05
     assert out["below_decaying"]
+    # the window mass is a difference of the distribution function
+    snap = trace.snapshots[-1]
+    below, lo, hi = snap.velocity_mass(2.0, [1.0, 3.0, 4.0])
+    assert out["mass_below"][-1] == below and out["mass_in_window"][-1] == hi - lo
+    with pytest.raises(ConfigurationError, match="not increasing"):
+        minimal_maximal_velocity_mass(trace, 1.0, (4.0, 3.0))
 
 
 def test_confining_eigenstate_velocity_is_zero():
@@ -399,6 +532,12 @@ def test_velocity_trace_csv(tmp_path):
     histograms_to_csv(trace, p2)
     assert p1.read_text().splitlines()[0] == "t,mean"
     assert p2.read_text().splitlines()[0] == "t,bin_lo,bin_hi,mass"
+    rows = np.loadtxt(p2, delimiter=",", skiprows=1)
+    assert rows.shape == (2 * 120, 4)
+    for t, snap in zip(trace.times, trace.snapshots):
+        block = rows[rows[:, 0] == t]
+        np.testing.assert_array_equal(block[:, 3], np.diff(snap.velocity_mass(
+            2.0, np.r_[block[:, 1], block[-1, 2]])))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
