@@ -102,14 +102,16 @@ def run_propagate(v, out_dir):
     t = v["t"]
     norm0 = l2_norm(psi0)
     if quad is not None and rep is None and pert is None:
-        out = propagate_factored(psi0, t, quad)
-        back = propagate_factored(out, -t, quad)
+        evolve = lambda psi, s: propagate_factored(psi, s, quad)
     else:
         cfg = _split_step(grid, v["dt"], repulsive=rep, quadratic=quad, perturbation=pert)
-        out, _ = propagate(psi0, t, cfg)
-        back, _ = propagate(out, -t, cfg)
+        evolve = lambda psi, s: propagate(psi, s, cfg)[0]
+    out = evolve(psi0, t)
     drift = abs(l2_norm(out) - norm0) / norm0
-    rt = np.sqrt(np.sum(np.abs(back.values - to_position(psi0).values) ** 2) * out.measure)
+    back = evolve(out, -t)
+    # the round-trip difference needs psi0 and back only
+    del out
+    rt = np.sqrt(np.sum(np.abs(back.values - to_position(psi0).values) ** 2) * back.measure)
     metrics = {"norm_drift": drift, "roundtrip_error": float(rt), "t": t}
     checks = [
         _bound_check("unitarity", drift, v["norm_tol"]),

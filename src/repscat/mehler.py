@@ -12,6 +12,7 @@ spreading lives entirely in the dilation scale g_k(2t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ SINGULAR_GUARD = 1e-3
 #: Kernel-quadrature oracle limits and stated time domain.
 ORACLE_MAX_POINTS = 256
 ORACLE_MIN_TIME = 0.05
+
+#: Entries of the zero-padded work buffer of the chirp-z transform (1 MB).
+CZT_BLOCK = 1 << 16
 
 #: Share of an axis marginal below which a lattice node counts as outside
 #: the state's support.
@@ -146,35 +150,53 @@ def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: flo
 
 
 def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
-    """Chirp-z transform X_k = sum_m x_m a^-m w^(m k), k < n, along `axis`.
+    """Chirp-z transform X_k = sum_m x_m a^-m w^(m k), k < n, along `axis`,
+    in place: the C-contiguous complex x is overwritten and returned.
 
     Bluestein's identity m k = (m^2 + k^2 - (k - m)^2)/2 turns the sum into a
     linear convolution with the chirp w^(-j^2/2), done by FFT at the power of
     two >= 2n - 1.  This is scipy.signal.czt(x, n, w, a) step for step; the
     two agree bit for bit whenever scipy's FFT length is that power of two
-    too (n = 16, 64, 128, ...) and to roundoff otherwise.
+    too (n = 16, 64, 128, ...) and to roundoff otherwise.  The lines go through
+    one zero-padded buffer of at most CZT_BLOCK entries (one line where a
+    line is longer), so the work space does not grow with the grid.
     """
+    if not x.flags.c_contiguous:
+        raise ValueError("_czt transforms a C-contiguous array in place")
     n = x.shape[axis]
     k = np.arange(n)
     wk2 = w ** (k**2 / 2.0)
     nfft = 1 << (2 * n - 2).bit_length()
     kernel = np.fft.fft(1.0 / np.concatenate([wk2[n - 1:0:-1], wk2]), nfft)
-    # one zero-padded buffer in contiguous rows (numpy's FFT is far slower
-    # along a strided axis), transformed and convolved in place
-    x = np.moveaxis(x, axis, -1)
-    y = np.zeros(x.shape[:-1] + (nfft,), dtype=complex)
-    np.multiply(x, a ** -k * wk2, out=y[..., :n])
-    np.fft.fft(y, out=y)
-    np.multiply(kernel, y, out=y)
-    np.fft.ifft(y, out=y)
-    return np.moveaxis(y[..., n - 1:2 * n - 1] * wk2, -1, axis)
+    pre = a ** -k * wk2
+    # x as (outer, n, inner): a block takes whole rows of inner lines when
+    # they fit, else part of one row, so it always fills a contiguous buffer
+    # (numpy's FFT is far slower along a strided axis)
+    outer, inner = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    lines = x.reshape(outer, n, inner)
+    per_block = max(1, CZT_BLOCK // nfft)
+    cols = min(inner, per_block)
+    rows = min(outer, per_block // cols)
+    buf = np.empty((rows, cols, nfft), dtype=complex)
+    for i in range(0, outer, rows):
+        for j in range(0, inner, cols):
+            block = np.moveaxis(lines[i:i + rows, :, j:j + cols], 1, -1)
+            y = buf[:block.shape[0], :block.shape[1]]
+            y[..., n:] = 0.0
+            np.multiply(block, pre, out=y[..., :n])
+            np.fft.fft(y, out=y)
+            np.multiply(kernel, y, out=y)
+            np.fft.ifft(y, out=y)
+            np.multiply(y[..., n - 1:2 * n - 1], wk2, out=block)
+    return x
 
 
 def _semidft_axis(values: np.ndarray, grid: Grid, axis: int, scale: float) -> np.ndarray:
     """Per-axis semidiscrete Fourier transform evaluated at nodes x/scale.
 
     Computes hat(u_j) = dx (2 pi)^{-1/2} sum_m f(x_m) exp(-i u_j x_m) for
-    u_j = x_j / scale via a chirp-z transform (exact, N log N).
+    u_j = x_j / scale via a chirp-z transform (exact, N log N), in place:
+    the C-contiguous complex values are overwritten and returned.
     """
     n = grid.points_per_dim
     dx = grid.spacing
@@ -187,7 +209,7 @@ def _semidft_axis(values: np.ndarray, grid: Grid, axis: int, scale: float) -> np
     shape = [1] * values.ndim
     shape[axis] = n
     u = (targets0 + du * np.arange(n)).reshape(shape)
-    return dx / np.sqrt(2.0 * np.pi) * np.exp(-1j * u * x0) * out
+    return np.multiply(dx / np.sqrt(2.0 * np.pi) * np.exp(-1j * u * x0), out, out=out)
 
 
 def _stark_norm_sq(spec: QuadraticSpec) -> float:
@@ -205,11 +227,11 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
     psi = to_position(psi)
     grid = psi.grid
     fac = trajectory_factors(t, spec)
-    rho_x = psi.density()
-    rho_k = np.abs(np.fft.fftn(psi.values)) ** 2
     ximax = float(np.max(np.abs(grid.freq_nodes)))
-    radii = tail_radii(rho_x, grid.nodes, _SUPPORT_TAIL)
-    bandwidths = tail_radii(rho_k, grid.freq_nodes, _SUPPORT_TAIL)
+    # one density at a time: the spectrum is formed after |psi|^2 is released
+    radii = tail_radii(psi.density(), grid.nodes, _SUPPORT_TAIL)
+    bandwidths = tail_radii(np.abs(np.fft.fftn(psi.values)) ** 2, grid.freq_nodes,
+                            _SUPPORT_TAIL)
     for k in range(grid.dims):
         needed = radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
         if spec.sector(k) == "stark":
@@ -224,7 +246,9 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
 
     The dilation is realized as an exact chirp-z resampling of the
     semidiscrete transform at the rescaled lattice x/g_k(2t); unitarity holds
-    to roundoff away from singular times.
+    to roundoff away from singular times.  Its work space is the output, the
+    chirp or a guard's spectrum, and one chirp-z buffer: about two grid states
+    beyond the input, never a padded copy of the grid.
     """
     psi0 = to_position(psi0)
     grid = psi0.grid
@@ -242,17 +266,21 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
             "away from kernel singularities"
         )
     fac = trajectory_factors(t, spec)
-    chirp = _chirp_phase(grid, spec, fac, t)
-    vals = chirp * psi0.values
+    vals = _chirp_phase(grid, spec, fac, t) * psi0.values
     amp = 1.0 + 0.0j
     for k in range(grid.dims):
         vals = _semidft_axis(vals, grid, axis=k, scale=fac.g[k])
         omega = spec.omega(k) if fac.sectors[k] in ("hyperbolic", "trigonometric") else 0.0
         amp *= _branch_amplitude(fac.sectors[k], omega, t, fac.g[k])
-    vals = amp * chirp * vals
+    # rebuilt rather than held through the transforms: the chirp is one grid
+    # product of d per-axis factors, a held copy one more grid state
+    chirp = _chirp_phase(grid, spec, fac, t)
+    np.multiply(amp, chirp, out=chirp)
+    np.multiply(chirp, vals, out=vals)
+    del chirp
     e2 = _stark_norm_sq(spec)
     if e2:
-        vals = vals * np.exp(-1j * t**3 * e2 / 12.0)
+        np.multiply(vals, np.exp(-1j * t**3 * e2 / 12.0), out=vals)
     out = WaveFunction(grid, vals, POSITION)
     assert_contained(out, context=f"propagate_factored output at t={t}")
     return out

@@ -561,9 +561,7 @@ def _radial_mean_nd(rho: np.ndarray, grid: Grid, g: np.ndarray, alpha: float) ->
     lattice of grid), with a Gauss-refined origin cell (the only cell where
     p_alpha(g.u) varies below lattice resolution)."""
     rho = rho / rho.sum()
-    r2 = np.zeros(grid.shape)
-    for k in range(grid.dims):
-        r2 = r2 + (g[k] * grid.axis_freqs(k)) ** 2
+    r2 = sum((g[k] * grid.axis_freqs(k)) ** 2 for k in range(grid.dims))
     vals = p_alpha(np.sqrt(r2), alpha)
     total = float(np.sum(vals * rho))
     # refine the origin cell by a tensor Gauss rule

@@ -411,6 +411,24 @@ def test_oversized_grid_exits_2_before_any_allocation(tmp_path, capsys):
     assert peak < 16 * 2**20
 
 
+def test_factored_propagate_memory_budget(tmp_path):
+    import tracemalloc
+
+    with open(os.path.join(CONFIG_DIR, "propagate_mehler.yaml")) as fh:
+        text = fh.read().replace("grid: {dims: 1, points: 1024", "grid: {dims: 2, points: 512")
+    cfg = _write(tmp_path, "prop2d.yaml", text)
+    tracemalloc.start()
+    try:
+        rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # psi0 and the forward state, plus propagate_factored's ~2 states on the
+    # way back; a padded copy of the grid in the chirp-z would add two more
+    assert peak <= 4.3 * 512**2 * 16
+
+
 def test_summary_is_bit_identical_across_runs(tmp_path):
     cfg = _write(tmp_path, "vel.yaml", VELOCITY_CFG)
     main(["run", cfg, "--out", str(tmp_path / "a"), "--seed", "7", "--quiet"])

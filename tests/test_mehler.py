@@ -22,7 +22,7 @@ from repscat import (
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import assert_contained
-from repscat.mehler import _chirp_phase, _czt, chirp_resolution_ok, mehler_phase
+from repscat.mehler import CZT_BLOCK, _chirp_phase, _czt, chirp_resolution_ok, mehler_phase
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -270,7 +270,7 @@ def test_czt_matches_scipy(rng, n):
     for shape, axis in [((n,), 0), ((n, 6), 0), ((6, n), 1)]:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = czt(x, m=n, w=w, a=a, axis=axis)
-        assert np.max(np.abs(_czt(x, w, a, axis) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(_czt(x.copy(), w, a, axis) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _reference_czt(x, w, a, axis):
@@ -286,14 +286,52 @@ def _reference_czt(x, w, a, axis):
     return np.moveaxis(y[..., n - 1:2 * n - 1] * wk2, -1, axis)
 
 
+# (100, 1000) and (1000, 100) take 32 lines per buffer block and leave 4
 @pytest.mark.parametrize("shape, axis", [
     ((64,), 0), ((100,), 0), ((1024,), 0), ((512, 512), 0), ((512, 512), 1),
-    ((33, 17), 1), ((16, 16, 16), 1)])
+    ((33, 17), 1), ((16, 16, 16), 1), ((16, 16, 16), 0), ((16, 16, 16), 2),
+    ((3, 40, 5), 1), ((100, 1000), 1), ((1000, 100), 0)])
 def test_czt_matches_reference(rng, shape, axis):
     n = shape[axis]
     w, a = np.exp(-1j * 0.37 / n), np.exp(0.2j)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(_czt(x, w, a, axis), _reference_czt(x, w, a, axis))
+    assert np.array_equal(_czt(x.copy(), w, a, axis), _reference_czt(x, w, a, axis))
+
+
+def test_czt_transforms_in_place(rng):
+    x = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+    assert _czt(x, np.exp(-0.01j), np.exp(0.2j), 0) is x
+    # a strided view cannot be written back line by line through a reshape
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _czt(x.T, np.exp(-0.01j), np.exp(0.2j), 0)
+
+
+def test_czt_line_longer_than_a_block(rng):
+    n = CZT_BLOCK
+    w, a = np.exp(-1j * 0.37 / n), np.exp(0.2j)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = _reference_czt(x, w, a, 0)
+    # from n = 8192 on numpy evaluates the reference's kernel * fft(...) in place
+    # with the operands swapped, and a complex product is not bitwise
+    # commutative, so the two part at ~4e-16
+    assert np.max(np.abs(_czt(x.copy(), w, a, 0) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_propagate_factored_memory_budget():
+    import tracemalloc
+
+    g = make_grid(2, 512, 20.0)
+    psi = gaussian(g, momentum=0.3)
+    spec = QuadraticSpec(dims=2, n_minus=1, omegas=(1.0,))
+    tracemalloc.start()
+    try:
+        propagate_factored(psi, 0.5, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and either the chirp or a guard's spectrum, plus one 1 MB
+    # chirp-z buffer; a padded copy of the grid would add two more states
+    assert peak <= 2.3 * psi.values.nbytes
 
 
 def test_chirp_resolution_ok_pinned():
