@@ -57,10 +57,8 @@ from .phasespace import (
     symbol_v_alpha,
 )
 from .potentials import (
-    PerturbationSpec,
     QuadraticSpec,
     RepulsiveSpec,
-    classify_decay,
     eval_quadratic,
     p_alpha,
     sigma_alpha,

@@ -107,9 +107,6 @@ class Grid:
         """Tuple of dims coordinate arrays of full shape."""
         return tuple(np.broadcast_to(self.axis_nodes(k), self.shape) for k in range(self.dims))
 
-    def freq_meshgrid(self):
-        return tuple(np.broadcast_to(self.axis_freqs(k), self.shape) for k in range(self.dims))
-
     def radius_sq(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for k in range(self.dims):

@@ -4,7 +4,7 @@ h = xi^2 - <x>^alpha, and energy-shell scans for the lower bound sigma - eta."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -12,40 +12,27 @@ from .csvout import write_rows
 from .errors import ConfigurationError
 from .potentials import bracket_x, sigma_alpha
 
-FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class SymbolFn:
-    """Scalar phase-space symbol with optional analytic partials.
+    """Scalar phase-space symbol with its analytic partials.
 
-    fn(x, xi) -> value; grad_x/grad_xi mirror the signature.  When analytic
-    partials are missing, central finite differences with step FD_STEP are
-    used.  All entries accept arrays and broadcast.
+    fn(x, xi) -> value; grad_x/grad_xi mirror the signature.  All entries
+    accept arrays and broadcast.
     """
 
     fn: Callable
-    grad_x: Optional[Callable] = None
-    grad_xi: Optional[Callable] = None
+    grad_x: Callable
+    grad_xi: Callable
 
     def value(self, x, xi):
         return self.fn(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 
     def dx(self, x, xi):
-        if self.grad_x is not None:
-            return self.grad_x(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-        return self._fd(x, xi, wrt="x")
+        return self.grad_x(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 
     def dxi(self, x, xi):
-        if self.grad_xi is not None:
-            return self.grad_xi(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-        return self._fd(x, xi, wrt="xi")
-
-    def _fd(self, x, xi, wrt):
-        h = FD_STEP
-        if wrt == "x":
-            return (self.fn(np.asarray(x) + h, xi) - self.fn(np.asarray(x) - h, xi)) / (2 * h)
-        return (self.fn(x, np.asarray(xi) + h) - self.fn(x, np.asarray(xi) - h)) / (2 * h)
+        return self.grad_xi(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
 
 
 def poisson_bracket(h: SymbolFn, a: SymbolFn, x, xi):
@@ -57,83 +44,40 @@ def poisson_bracket(h: SymbolFn, a: SymbolFn, x, xi):
 # The fixed smooth cutoff: support [-1/2, 1/2], plateau [-1/4, 1/4].
 # ---------------------------------------------------------------------------
 
-def _mollifier(s):
-    out = np.zeros(np.shape(s))
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.exp(-1.0 / np.where(inside, 1.0 - s**2, 1.0))
-    return np.where(inside, vals, 0.0)
-
-
-#: Integral of _mollifier over [-1, 1], as scipy.integrate.quad returns it
-#: (epsabs=1e-14).
-_MOLLIFIER_MASS = 0.44399381616807865
-
-
-def _clamped_spline(x: np.ndarray, y: np.ndarray) -> Callable:
-    """Cubic spline through (x, y) with zero slope at both ends, as
-    scipy.interpolate.CubicSpline(x, y, bc_type="clamped"): the knot slopes
-    solve the tridiagonal continuity system (Thomas algorithm), each piece
-    is evaluated by Horner's rule.  Points are taken inside [x[0], x[-1]]."""
-    dx = np.diff(x)
-    secant = np.diff(y) / dx
-    lower, upper = dx[1:].tolist(), dx[:-1].tolist()
-    diag = (2.0 * (dx[:-1] + dx[1:])).tolist()
-    rhs = (3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])).tolist()
-    for i in range(1, len(diag)):
-        f = lower[i] / diag[i - 1]
-        diag[i] -= f * upper[i - 1]
-        rhs[i] -= f * rhs[i - 1]
-    slopes = [0.0] * len(x)
-    for i in range(len(diag) - 1, -1, -1):
-        slopes[i + 1] = (rhs[i] - upper[i] * slopes[i + 2]) / diag[i]
-    slopes = np.array(slopes)
-    t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
-    c3, c2, c1, c0 = t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], y[:-1]
-
-    def evaluate(v):
-        v = np.asarray(v, dtype=float)
-        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(x) - 2)
-        z = v - x[i]
-        return ((c3[i] * z + c2[i]) * z + c1[i]) * z + c0[i]
-
-    return evaluate
-
-
 class CutoffSpec:
-    """C-infinity bump psi: 1 on [-plateau, plateau], 0 outside [-support, support],
-    shoulders built from the integral of the standard exp(-1/(1-s^2)) mollifier,
-    tabulated at _table_size points and splined."""
+    """C-infinity bump psi: 1 on [-plateau, plateau], 0 outside [-support, support].
+
+    The shoulder is the smooth step S(v) = f(1+v) / (f(1+v) + f(1-v)) with
+    f(s) = exp(-1/s) for s > 0 and 0 otherwise (Hormander, The Analysis of
+    Linear Partial Differential Operators I, ch. 1), where v runs from 1 at
+    |u| = plateau to -1 at |u| = support.  The value and the derivative come
+    from the same closed form.
+    """
 
     support = 0.5
     plateau = 0.25
-    _table_size = 4097
 
-    def __init__(self):
-        s = np.linspace(-1.0, 1.0, self._table_size)
-        dense = _mollifier(s)
-        cdf = np.concatenate([[0.0], np.cumsum((dense[1:] + dense[:-1]) / 2.0 * np.diff(s))])
-        cdf /= cdf[-1]
-        self._step_spline = _clamped_spline(s, cdf)
-
-    def _smoothstep(self, v):
-        # 0 at v=-1, 1 at v=+1, flat at both ends
-        return np.clip(self._step_spline(np.clip(v, -1.0, 1.0)), 0.0, 1.0)
+    def _shoulder(self, u):
+        """v clipped to [-1, 1], with f(1 + v) and f(1 - v)."""
+        v = np.clip((self.support + self.plateau - 2.0 * np.abs(u))
+                    / (self.support - self.plateau), -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            return v, np.exp(-1.0 / (1.0 + v)), np.exp(-1.0 / (1.0 - v))
 
     def __call__(self, u):
-        u = np.abs(np.asarray(u, dtype=float))
-        # map shoulder [plateau, support] onto v in [1, -1]
-        v = (self.support + self.plateau - 2.0 * u) / (self.support - self.plateau)
-        return self._smoothstep(v)
+        _, p, q = self._shoulder(np.asarray(u, dtype=float))
+        return p / (p + q)
 
     def derivative(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        sgn = np.sign(u_arr)
-        au = np.abs(u_arr)
-        v = (self.support + self.plateau - 2.0 * au) / (self.support - self.plateau)
-        dens = _mollifier(v) / _MOLLIFIER_MASS
-        return -sgn * dens * 2.0 / (self.support - self.plateau)
+        u = np.asarray(u, dtype=float)
+        v, p, q = self._shoulder(u)
+        # f'(s) = f(s)/s^2, so dS/dv = p q (1/(1+v)^2 + 1/(1-v)^2) / (p+q)^2,
+        # which is 0 at v = +-1, where one of the 1/s^2 factors is not finite
+        inside = np.abs(v) < 1.0
+        w = np.where(inside, v, 0.0)
+        ds_dv = np.where(inside, p * q * (1.0 / (1.0 + w) ** 2 + 1.0 / (1.0 - w) ** 2)
+                         / (p + q) ** 2, 0.0)
+        return -np.sign(u) * ds_dv * 2.0 / (self.support - self.plateau)
 
 
 DEFAULT_CUTOFF = CutoffSpec()

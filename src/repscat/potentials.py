@@ -1,19 +1,16 @@
 """Potential-energy data: the repulsive <x>^alpha family, general quadratic
-saddles, perturbation decay classes, and the rescaled position variable."""
+saddles, the W decay-class product, perturbation presets, and the rescaled
+position variable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import Grid
-
-#: Dead zone around the long/short-range boundary used by classify_decay;
-#: finite-window log-log fits need it.
-BORDERLINE_MARGIN = 0.05
 
 
 def _check_alpha(alpha: float):
@@ -166,58 +163,6 @@ def eval_quadratic(point, spec: QuadraticSpec):
     return out
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """V = V1 (compact) + V2 (short range) + W (per-coordinate product decay).
-
-    v1/v2 are callables of the grid coordinates; W is represented by its
-    per-coordinate decay exponents beta_j >= 0 (the canonical product form is
-    built against a QuadraticSpec sector layout via w_samples).
-    """
-
-    v1: Optional[Callable] = None
-    v1_radius: float = 0.0
-    v2: Optional[Callable] = None
-    v2_epsilon: float = 0.0
-    w_betas: Sequence[float] = ()
-
-    def __post_init__(self):
-        if self.v1 is not None and not self.v1_radius > 0:
-            raise ConfigurationError("v1 requires a positive support radius")
-        if self.v2_epsilon < 0:
-            raise ConfigurationError("claimed v2 decay exponent must be >= 0")
-        if any(b < 0 for b in self.w_betas):
-            raise ConfigurationError("W decay exponents beta_j must be >= 0")
-        object.__setattr__(self, "w_betas", tuple(float(b) for b in self.w_betas))
-
-    def v1_samples(self, grid: Grid) -> np.ndarray:
-        if self.v1 is None:
-            return np.zeros(grid.shape)
-        coords = grid.meshgrid()
-        vals = np.asarray(self.v1(*coords), dtype=float)
-        r2 = sum(c**2 for c in coords)
-        outside = r2 > self.v1_radius**2
-        if np.any(np.abs(vals[outside]) > 0):
-            raise ConfigurationError("v1 does not vanish outside its declared radius")
-        return vals
-
-    def v2_samples(self, grid: Grid) -> np.ndarray:
-        if self.v2 is None:
-            return np.zeros(grid.shape)
-        vals = np.asarray(self.v2(*grid.meshgrid()), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("v2 must be bounded on the lattice")
-        return vals
-
-    def w_samples(self, grid: Grid, quad: Optional[QuadraticSpec] = None) -> np.ndarray:
-        if not self.w_betas:
-            return np.zeros(grid.shape)
-        if len(self.w_betas) != grid.dims:
-            raise ConfigurationError("need one beta per coordinate")
-        quad = quad or QuadraticSpec(dims=grid.dims)
-        return w_product(grid.meshgrid(), self.w_betas, quad)
-
-
 def w_product(coords, betas, quad: QuadraticSpec):
     """Canonical decay-class product: <ln<x_j>>^-beta on hyperbolic axes,
     <x_j>^(-beta/2) on Stark axes, <x_j>^-beta elsewhere."""
@@ -259,12 +204,10 @@ def preset_compact_bump(height: float, radius: float) -> Callable:
 
     def bump(*c):
         u2 = sum(np.asarray(x, dtype=float) ** 2 for x in c) / radius**2
-        out = np.zeros(np.shape(u2))
         inside = u2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):
             vals = np.exp(1.0 - 1.0 / (1.0 - np.where(inside, u2, 0.0)))
-        out = np.where(inside, height * vals, 0.0)
-        return out
+        return np.where(inside, height * vals, 0.0)
 
     return bump
 
@@ -296,44 +239,3 @@ PRESETS = {
     "short-range": preset_short_range,
     "borderline": preset_borderline,
 }
-
-
-def classify_decay(v2_samples, p_values, window=None):
-    """Log-log decay fit of |V2| against p_alpha along sampled rays.
-
-    Parameters
-    ----------
-    v2_samples, p_values : arrays of equal length
-        |V2(x)| samples and p_alpha(x) at the same points.
-    window : (p_lo, p_hi), optional
-        Fit window in p; defaults to the full sampled range.
-
-    Returns
-    -------
-    dict with slope, exponent_estimate (eps-hat = -slope - 1),
-    short_range_verdict, and an infinite_decay flag for identically-zero V2.
-    """
-    v = np.abs(np.asarray(v2_samples, dtype=float)).ravel()
-    p = np.asarray(p_values, dtype=float).ravel()
-    if v.shape != p.shape:
-        raise ConfigurationError("v2 samples and p values must align")
-    keep = (v > 0) & (p > 0)
-    if window is not None:
-        keep &= (p >= window[0]) & (p <= window[1])
-    if not np.any(v > 0):
-        return {
-            "slope": -np.inf,
-            "exponent_estimate": np.inf,
-            "short_range_verdict": True,
-            "infinite_decay": True,
-        }
-    p, v = p[keep], v[keep]
-    if p.size < 2 or np.max(p) / np.min(p) < 10.0:
-        raise ConfigurationError("samples must span at least one decade of p_alpha")
-    slope = float(np.polyfit(np.log(p), np.log(v), 1)[0])
-    return {
-        "slope": slope,
-        "exponent_estimate": -slope - 1.0,
-        "short_range_verdict": slope <= -1.0 - BORDERLINE_MARGIN,
-        "infinite_decay": False,
-    }

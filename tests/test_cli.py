@@ -370,6 +370,17 @@ def test_mourre_scan_with_an_empty_shell_fails_its_check(tmp_path):
     assert (tmp_path / "out" / "scan.csv").read_text().splitlines() == ["x,xi,bracket,shell_E"]
 
 
+def test_sample_mourre_scan_numbers_pinned(tmp_path):
+    # E = 0 keeps every shell point on the cutoff plateau, so the published
+    # numbers do not depend on the cutoff's shoulder
+    from repscat.experiments import run_experiment
+
+    cfg = load_config(os.path.join(CONFIG_DIR, "mourre_scan.yaml"))
+    metrics = run_experiment(cfg, str(tmp_path))["metrics"]
+    assert metrics["min_bracket"] == pytest.approx(1.0002777006387116, rel=1e-12)
+    assert metrics["R_threshold"] == 0.2
+
+
 def test_cook_zero_potential_writes_zero_column(tmp_path):
     cfg = _write(tmp_path, "cook.yaml", COOK_ZERO_CFG)
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])

@@ -275,14 +275,17 @@ def test_czt_matches_scipy(rng, n):
 
 def _reference_czt(x, w, a, axis):
     """The chirp-z before it ran on one buffer: a padded FFT, a fresh product
-    with the kernel and a fresh inverse FFT."""
+    with the kernel and a fresh inverse FFT.  The product is spelled
+    np.multiply(kernel, ...) because for large temporaries numpy evaluates
+    `kernel * fft(...)` in place with the operands swapped, and a complex
+    product is not bitwise commutative."""
     n = x.shape[axis]
     k = np.arange(n)
     wk2 = w ** (k**2 / 2.0)
     nfft = 1 << (2 * n - 2).bit_length()
     kernel = np.fft.fft(1.0 / np.concatenate([wk2[n - 1:0:-1], wk2]), nfft)
     x = np.multiply(np.moveaxis(x, axis, -1), a ** -k * wk2, order="C")
-    y = np.fft.ifft(kernel * np.fft.fft(x, nfft))
+    y = np.fft.ifft(np.multiply(kernel, np.fft.fft(x, nfft)))
     return np.moveaxis(y[..., n - 1:2 * n - 1] * wk2, -1, axis)
 
 
@@ -310,11 +313,7 @@ def test_czt_line_longer_than_a_block(rng):
     n = CZT_BLOCK
     w, a = np.exp(-1j * 0.37 / n), np.exp(0.2j)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ref = _reference_czt(x, w, a, 0)
-    # from n = 8192 on numpy evaluates the reference's kernel * fft(...) in place
-    # with the operands swapped, and a complex product is not bitwise
-    # commutative, so the two part at ~4e-16
-    assert np.max(np.abs(_czt(x.copy(), w, a, 0) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(_czt(x.copy(), w, a, 0), _reference_czt(x, w, a, 0))
 
 
 def test_propagate_factored_memory_budget():

@@ -15,9 +15,8 @@ from repscat import (
     zero_energy_start,
 )
 from repscat.phasespace import (
-    _MOLLIFIER_MASS,
     DEFAULT_CUTOFF,
-    _mollifier,
+    _shell_ratio,
     a2_bracket_closed_form,
     a2_symbol,
     a_alpha_symbol,
@@ -78,30 +77,30 @@ def test_cutoff_shape():
     assert np.all(vals[np.abs(u) >= 0.5] == 0.0)
 
 
-def test_mollifier_mass_is_quad_value():
-    from scipy.integrate import quad
-
-    assert _MOLLIFIER_MASS == quad(lambda s: float(_mollifier(s)), -1.0, 1.0, epsabs=1e-14)[0]
-
-
-def test_cutoff_spline_matches_scipy_clamped(rng):
-    from scipy.interpolate import CubicSpline
-
-    s = np.linspace(-1.0, 1.0, DEFAULT_CUTOFF._table_size)
-    dense = _mollifier(s)
-    cdf = np.concatenate([[0.0], np.cumsum((dense[1:] + dense[:-1]) / 2.0 * np.diff(s))])
-    cdf /= cdf[-1]
-    ref = CubicSpline(s, cdf, bc_type="clamped")
-    for v in (s, rng.uniform(-1.0, 1.0, 100_000)):
-        assert np.max(np.abs(DEFAULT_CUTOFF._step_spline(v) - ref(v))) <= 1e-14
-
-
 def test_cutoff_derivative_consistency():
+    # sixth-order central difference; a fourth-order one at this h carries
+    # its own truncation error of ~5e-9 on the shoulder near |u| = 0.485
     psi = CutoffSpec()
     u = np.linspace(-0.6, 0.6, 501)
-    h = 1e-6
-    fd = (psi(u + h) - psi(u - h)) / (2 * h)
-    assert np.max(np.abs(fd - psi.derivative(u))) < 1e-5
+    h = 1e-4
+    fd = (psi(u + 3 * h) - 9 * psi(u + 2 * h) + 45 * psi(u + h)
+          - 45 * psi(u - h) + 9 * psi(u - 2 * h) - psi(u - 3 * h)) / (60 * h)
+    assert np.max(np.abs(fd - psi.derivative(u))) < 1e-9
+
+
+def test_cutoff_midpoint_is_one_half():
+    assert DEFAULT_CUTOFF(0.375) == 0.5
+    assert DEFAULT_CUTOFF(-0.375) == 0.5
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_zero_energy_shell_lies_on_the_cutoff_plateau(alpha):
+    # the E = 0 scans only see psi = 1 and psi' = 0, whatever the shoulder
+    x = np.geomspace(0.2, 60.0, 2500)
+    u = _shell_ratio(x, np.sqrt(bracket_x(x) ** alpha + 0.0), alpha)
+    assert np.max(np.abs(u)) <= 1e-12
+    assert np.all(DEFAULT_CUTOFF(u) == 1.0)
+    assert np.all(DEFAULT_CUTOFF.derivative(u) == 0.0)
 
 
 def test_heuristic_bracket_alpha1_is_exactly_one(rng):
@@ -209,13 +208,14 @@ def test_bracket_bilinearity(rng):
 ])
 def test_gradient_consistency_analytic_vs_fd(make, args, rng):
     sym = make(*args)
-    fd = SymbolFn(fn=sym.fn)
+    h = 1e-5
     n_checked = 0
     for _ in range(1000):
         x = float(rng.uniform(-8, 8))
         xi = float(rng.uniform(-8, 8))
         gx_a, gxi_a = sym.dx(x, xi), sym.dxi(x, xi)
-        gx_f, gxi_f = fd.dx(x, xi), fd.dxi(x, xi)
+        gx_f = (sym.fn(x + h, xi) - sym.fn(x - h, xi)) / (2 * h)
+        gxi_f = (sym.fn(x, xi + h) - sym.fn(x, xi - h)) / (2 * h)
         scale = max(abs(gx_a), abs(gxi_a), 1.0)
         assert abs(gx_a - gx_f) < 1e-5 * scale
         assert abs(gxi_a - gxi_f) < 1e-5 * scale

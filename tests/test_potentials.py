@@ -3,12 +3,9 @@ import pytest
 
 from repscat import (
     ConfigurationError,
-    PerturbationSpec,
     QuadraticSpec,
     RepulsiveSpec,
-    classify_decay,
     eval_quadratic,
-    make_grid,
     p_alpha,
     sigma_alpha,
 )
@@ -16,8 +13,6 @@ from repscat.potentials import (
     bracket_x,
     p_alpha_inverse,
     preset_borderline,
-    preset_compact_bump,
-    preset_log_power,
     preset_power,
     w_product,
 )
@@ -95,72 +90,6 @@ def test_regularization_difference_bound():
         assert np.all(diff <= C * bracket_x(x) ** (alpha - 2.0))
 
 
-def test_classify_decay_log_power():
-    x = np.geomspace(5.0, 1e9, 400)
-    p = p_alpha(x, 2.0)
-    v2 = preset_log_power(1.0, 2.0)(x)
-    out = classify_decay(v2, p)
-    assert out["short_range_verdict"]
-    assert out["exponent_estimate"] == pytest.approx(1.0, abs=0.15)
-
-
-def test_classify_decay_borderline_not_short_range():
-    x = np.geomspace(2.0, 1e6, 400)
-    p = p_alpha(x, 1.0)
-    out = classify_decay(1.0 / p, p)
-    assert not out["short_range_verdict"]
-    assert out["exponent_estimate"] == pytest.approx(0.0, abs=0.05)
-
-
-def test_classify_decay_zero_potential():
-    x = np.geomspace(2.0, 1e6, 100)
-    out = classify_decay(np.zeros_like(x), p_alpha(x, 1.0))
-    assert out["short_range_verdict"]
-    assert out["infinite_decay"]
-    assert out["exponent_estimate"] == np.inf
-
-
-def test_classify_decay_scale_invariance():
-    x = np.geomspace(2.0, 1e7, 300)
-    p = p_alpha(x, 1.5)
-    v = (1.0 + p) ** -1.8
-    a = classify_decay(v, p)
-    b = classify_decay(137.0 * v, p)
-    assert a["slope"] == pytest.approx(b["slope"], abs=1e-12)
-    assert a["short_range_verdict"] == b["short_range_verdict"]
-
-
-def test_classify_decay_needs_a_decade():
-    x = np.linspace(10.0, 12.0, 50)
-    p = p_alpha(x, 1.0)
-    with pytest.raises(ConfigurationError):
-        classify_decay(1.0 / p, p)
-
-
-def test_classify_decay_excludes_zeros():
-    x = np.geomspace(2.0, 1e6, 300)
-    p = p_alpha(x, 1.0)
-    v = 1.0 / p**2
-    v[::7] = 0.0
-    out = classify_decay(v, p)
-    assert out["exponent_estimate"] == pytest.approx(1.0, abs=0.1)
-
-
-def test_perturbation_v1_support_enforced():
-    grid = make_grid(1, 64, 8.0)
-    good = PerturbationSpec(v1=preset_compact_bump(1.0, 2.0), v1_radius=2.0)
-    samples = good.v1_samples(grid)
-    assert np.all(samples[np.abs(grid.nodes) > 2.0] == 0.0)
-    bad = PerturbationSpec(v1=lambda x: np.exp(-np.abs(x)), v1_radius=2.0)
-    with pytest.raises(ConfigurationError):
-        bad.v1_samples(grid)
-
-
-def test_perturbation_beta_validation():
-    with pytest.raises(ConfigurationError):
-        PerturbationSpec(w_betas=(-0.5,))
-
-
 def test_w_product_sector_layout():
     quad = QuadraticSpec(dims=3, n_minus=1, n_E=1, omegas=(1.0,), fields=(1.0,))
     x = (np.array([3.0]), np.array([3.0]), np.array([3.0]))
@@ -174,9 +103,10 @@ def test_borderline_preset_bounded_with_unit_tail_slope():
     f = preset_borderline(2.0)
     assert f(0.0) == 1.0
     x = np.geomspace(3.0, 1e9, 200)
-    p = p_alpha(x, 2.0)
-    out = classify_decay(f(x), p)
-    assert not out["short_range_verdict"]
+    slope = np.polyfit(np.log(p_alpha(x, 2.0)), np.log(f(x)), 1)[0]
+    # a log-log fit over a finite window stays above -1 (it reads -0.85 here),
+    # so the p_alpha^-1 tail does not pass for short range
+    assert slope > -1.05
 
 
 def test_power_preset():
