@@ -9,9 +9,9 @@ import sys
 
 import yaml
 
-from .config import format_float, load_config
-from .errors import RepscatError
-from .experiments import run_experiment
+from .config import _file_name, format_float, load_config
+from .errors import ConfigurationError, RepscatError
+from .experiments import make_output_dir, run_experiment
 
 
 def _jsonable(obj):
@@ -53,21 +53,39 @@ def cmd_run(args) -> int:
     return 1 if n_failed else 0
 
 
-def cmd_suite(args) -> int:
-    try:
-        with open(args.manifest) as fh:
-            manifest = yaml.safe_load(fh) or {}
-    except (OSError, yaml.YAMLError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return 2
-    entries = manifest.get("experiments", []) or []
-    if any(not isinstance(e, dict) or "id" not in e or "config" not in e
-           for e in entries):
-        print("error: manifest entries need 'id' and 'config' fields", file=sys.stderr)
-        return 2
+def _manifest_entries(manifest) -> list:
+    """The manifest's `experiments` list, checked before any entry runs: each
+    entry has a config path and an id that names one directory inside --out."""
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"manifest must be a mapping, got {manifest!r}")
+    entries = manifest.get("experiments")
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"experiments must be a list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry or not isinstance(
+                entry.get("config"), str):
+            raise ConfigurationError("manifest entries need 'id' and 'config' fields")
+        _file_name(entry["id"], f"experiments[{i}].id")
     ids = [e["id"] for e in entries]
     if len(ids) != len(set(ids)):
-        print("error: duplicate experiment ids in manifest", file=sys.stderr)
+        raise ConfigurationError("duplicate experiment ids in manifest")
+    return entries
+
+
+def cmd_suite(args) -> int:
+    try:
+        with open(args.manifest, encoding="utf-8") as fh:
+            manifest = yaml.safe_load(fh) or {}
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
+        return 2
+    try:
+        entries = _manifest_entries(manifest)
+        make_output_dir(args.out)
+    except RepscatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     base = os.path.dirname(os.path.abspath(args.manifest))
     rows = []
@@ -96,7 +114,6 @@ def cmd_suite(args) -> int:
             ok = False
         any_failed = any_failed or not ok
     report = {"manifest": os.path.basename(args.manifest), "results": rows}
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "suite_report.json")
     write_summary(report, report_path)
     if not args.quiet:

@@ -9,7 +9,6 @@ key given as null counts as left out, and any other key is refused.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -24,6 +23,16 @@ from .errors import ConfigurationError, check_integer
 from .grids import make_grid
 from .potentials import PRESETS, RepulsiveSpec
 
+# CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
+# cold start (3.6 MB resident) for one 16-hex-digit digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the built-in modules
+        from hashlib import sha256 as _sha256
+
 REQUIRED = object()
 
 
@@ -36,15 +45,18 @@ class ExperimentConfig:
     def digest(self) -> str:
         canon = json.dumps({"config": self.raw, "seed": self.seed}, sort_keys=True,
                            default=str)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _sha256(canon.encode()).hexdigest()[:16]
 
 
 def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"{path}: YAML parse error: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"{path}: cannot read config: {reason}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a mapping")
     values = read_config(raw)

@@ -27,7 +27,7 @@ from .splitstep import convergence_order, evolution_config, propagate
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Execute one experiment; returns the JSON-ready summary dict."""
     values = read_config(cfg.raw)
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     metrics, checks = _RUNNERS[cfg.kind](values, out_dir)
     return {
         "experiment": cfg.kind,
@@ -36,6 +36,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
         "metrics": metrics,
         "checks": checks,
     }
+
+
+def make_output_dir(path: str):
+    """Create the directory `path` (and its parents) unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot create output directory: {exc.strerror or exc}") from exc
 
 
 def _check(name, expected, measured, tol) -> dict:
@@ -199,6 +208,8 @@ def run_wave_operator(v, out_dir):
     checks = [
         _bound_check("isometry", max(defects), v["isometry_tol"]),
         _flag_check("cauchy_decreasing", bool(np.all(np.diff(diffs) <= 1e-8))),
+        # ||Omega(T2) phi - Omega(T1) phi|| <= int_T1^T2 ||V e^{-itH0} phi|| dt
+        _flag_check("cook_inequality", all(d <= b + 1e-8 for d, b in zip(diffs, bounds))),
     ]
     return metrics, checks
 

@@ -8,7 +8,7 @@ so large-time observables never propagate on an enlarged grid; on the
 split-step route they sit on the spatial grid.  One rule, _lattice_values,
 gives a function at those lattice points: cell averages on a 1-D dual
 lattice, where fn(g*u) varies below the lattice resolution near u = 0, and
-point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 1).
+point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -39,8 +39,28 @@ from .potentials import (
 )
 from .splitstep import EvolutionConfig, _fourier_step, evolution_config, propagate
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_FAR_NODES, _FAR_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+def _mirrored(nodes: tuple, weights: tuple):
+    """A Gauss-Legendre rule on [-1, 1] from its positive nodes (ascending)
+    and their weights: the nodes are odd about 0 and the weights even."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+# numpy.polynomial.legendre.leggauss(32) and (8), bit for bit, as literals:
+# importing numpy.polynomial would add to every cold start.
+_GAUSS_NODES, _GAUSS_WEIGHTS = _mirrored(
+    (0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+     0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+     0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+     0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+    (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+     0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+     0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+     0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506))
+_FAR_NODES, _FAR_WEIGHTS = _mirrored(
+    (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+    (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706))
 
 #: Cells whose node lies this many cells or more from 0 take the 8-point rule.
 _NEAR_CELLS = 32
@@ -99,7 +119,7 @@ class _Lattice(NamedTuple):
 def _lattice_values(fn: Callable, lattice: _Lattice) -> np.ndarray:
     """fn at the points of `lattice`: cell averages of fn(g u) on a 1-D dual
     lattice, point samples on an n-D one (which miss the sub-cell structure
-    near u = 0, ROADMAP item 1) and on the spatial grid."""
+    near u = 0, ROADMAP item 2) and on the spatial grid."""
     grid, g = lattice.grid, lattice.g
     if not lattice.dual:
         return fn(*grid.meshgrid())

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -517,6 +518,63 @@ def test_suite_duplicate_ids_rejected(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest, message", [
+    pytest.param("experiments: 5\n", "experiments must be a list", id="not-a-list"),
+    pytest.param("- {id: one, config: c.yaml}\n", "manifest must be a mapping", id="a-list"),
+    pytest.param("experiments:\n  - {id: ../../escape, config: c.yaml}\n",
+                 "experiments[0].id", id="escaping-id"),
+    pytest.param("experiments:\n  - {id: sub/one, config: c.yaml}\n", "experiments[0].id",
+                 id="nested-id"),
+    pytest.param("experiments:\n  - {id: one, config: c.yaml}\n  - {id: 2, config: c.yaml}\n",
+                 "experiments[1].id", id="integer-id"),
+    pytest.param("experiments:\n  - {id: one, config: 5}\n", "'id' and 'config'",
+                 id="config-not-a-path"),
+])
+def test_suite_bad_manifest_exits_2_before_any_entry_runs(tmp_path, capsys, manifest, message):
+    _write(tmp_path, "c.yaml", MOURRE_CFG)
+    path = _write(tmp_path, "m.yaml", manifest)
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["suite", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "m.yaml"]
+
+
+def _unreadable_config(tmp_path, kind):
+    """A config path that cannot be read: missing, a directory, or not UTF-8."""
+    path = tmp_path / "c.yaml"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"experiment: mourre-scan\nalpha: 1.0 # \xff\xfe\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "out-is-a-file"])
+def test_run_file_errors_exit_2(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    if kind == "out-is-a-file":
+        config = _write(tmp_path, "c.yaml", MOURRE_CFG)
+        out.write_text("")
+    else:
+        config = _unreadable_config(tmp_path, kind)
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (str(out) if kind == "out-is-a-file" else config) in err
+
+
+def test_suite_missing_config_is_an_error_row(tmp_path, capsys):
+    _write(tmp_path, "good.yaml", MOURRE_CFG)
+    manifest = _write(tmp_path, "m.yaml", yaml.safe_dump({"experiments": [
+        {"id": "gone", "config": "missing.yaml"}, {"id": "good", "config": "good.yaml"}]}))
+    assert main(["suite", manifest, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
+    gone, good = report["results"]
+    assert gone["error"].startswith("ConfigurationError: ") and "missing.yaml" in gone["error"]
+    assert good["pass"] and "Traceback" not in capsys.readouterr().err
+
+
 def test_suite_aggregates_and_continues(tmp_path):
     _write(tmp_path, "good.yaml", MOURRE_CFG)
     _write(tmp_path, "bad.yaml", BAD_ALPHA_CFG)
@@ -567,13 +625,33 @@ def test_suite_records_any_exception_and_continues(tmp_path, monkeypatch, capsys
     assert "Traceback" in err and "error: boom: RuntimeError: injected failure" in err
 
 
-def test_cli_import_loads_no_scipy():
+#: The sample configs a cold-start benchmark client runs as fresh processes.
+COLD_START_CONFIGS = ("propagate_mehler", "velocity_alpha2", "cook_stark", "mourre_scan")
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor hashlib (OpenSSL's libcrypto) nor numpy.polynomial, after running
+    # each cold-start config: every cold process would pay for them
     src = os.path.dirname(os.path.dirname(repscat.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, repscat.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = f"""
+import sys
+from repscat.cli import main
+heavy = ("scipy", "hashlib", "_hashlib", "numpy.polynomial")
+for name in {COLD_START_CONFIGS!r}:
+    assert main(["run", f"{CONFIG_DIR}/{{name}}.yaml", "--out", {str(tmp_path)!r}, "--quiet"]) == 0
+    print(name, sorted(m for m in sys.modules for h in heavy if (m + ".").startswith(h + ".")))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == [f"{name} []" for name in COLD_START_CONFIGS]
+
+
+@pytest.mark.parametrize("name", SAMPLE_CONFIGS)
+def test_digest_is_the_sha256_prefix(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    canon = json.dumps({"config": cfg.raw, "seed": cfg.seed}, sort_keys=True, default=str)
+    assert cfg.digest() == hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def test_convergence_runs_without_scipy(tmp_path):

@@ -34,6 +34,10 @@ from repscat.potentials import (
     sigma_alpha,
 )
 from repscat.scattering import (
+    _FAR_NODES,
+    _FAR_WEIGHTS,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     DensitySnapshot,
     _cell_average,
     _chirp_resolution_floor,
@@ -202,7 +206,7 @@ def test_cook_truncates_on_escape_and_raises_when_nothing_was_sampled():
 
 
 def test_cook_2d_factorized_integrand_pinned():
-    # recorded with the n-D dual lattice point-sampled; ROADMAP item 1 (one
+    # recorded with the n-D dual lattice point-sampled; ROADMAP item 2 (one
     # exact dilated-lattice quadrature in every dimension) moves these on purpose
     spec = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,))
     g = make_grid(2, 128, 10.0)
@@ -586,7 +590,7 @@ def test_cell_average_matches_arctan_closed_form(grid):
     # the mean of 1/(1+y^2) over y in g*[a, b] is arctan(g(b-a)/(1+g^2 ab))/(g(b-a))
     # on same-sign cells; the cell holding u = 0 is left out, because no fixed
     # Gauss rule resolves a width-1 feature in a cell of width g*h >> 1
-    # (ROADMAP item 1, the graded origin cell)
+    # (ROADMAP item 2, the graded origin cell)
     nodes, h = grid.freq_nodes, grid.freq_spacing
     off = nodes != 0.0
     lo, hi = nodes[off] - h / 2.0, nodes[off] + h / 2.0
@@ -594,6 +598,13 @@ def test_cell_average_matches_arctan_closed_form(grid):
         got = _cell_average(lambda y: 1.0 / (1.0 + y * y), g, nodes, h)[off]
         exact = np.arctan(g * h / (1.0 + (g * lo) * (g * hi))) / (g * h)
         assert np.max(np.abs(got / exact - 1.0)) <= 1e-12, g
+
+
+@pytest.mark.parametrize("n, nodes, weights", [(32, _GAUSS_NODES, _GAUSS_WEIGHTS),
+                                               (8, _FAR_NODES, _FAR_WEIGHTS)])
+def test_gauss_tables_are_leggauss_bit_for_bit(n, nodes, weights):
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, x) and np.array_equal(weights, w)
 
 
 def _cell_average_32(fn, scale, nodes, spacing):
