@@ -70,10 +70,11 @@ def _per_axis(value, key, dims):
     return value
 
 
-def _on_grid(v, refuse=()):
+def _on_grid(v, refuse=(), dilated=False):
     """Grid, initial state and Hamiltonian blocks, after the checks that combine
     them.  The quadratic route evolves the factorized saddle alone, so there
-    the blocks in `refuse` are refused rather than silently dropped."""
+    the blocks in `refuse` are refused rather than silently dropped, and a
+    `dilated` runner, which evaluates V at dilated coordinates, refuses a table."""
     grid, state, ham = v["grid"], v["state"], v["hamiltonian"]
     psi0 = gaussian(grid, center=_per_axis(state["center"], "state.center", grid.dims),
                     width=state["width"],
@@ -87,7 +88,7 @@ def _on_grid(v, refuse=()):
                     f"hamiltonian.{key}: the quadratic (factorized) route of this experiment "
                     f"cannot include it; drop hamiltonian.{key} or hamiltonian.quadratic")
     if pert is not None and not callable(pert):
-        if quad is not None:
+        if quad is not None and dilated:
             raise ConfigurationError(
                 "quadratic-route experiments need a symbolic perturbation preset; "
                 "raw sample tables cannot be evaluated at dilated coordinates"
@@ -162,7 +163,7 @@ def run_velocity(v, out_dir):
 
 
 def run_cook(v, out_dir):
-    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",))
+    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",), dilated=True)
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
     elif not callable(pert):
@@ -189,7 +190,7 @@ def run_cook(v, out_dir):
 
 
 def run_wave_operator(v, out_dir):
-    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",))
+    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",), dilated=True)
     Ts = v["horizons"]
     if quad is None:
         raise ConfigurationError("wave-operator experiment requires a quadratic block")

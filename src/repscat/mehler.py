@@ -57,7 +57,6 @@ class TrajectoryFactors:
     t: float
     g: np.ndarray
     h: np.ndarray
-    sectors: tuple
 
 
 def _sector_gh(sector: str, omega: float, targ: float):
@@ -70,16 +69,11 @@ def _sector_gh(sector: str, omega: float, targ: float):
 
 def trajectory_factors(t: float, spec: QuadraticSpec) -> TrajectoryFactors:
     """g_k(2t), h_k(2t) for every coordinate of the spec."""
-    targ = 2.0 * t
     g = np.empty(spec.dims)
     h = np.empty(spec.dims)
-    sectors = []
     for k in range(spec.dims):
-        sector = spec.sector(k)
-        omega = spec.omega(k) if sector in ("hyperbolic", "trigonometric") else 0.0
-        g[k], h[k] = _sector_gh(sector, omega, targ)
-        sectors.append(sector)
-    return TrajectoryFactors(t=t, g=g, h=h, sectors=tuple(sectors))
+        g[k], h[k] = _sector_gh(spec.sectors[k], spec.axis_omegas[k], 2.0 * t)
+    return TrajectoryFactors(t=t, g=g, h=h)
 
 
 def singular_times(spec: QuadraticSpec, horizon_T: float) -> list:
@@ -87,10 +81,9 @@ def singular_times(spec: QuadraticSpec, horizon_T: float) -> list:
     if not horizon_T > 0:
         raise ConfigurationError("horizon_T must be > 0")
     out = set()
-    for k in range(spec.dims):
-        if spec.sector(k) != "trigonometric":
+    for sector, w in zip(spec.sectors, spec.axis_omegas):
+        if sector != "trigonometric":
             continue
-        w = spec.omega(k)
         m = 1
         while m * np.pi / (2.0 * w) <= horizon_T + 1e-15:
             out.add(m * np.pi / (2.0 * w))
@@ -115,20 +108,19 @@ def _branch_amplitude(sector: str, omega: float, t: float, g_val: float) -> comp
 
 
 def _check_guard_time(spec: QuadraticSpec, t: float):
+    """Refuse t within SINGULAR_GUARD of a singular time m pi/(2 w_k), m >= 1.
+    Elsewhere |g_k(2t)| >= sin(2 w_k min(|t|, SINGULAR_GUARD))/w_k."""
     if t == 0.0:
         return
-    for k in range(spec.dims):
-        if spec.sector(k) != "trigonometric":
+    for k, (sector, w) in enumerate(zip(spec.sectors, spec.axis_omegas)):
+        if sector != "trigonometric":
             continue
-        w = spec.omega(k)
         period = np.pi / (2.0 * w)
         dist = abs(abs(t) / period - round(abs(t) / period)) * period
         if round(abs(t) / period) > 0 and dist < SINGULAR_GUARD:
             raise SingularTimeError(
                 f"t={t} is within {SINGULAR_GUARD} of a singular time of coordinate {k}"
             )
-        if abs(np.sin(2 * w * t) / w) < 1e-14 and abs(t) > SINGULAR_GUARD:
-            raise SingularTimeError(f"g_{k}(2t) vanished at t={t}")
 
 
 def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> np.ndarray:
@@ -142,8 +134,8 @@ def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: flo
     for k in range(grid.dims):
         xk = grid.axis_nodes(k)
         phase = xk**2 * fac.h[k] / (2.0 * fac.g[k])
-        if spec.sector(k) == "stark":
-            phase = phase - (t / 2.0) * spec.field(k) * xk
+        if spec.axis_fields[k]:
+            phase = phase - (t / 2.0) * spec.axis_fields[k] * xk
         factor = np.exp(1j * phase)
         chirp = factor if chirp is None else chirp * factor
     return chirp
@@ -212,8 +204,13 @@ def _semidft_axis(values: np.ndarray, grid: Grid, axis: int, scale: float) -> np
     return np.multiply(dx / np.sqrt(2.0 * np.pi) * np.exp(-1j * u * x0), out, out=out)
 
 
-def _stark_norm_sq(spec: QuadraticSpec) -> float:
-    return sum(e**2 for e in spec.fields)
+def _on_spec_grid(psi: WaveFunction, spec: QuadraticSpec) -> WaveFunction:
+    """psi in the position representation, on a grid with the spec's dims."""
+    psi = to_position(psi)
+    if psi.grid.dims != spec.dims:
+        raise ConfigurationError(
+            f"grid dims {psi.grid.dims} do not match quadratic spec dims {spec.dims}")
+    return psi
 
 
 def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
@@ -224,7 +221,7 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
     state's own bandwidth, must stay below Nyquist; otherwise the sampled
     chirp aliases and the factored application silently corrupts.
     """
-    psi = to_position(psi)
+    psi = _on_spec_grid(psi, spec)
     grid = psi.grid
     fac = trajectory_factors(t, spec)
     ximax = float(np.max(np.abs(grid.freq_nodes)))
@@ -233,9 +230,8 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
     bandwidths = tail_radii(np.abs(np.fft.fftn(psi.values)) ** 2, grid.freq_nodes,
                             _SUPPORT_TAIL)
     for k in range(grid.dims):
-        needed = radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
-        if spec.sector(k) == "stark":
-            needed += abs(t) * abs(spec.field(k)) / 2.0
+        needed = (radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
+                  + abs(t) * abs(spec.axis_fields[k]) / 2.0)
         if needed > ximax:
             return False, k, needed, ximax
     return True, -1, 0.0, ximax
@@ -250,10 +246,8 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
     chirp or a guard's spectrum, and one chirp-z buffer: about two grid states
     beyond the input, never a padded copy of the grid.
     """
-    psi0 = to_position(psi0)
+    psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
-    if grid.dims != spec.dims:
-        raise ConfigurationError("grid dims do not match quadratic spec dims")
     if t == 0.0:
         return psi0
     _check_guard_time(spec, t)
@@ -270,15 +264,14 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
     amp = 1.0 + 0.0j
     for k in range(grid.dims):
         vals = _semidft_axis(vals, grid, axis=k, scale=fac.g[k])
-        omega = spec.omega(k) if fac.sectors[k] in ("hyperbolic", "trigonometric") else 0.0
-        amp *= _branch_amplitude(fac.sectors[k], omega, t, fac.g[k])
+        amp *= _branch_amplitude(spec.sectors[k], spec.axis_omegas[k], t, fac.g[k])
     # rebuilt rather than held through the transforms: the chirp is one grid
     # product of d per-axis factors, a held copy one more grid state
     chirp = _chirp_phase(grid, spec, fac, t)
     np.multiply(amp, chirp, out=chirp)
     np.multiply(chirp, vals, out=vals)
     del chirp
-    e2 = _stark_norm_sq(spec)
+    e2 = sum(e**2 for e in spec.fields)
     if e2:
         np.multiply(vals, np.exp(-1j * t**3 * e2 / 12.0), out=vals)
     out = WaveFunction(grid, vals, POSITION)
@@ -297,8 +290,8 @@ def mehler_phase(t: float, spec: QuadraticSpec):
         for k in range(spec.dims):
             xk, yk = xs[k], ys[k]
             total = total + ((xk**2 + yk**2) / 2.0 * fac.h[k] - xk * yk) / fac.g[k]
-            if spec.sector(k) == "stark":
-                ek = spec.field(k)
+            ek = spec.axis_fields[k]
+            if ek:
                 total = total - (ek / 2.0 * (xk + yk) * t + ek**2 / 12.0 * t**3)
         return total
 
@@ -312,7 +305,7 @@ def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveF
     one or two dimensions, and to t >= ORACLE_MIN_TIME (the kernel
     degenerates to a delta at t = 0).
     """
-    psi0 = to_position(psi0)
+    psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
     if grid.dims > 2 or grid.points_per_dim > ORACLE_MAX_POINTS:
         raise OracleScaleError("kernel oracle limited to <= 2 dims and <= 256 points per dim")
@@ -326,12 +319,11 @@ def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveF
         X = x[:, None]
         Y = x[None, :]
         S = ((X**2 + Y**2) / 2.0 * fac.h[k] - X * Y) / fac.g[k]
-        if spec.sector(k) == "stark":
-            ek = spec.field(k)
+        ek = spec.axis_fields[k]
+        if ek:
             S = S - (ek / 2.0 * (X + Y) * t + ek**2 / 12.0 * t**3)
-        omega = spec.omega(k) if fac.sectors[k] in ("hyperbolic", "trigonometric") else 0.0
-        amp = _branch_amplitude(fac.sectors[k], omega, t, fac.g[k]) / np.sqrt(2.0 * np.pi)
-        kernel = amp * np.exp(1j * S) * grid.spacing
+        amp = _branch_amplitude(spec.sectors[k], spec.axis_omegas[k], t, fac.g[k])
+        kernel = amp / np.sqrt(2.0 * np.pi) * np.exp(1j * S) * grid.spacing
         vals = np.moveaxis(np.tensordot(kernel, vals, axes=([1], [k])), 0, k)
     return WaveFunction(grid, vals, POSITION)
 
@@ -380,10 +372,8 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     grid is ever built.  Raises a domain-escape error when the chirped
     spectrum leaks to the edge of the dual lattice.
     """
-    psi0 = to_position(psi0)
+    psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
-    if grid.dims != spec.dims:
-        raise ConfigurationError("grid dims do not match quadratic spec dims")
     _check_guard_time(spec, t)
     fac = trajectory_factors(t, spec)
     chirp = _chirp_phase(grid, spec, fac, t)

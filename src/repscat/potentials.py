@@ -4,12 +4,13 @@ position variable."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .grids import Grid
 
 
@@ -93,7 +94,11 @@ class QuadraticSpec:
 
         H0 = -Laplacian - sum_{k<n-} w_k^2 x_k^2 + sum w_k^2 x_k^2 + sum E_k x_k,
 
-    with n_minus + n_plus + n_E <= dims; remaining coordinates are free.
+    with n_minus + n_plus + n_E <= dims.  Axes come in that order (hyperbolic,
+    trigonometric, Stark, then free), and __post_init__ lays them out once as
+    per-axis tuples: `sectors`, `axis_omegas` (w_k on hyperbolic and
+    trigonometric axes, 0.0 elsewhere) and `axis_fields` (E_k on Stark axes,
+    0.0 elsewhere).
     """
 
     dims: int
@@ -102,10 +107,13 @@ class QuadraticSpec:
     n_E: int = 0
     omegas: Sequence[float] = ()
     fields: Sequence[float] = ()
+    sectors: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    axis_omegas: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    axis_fields: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if min(self.n_minus, self.n_plus, self.n_E) < 0:
-            raise ConfigurationError("sector counts must be nonnegative")
+        for key in ("dims", "n_minus", "n_plus", "n_E"):
+            check_integer(getattr(self, key), key, minimum=0)
         if self.n_minus + self.n_plus + self.n_E > self.dims:
             raise ConfigurationError("n_minus + n_plus + n_E exceeds dims")
         omegas = tuple(float(w) for w in self.omegas)
@@ -118,29 +126,26 @@ class QuadraticSpec:
             raise ConfigurationError("omega_k must be > 0")
         if any(e == 0 for e in fields):
             raise ConfigurationError("E_k must be nonzero")
+        n_free = self.dims - len(omegas) - len(fields)
+        sectors = (("hyperbolic",) * self.n_minus + ("trigonometric",) * self.n_plus
+                   + ("stark",) * self.n_E + ("free",) * n_free)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "axis_omegas", omegas + (0.0,) * (self.n_E + n_free))
+        object.__setattr__(self, "axis_fields", (0.0,) * len(omegas) + fields + (0.0,) * n_free)
 
     def sector(self, axis: int) -> str:
         if axis < 0 or axis >= self.dims:
             raise ConfigurationError(f"axis {axis} out of range for dims {self.dims}")
-        if axis < self.n_minus:
-            return "hyperbolic"
-        if axis < self.n_minus + self.n_plus:
-            return "trigonometric"
-        if axis < self.n_minus + self.n_plus + self.n_E:
-            return "stark"
-        return "free"
-
-    def omega(self, axis: int) -> float:
-        return self.omegas[axis]
+        return self.sectors[axis]
 
     def field(self, axis: int) -> float:
-        return self.fields[axis - self.n_minus - self.n_plus]
+        """E_k on a Stark axis, 0.0 on any other."""
+        self.sector(axis)  # refuses an axis out of range
+        return self.axis_fields[axis]
 
     def potential_samples(self, grid: Grid) -> np.ndarray:
-        if grid.dims != self.dims:
-            raise ConfigurationError("grid dims do not match quadratic spec dims")
         return eval_quadratic(grid.meshgrid(), self)
 
 
@@ -152,14 +157,13 @@ def eval_quadratic(point, spec: QuadraticSpec):
             f"point has {len(coords)} coordinates, spec has dims {spec.dims}"
         )
     out = 0.0
-    for k, c in enumerate(coords):
-        sector = spec.sector(k)
+    for c, sector, w, e in zip(coords, spec.sectors, spec.axis_omegas, spec.axis_fields):
         if sector == "hyperbolic":
-            out = out - spec.omega(k) ** 2 * c**2
+            out = out - w**2 * c**2
         elif sector == "trigonometric":
-            out = out + spec.omega(k) ** 2 * c**2
+            out = out + w**2 * c**2
         elif sector == "stark":
-            out = out + spec.field(k) * c
+            out = out + e * c
     return out
 
 

@@ -401,10 +401,8 @@ def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
     if budget <= L:  # coth > 1 always; need budget/L > 1
         raise ConfigurationError("grid cannot resolve the interaction chirp; increase points")
     s_floor = 0.0
-    for k in range(spec.dims):
-        sector = spec.sector(k)
+    for sector, w in zip(spec.sectors, spec.axis_omegas):
         if sector == "hyperbolic":
-            w = spec.omega(k)
             s_floor = max(s_floor, float(np.arctanh(w * L / budget) / (2.0 * w)))
         else:  # stark or free; the caller rejects trigonometric axes
             s_floor = max(s_floor, L / (2.0 * budget))

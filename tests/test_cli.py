@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -402,6 +403,35 @@ def test_cook_table_perturbation_is_sampled_on_the_grid(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     rows = (tmp_path / "out" / "cook.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[1]) for r in rows] == pytest.approx([2.0] * 4, rel=1e-12)
+
+
+# a quadratic saddle plus a sampled perturbation: a Gaussian bump at the
+# nodes of a 64-point grid on [-8, 8)
+QUAD_TABLE_LINES = "  quadratic: {n_minus: 1, omegas: [0.5]}\n  perturbation: {table: %s}" % (
+    (0.5 * np.exp(-repscat.make_grid(1, 64, 8.0).nodes ** 2)).tolist())
+
+
+@pytest.mark.parametrize("text", [
+    CONVERGENCE_CFG.replace(REPULSIVE_LINE, QUAD_TABLE_LINES),
+    PROPAGATE_CFG.replace("points: 512, half_width: 14.0", "points: 64, half_width: 8.0")
+    .replace(QUAD_LINE, QUAD_TABLE_LINES) + "dt: 1.0e-3\n",
+], ids=["convergence", "propagate"])
+def test_quadratic_plus_table_runs_on_the_split_step_route(tmp_path, text):
+    # the split-step route samples V on the grid, so a table is all it needs
+    cfg = _write(tmp_path, "quad_table.yaml", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    COOK_ZERO_CFG.replace(QUAD_LINE, QUAD_LINE + "\n  perturbation: {table: %s}" % ([0.1] * 256)),
+    WAVE_CFG.replace("{preset: log-power, args: {height: 1.0, exponent: 2.0}}",
+                     "{table: %s}" % ([0.1] * 2048)),
+], ids=["cook", "wave-operator"])
+def test_quadratic_plus_table_exits_2_where_v_is_dilated(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "quad_table.yaml", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "need a symbolic perturbation preset" in err and "Traceback" not in err
 
 
 def test_oversized_grid_exits_2_before_any_allocation(tmp_path, capsys):

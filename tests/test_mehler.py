@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repscat import (
+    ConfigurationError,
     OracleScaleError,
     QuadraticSpec,
     SingularTimeError,
@@ -22,7 +23,14 @@ from repscat import (
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import assert_contained
-from repscat.mehler import CZT_BLOCK, _chirp_phase, _czt, chirp_resolution_ok, mehler_phase
+from repscat.mehler import (
+    CZT_BLOCK,
+    _check_guard_time,
+    _chirp_phase,
+    _czt,
+    chirp_resolution_ok,
+    mehler_phase,
+)
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -166,6 +174,19 @@ def test_singular_time_guard():
         propagate_factored(psi, np.pi / 2.0, TRIG)
     with pytest.raises(SingularTimeError):
         propagate_factored(psi, np.pi / 2.0 + 5e-4, TRIG)
+    # the guard's edge at m pi/(2w) +- SINGULAR_GUARD: just inside raises,
+    # just outside passes with |g(2t)| ~ 2e-3, far above roundoff
+    for w in (0.5, 1.0, 3.0):
+        spec = QuadraticSpec(dims=1, n_plus=1, omegas=(w,))
+        for m in (1, 2):
+            for sign in (1.0, -1.0):
+                for offset in (-1.0, 1.0):
+                    t = sign * (m * np.pi / (2.0 * w) + offset * 0.999e-3)
+                    with pytest.raises(SingularTimeError):
+                        _check_guard_time(spec, t)
+                    t = sign * (m * np.pi / (2.0 * w) + offset * 1.001e-3)
+                    _check_guard_time(spec, t)
+                    assert abs(trajectory_factors(t, spec).g[0]) > 1e-3
 
 
 def test_kernel_oracle_domain_limits():
@@ -176,6 +197,11 @@ def test_kernel_oracle_domain_limits():
     big = make_grid(1, 512, 10.0)
     with pytest.raises(OracleScaleError):
         propagate_kernel(gaussian(big), 0.3, FREE)
+    # a grid whose dims differ from the spec's is refused either way round
+    with pytest.raises(ConfigurationError, match="dims"):
+        propagate_kernel(gaussian(make_grid(2, 64, 10.0)), 0.3, HYPER)
+    with pytest.raises(ConfigurationError, match="dims"):
+        propagate_kernel(psi, 0.3, QuadraticSpec(dims=2, n_minus=2, omegas=(1.0, 1.0)))
 
 
 def test_free_phase_closed_form(rng):

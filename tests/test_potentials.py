@@ -79,6 +79,49 @@ def test_quadratic_spec_validation():
         QuadraticSpec(dims=1, n_minus=1, n_plus=1, omegas=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         QuadraticSpec(dims=2, n_minus=2, omegas=(1.0,))
+    # counts lay out the axes, so they must be integers >= 0
+    for bad in ({"dims": 1.0}, {"n_minus": 1.0, "omegas": (1.0,)}, {"n_E": -1}):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            QuadraticSpec(**{"dims": 1, **bad})
+
+
+QUADRATIC_LAYOUTS = [(dims, n_minus, n_plus, n_E)
+                     for dims in (1, 2, 3)
+                     for n_minus in range(dims + 1)
+                     for n_plus in range(dims + 1 - n_minus)
+                     for n_E in range(dims + 1 - n_minus - n_plus)]
+
+
+@pytest.mark.parametrize("dims, n_minus, n_plus, n_E", QUADRATIC_LAYOUTS)
+def test_quadratic_spec_axis_layout(dims, n_minus, n_plus, n_E):
+    # axes in the documented order: hyperbolic, trigonometric, Stark, free
+    omegas = tuple(0.5 + k for k in range(n_minus + n_plus))
+    fields = tuple(-1.5 - k for k in range(n_E))
+    spec = QuadraticSpec(dims=dims, n_minus=n_minus, n_plus=n_plus, n_E=n_E,
+                         omegas=omegas, fields=fields)
+    n_free = dims - n_minus - n_plus - n_E
+    layout = ([("hyperbolic", w, 0.0) for w in omegas[:n_minus]]
+              + [("trigonometric", w, 0.0) for w in omegas[n_minus:]]
+              + [("stark", 0.0, e) for e in fields]
+              + [("free", 0.0, 0.0)] * n_free)
+    assert spec.sectors == tuple(sector for sector, _, _ in layout)
+    assert spec.axis_omegas == tuple(w for _, w, _ in layout)
+    assert spec.axis_fields == tuple(e for _, _, e in layout)
+    for k, (sector, _, e) in enumerate(layout):
+        assert spec.sector(k) == sector
+        assert spec.field(k) == e
+    for axis in (-1, dims):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            spec.sector(axis)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            spec.field(axis)
+
+
+def test_quadratic_spec_layout_is_derived_not_given():
+    with pytest.raises(TypeError):
+        QuadraticSpec(dims=1, sectors=("free",))
+    a = QuadraticSpec(dims=2, n_minus=1, omegas=(1.0,))
+    assert a == QuadraticSpec(dims=2, n_minus=1, omegas=[1]) and "sectors" not in repr(a)
 
 
 def test_regularization_difference_bound():
