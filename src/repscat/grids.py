@@ -12,7 +12,8 @@ on the dual lattice.  Dual nodes follow standard FFT ordering with values
 from __future__ import annotations
 
 import functools
-import mmap
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,8 @@ class WaveFunction:
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise ConfigurationError(f"unknown representation {self.representation!r}")
-        vals = np.asarray(self.values, dtype=complex)
+        # C order: the streamed passes read the state through a float view
+        vals = np.ascontiguousarray(self.values, dtype=complex)
         if vals.shape != self.grid.shape:
             raise ConfigurationError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
@@ -157,7 +159,10 @@ class WaveFunction:
 
 
 def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values.view(float))):
+    # min and max propagate NaN, so both are finite exactly when every sample
+    # is, and neither forms a grid-sized mask
+    flat = values.view(float)
+    if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
         raise NumericalStateError("wavefunction contains NaN or Inf samples")
 
 
@@ -179,6 +184,19 @@ def _axis_phases(grid: Grid, axis: int, sign: float) -> np.ndarray:
     return np.exp(sign * 1j * (-grid.half_width) * grid.axis_freqs(axis))
 
 
+def _momentum_values(values: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """The momentum samples of the position samples `values`, written into
+    `out`, which may be `values` itself: every FFT and multiply runs in
+    place, and the scalar normalisation rides on each N-point axis phase."""
+    norm = grid.spacing / np.sqrt(2.0 * np.pi)
+    np.fft.fft(values, axis=0, out=out)
+    for ax in range(grid.dims):
+        if ax:
+            np.fft.fft(out, axis=ax, out=out)
+        out *= _axis_phases(grid, ax, -1.0) * norm
+    return out
+
+
 def transform(psi: WaveFunction, target_representation: str) -> WaveFunction:
     """Unitary spectral transform between position and momentum lattices.
 
@@ -189,17 +207,12 @@ def transform(psi: WaveFunction, target_representation: str) -> WaveFunction:
     if target_representation == psi.representation:
         return psi
     g = psi.grid
-    # the scalar normalisation rides on each N-point axis phase, and after the
-    # first (allocating) pass every FFT and multiply runs in place: one grid
-    # pass per axis besides the FFT
     if psi.representation == POSITION and target_representation == MOMENTUM:
-        norm = g.spacing / np.sqrt(2.0 * np.pi)
-        vals = np.fft.fft(psi.values, axis=0)
-        for ax in range(g.dims):
-            if ax:
-                np.fft.fft(vals, axis=ax, out=vals)
-            vals *= _axis_phases(g, ax, -1.0) * norm
-        return WaveFunction(g, vals, MOMENTUM)
+        out = _momentum_values(psi.values, g, np.empty(g.shape, dtype=complex))
+        return WaveFunction(g, out, MOMENTUM)
+    # as in _momentum_values, the scalar normalisation rides on each N-point
+    # axis phase, and after the first (allocating) pass every FFT and
+    # multiply runs in place: one grid pass per axis besides the FFT
     if psi.representation == MOMENTUM and target_representation == POSITION:
         norm = g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi)
         vals = psi.values * (_axis_phases(g, 0, +1.0) * norm)
@@ -245,38 +258,124 @@ def _checked_density(values: np.ndarray) -> np.ndarray:
     return rho
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_mask(dims: int, points_per_dim: int, half_width: float,
-               representation: str) -> np.ndarray:
-    """Read-only mask of the nodes with any |coordinate| in the outer
-    EDGE_FRACTION band of the lattice.
+#: Complex entries of one work buffer of the streamed grid passes (256 kB):
+#: the spectral marginals, the chirp-z lines and the blocks of chirp rows.
+LINE_BLOCK = 1 << 14
 
-    Keyed by the grid's geometry, not the Grid, so no grid outlives its run.
-    The mask lives in an anonymous memory map, outside the malloc heap: a
-    long-lived heap mask between large FFT buffers keeps freed buffers from
-    being reused and raises peak RSS."""
+
+def _sum_sq(values: np.ndarray):
+    """Sum of squares of the real array `values`: numpy's own
+    sum-of-products loop, with no temporary the size of its input and no
+    BLAS call (whose timing varies with load).  On a float view of complex
+    samples this is the sum of |psi|^2."""
+    axes = list(range(values.ndim))
+    return np.einsum(values, axes, values, axes, [])
+
+
+def _line_blocks(x: np.ndarray, axis: int, lines_per_block: int):
+    """Views (rows, cols, n) of the lines of the C-contiguous x along `axis`,
+    at most lines_per_block lines (at least one) to a view.
+
+    x is read as (outer, n, inner): a block takes whole rows of inner lines
+    when they fit, else part of one row, so each fills a contiguous buffer
+    (numpy's FFT is far slower along a strided axis).  The first block is
+    the largest."""
+    n = x.shape[axis]
+    outer, inner = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    lines = x.reshape(outer, n, inner)
+    cols = min(inner, max(1, lines_per_block))
+    rows = min(outer, max(1, lines_per_block // cols))
+    for i in range(0, outer, rows):
+        for j in range(0, inner, cols):
+            yield np.moveaxis(lines[i:i + rows, :, j:j + cols], 1, -1)
+
+
+def _marginal(values: np.ndarray, axis: int, spectral: bool) -> np.ndarray:
+    """Sum over the other axes of |values|^2, or with spectral of
+    |fft(values, axis=axis)|^2, over blocks of lines: the spectral lines are
+    copied to one buffer and transformed in place.  A block holds half a
+    LINE_BLOCK, so the buffer and the two float squares of a block together
+    take no more than one LINE_BLOCK of bytes."""
+    marg = np.zeros(values.shape[axis])
+    buf = None
+    for block in _line_blocks(values, axis, LINE_BLOCK // (2 * values.shape[axis])):
+        if spectral:
+            if buf is None:
+                buf = np.empty(block.shape, dtype=complex)
+            y = buf[:block.shape[0], :block.shape[1]]
+            y[...] = block
+            block = np.fft.fft(y, out=y)
+        rho = block.real ** 2
+        rho += block.imag ** 2
+        marg += rho.sum(axis=(0, 1))
+    return marg
+
+
+def tail_radii(values: np.ndarray, nodes: np.ndarray, tail: float,
+               spectral: bool = False) -> np.ndarray:
+    """Per axis of the complex samples `values`, the largest |node| at which
+    the axis marginal of |values|^2 (of |fftn(values)|^2 on the dual
+    lattice with spectral=True), as a share of its total, exceeds `tail`
+    (0 where none does).
+
+    No grid-sized temporary is formed.  By Parseval the axis-k marginal of
+    |fftn(values)|^2 is N^(d-1) times the marginal of |fft(values, axis=k)|^2,
+    whose 1-D FFTs run over blocks of lines; the factor cancels in the
+    share."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    radii = np.zeros(values.ndim)
+    for k in range(values.ndim):
+        marg = _marginal(values, k, spectral)
+        total = marg.sum()
+        if total == 0.0:
+            continue
+        mask = marg / total > tail
+        if np.any(mask):
+            radii[k] = np.max(np.abs(nodes[mask]))
+    return radii
+
+
+@functools.lru_cache(maxsize=64)
+def _band_slabs(dims: int, points_per_dim: int, half_width: float,
+                representation: str) -> tuple:
+    """Index boxes, into the float view of a state, that tile the nodes with
+    any |coordinate| in the outer EDGE_FRACTION band once each.
+
+    Box k has axis k in the band and every earlier axis inside it; the
+    later axes are free.  This is inclusion-exclusion over the per-axis band
+    slabs with no subtracted term.  Keyed by the grid's geometry, not the
+    Grid, so no grid outlives its run; only the index ranges are held."""
     grid = make_grid(dims, points_per_dim, half_width)
     if representation == POSITION:
-        cut = (1.0 - EDGE_FRACTION) * grid.half_width
-        nodes = [grid.axis_nodes(k) for k in range(grid.dims)]
+        nodes, edge = grid.nodes, grid.half_width
     else:
-        cut = (1.0 - EDGE_FRACTION) * float(np.max(np.abs(grid.freq_nodes)))
-        nodes = [grid.axis_freqs(k) for k in range(grid.dims)]
-    mask = np.frombuffer(mmap.mmap(-1, grid.points_per_dim ** grid.dims), dtype=bool)
-    mask = mask.reshape(grid.shape)
-    for n in nodes:
-        mask |= np.abs(n) >= cut
-    mask.flags.writeable = False
-    return mask
+        nodes, edge = grid.freq_nodes, float(np.max(np.abs(grid.freq_nodes)))
+    band = np.abs(nodes) >= (1.0 - EDGE_FRACTION) * edge
+
+    def runs(mask):
+        # maximal index ranges where mask holds, as slices
+        edges = np.flatnonzero(np.diff(np.r_[False, mask, False]))
+        return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+    inside, outside = runs(~band), runs(band)
+    boxes = []
+    for k in range(dims):
+        for box in itertools.product(*([inside] * k + [outside])):
+            box = list(box) + [slice(None)] * (dims - k - 1)
+            last = box[-1]  # two floats per complex sample on the last axis
+            if last.start is not None:
+                box[-1] = slice(2 * last.start, 2 * last.stop)
+            boxes.append(tuple(box))
+    return tuple(boxes)
 
 
 def _edge_mass(values: np.ndarray, grid: Grid, representation: str) -> float:
-    rho = np.abs(values) ** 2
-    total = rho.sum()
+    flat = np.ascontiguousarray(values).view(float)
+    total = _sum_sq(flat)
     if total == 0.0:
         return 0.0
-    mask = _edge_mask(grid.dims, grid.points_per_dim, grid.half_width, representation)
-    return float(rho[mask].sum() / total)
+    boxes = _band_slabs(grid.dims, grid.points_per_dim, grid.half_width, representation)
+    return float(sum(_sum_sq(flat[box]) for box in boxes) / total)
 
 
 def _guard_edge(values: np.ndarray, grid: Grid, representation: str, tol: float,
@@ -306,31 +405,16 @@ def assert_contained(psi: WaveFunction, context: str = ""):
     _guard_edge(psi.values, psi.grid, psi.representation, EDGE_MASS_TOL, context)
 
 
-def tail_radii(rho: np.ndarray, nodes: np.ndarray, tail: float) -> np.ndarray:
-    """Per axis of the density rho, the largest |node| at which the axis
-    marginal, as a share of its total, exceeds `tail` (0 where none does)."""
-    radii = np.zeros(rho.ndim)
-    for k in range(rho.ndim):
-        axes = tuple(j for j in range(rho.ndim) if j != k)
-        marg = rho.sum(axis=axes) if axes else rho
-        total = marg.sum()
-        if total == 0.0:
-            continue
-        mask = marg / total > tail
-        if np.any(mask):
-            radii[k] = np.max(np.abs(nodes[mask]))
-    return radii
-
-
 def gaussian(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:
     """Normalized Gaussian packet prod_k exp(i k_j x_j) exp(-(x_j-c_j)^2/(2 w^2))."""
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dims,))
     moms = np.broadcast_to(np.asarray(momentum, dtype=float), (grid.dims,))
     vals = np.ones(grid.shape, dtype=complex)
+    # in place: the packet is the one grid array it allocates
     for k in range(grid.dims):
         xk = grid.axis_nodes(k)
-        vals = vals * np.exp(-((xk - centers[k]) ** 2) / (2.0 * width**2) + 1j * moms[k] * xk)
-    vals = vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
+        vals *= np.exp(-((xk - centers[k]) ** 2) / (2.0 * width**2) + 1j * moms[k] * xk)
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
     return WaveFunction(grid, vals, POSITION)
 
 

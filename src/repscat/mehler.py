@@ -20,10 +20,14 @@ import numpy as np
 from .errors import ConfigurationError, DomainEscapeError, OracleScaleError, SingularTimeError
 from .grids import (
     EDGE_MASS_TOL,
+    LINE_BLOCK,
+    MOMENTUM,
     POSITION,
     Grid,
     WaveFunction,
     _guard_edge,
+    _line_blocks,
+    _momentum_values,
     assert_contained,
     tail_radii,
     to_momentum,
@@ -37,9 +41,6 @@ SINGULAR_GUARD = 1e-3
 #: Kernel-quadrature oracle limits and stated time domain.
 ORACLE_MAX_POINTS = 256
 ORACLE_MIN_TIME = 0.05
-
-#: Entries of the zero-padded work buffer of the chirp-z transform (1 MB).
-CZT_BLOCK = 1 << 16
 
 #: Share of an axis marginal below which a lattice node counts as outside
 #: the state's support.
@@ -123,22 +124,47 @@ def _check_guard_time(spec: QuadraticSpec, t: float):
             )
 
 
-def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> np.ndarray:
+def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> list:
     """M_t(x) = exp( i sum x_k^2 h_k/(2 g_k) - i (t/2) sum E_k x_k ).
 
     The phase is a sum of per-axis terms, so M_t is the broadcast product of
-    one N-point factor exp(i phi_k(x_k)) per axis: d N complex exponentials
-    rather than N^d.  In 1-D the single factor is returned as it is.
+    one N-point factor exp(i phi_k(x_k)) per axis, listed here: d N complex
+    exponentials rather than N^d.
     """
-    chirp = None
+    factors = []
     for k in range(grid.dims):
         xk = grid.axis_nodes(k)
         phase = xk**2 * fac.h[k] / (2.0 * fac.g[k])
         if spec.axis_fields[k]:
             phase = phase - (t / 2.0) * spec.axis_fields[k] * xk
-        factor = np.exp(1j * phase)
-        chirp = factor if chirp is None else chirp * factor
+        factors.append(np.exp(1j * phase))
+    return factors
+
+
+def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> np.ndarray:
+    """M_t on the grid, the product of _chirp_factors taken axis by axis; in
+    1-D the single factor is returned as it is."""
+    chirp, *rest = _chirp_factors(grid, spec, fac, t)
+    for factor in rest:
+        chirp = chirp * factor
     return chirp
+
+
+def _times_chirp(factors: list, values: np.ndarray, out: np.ndarray, amp=None) -> np.ndarray:
+    """out <- (amp *) M_t * values for M_t given by its per-axis factors.
+
+    M_t is formed one block of leading-axis rows at a time, in the order of
+    _chirp_phase, so the result is bit-identical to the full-grid product
+    and no N^d chirp exists; out may be values itself."""
+    rows = max(1, LINE_BLOCK // math.prod(values.shape[1:]))
+    for i in range(0, values.shape[0], rows):
+        chirp = factors[0][i:i + rows]
+        for factor in factors[1:]:
+            chirp = chirp * factor
+        if amp is not None:
+            chirp = amp * chirp
+        np.multiply(chirp, values[i:i + rows], out=out[i:i + rows])
+    return out
 
 
 def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
@@ -150,8 +176,9 @@ def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
     two >= 2n - 1.  This is scipy.signal.czt(x, n, w, a) step for step; the
     two agree bit for bit whenever scipy's FFT length is that power of two
     too (n = 16, 64, 128, ...) and to roundoff otherwise.  The lines go through
-    one zero-padded buffer of at most CZT_BLOCK entries (one line where a
-    line is longer), so the work space does not grow with the grid.
+    one zero-padded buffer of at most LINE_BLOCK entries (one line where a
+    line is longer), in the blocks of grids._line_blocks, so the work space
+    does not grow with the grid.
     """
     if not x.flags.c_contiguous:
         raise ValueError("_czt transforms a C-contiguous array in place")
@@ -161,25 +188,17 @@ def _czt(x: np.ndarray, w: complex, a: complex, axis: int) -> np.ndarray:
     nfft = 1 << (2 * n - 2).bit_length()
     kernel = np.fft.fft(1.0 / np.concatenate([wk2[n - 1:0:-1], wk2]), nfft)
     pre = a ** -k * wk2
-    # x as (outer, n, inner): a block takes whole rows of inner lines when
-    # they fit, else part of one row, so it always fills a contiguous buffer
-    # (numpy's FFT is far slower along a strided axis)
-    outer, inner = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
-    lines = x.reshape(outer, n, inner)
-    per_block = max(1, CZT_BLOCK // nfft)
-    cols = min(inner, per_block)
-    rows = min(outer, per_block // cols)
-    buf = np.empty((rows, cols, nfft), dtype=complex)
-    for i in range(0, outer, rows):
-        for j in range(0, inner, cols):
-            block = np.moveaxis(lines[i:i + rows, :, j:j + cols], 1, -1)
-            y = buf[:block.shape[0], :block.shape[1]]
-            y[..., n:] = 0.0
-            np.multiply(block, pre, out=y[..., :n])
-            np.fft.fft(y, out=y)
-            np.multiply(kernel, y, out=y)
-            np.fft.ifft(y, out=y)
-            np.multiply(y[..., n - 1:2 * n - 1], wk2, out=block)
+    buf = None
+    for block in _line_blocks(x, axis, LINE_BLOCK // nfft):
+        if buf is None:
+            buf = np.empty(block.shape[:2] + (nfft,), dtype=complex)
+        y = buf[:block.shape[0], :block.shape[1]]
+        y[..., n:] = 0.0
+        np.multiply(block, pre, out=y[..., :n])
+        np.fft.fft(y, out=y)
+        np.multiply(kernel, y, out=y)
+        np.fft.ifft(y, out=y)
+        np.multiply(y[..., n - 1:2 * n - 1], wk2, out=block)
     return x
 
 
@@ -225,10 +244,8 @@ def chirp_resolution_ok(psi: WaveFunction, t: float, spec: QuadraticSpec):
     grid = psi.grid
     fac = trajectory_factors(t, spec)
     ximax = float(np.max(np.abs(grid.freq_nodes)))
-    # one density at a time: the spectrum is formed after |psi|^2 is released
-    radii = tail_radii(psi.density(), grid.nodes, _SUPPORT_TAIL)
-    bandwidths = tail_radii(np.abs(np.fft.fftn(psi.values)) ** 2, grid.freq_nodes,
-                            _SUPPORT_TAIL)
+    radii = tail_radii(psi.values, grid.nodes, _SUPPORT_TAIL)
+    bandwidths = tail_radii(psi.values, grid.freq_nodes, _SUPPORT_TAIL, spectral=True)
     for k in range(grid.dims):
         needed = (radii[k] * abs(fac.h[k] / fac.g[k]) + bandwidths[k]
                   + abs(t) * abs(spec.axis_fields[k]) / 2.0)
@@ -242,9 +259,12 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
 
     The dilation is realized as an exact chirp-z resampling of the
     semidiscrete transform at the rescaled lattice x/g_k(2t); unitarity holds
-    to roundoff away from singular times.  Its work space is the output, the
-    chirp or a guard's spectrum, and one chirp-z buffer: about two grid states
-    beyond the input, never a padded copy of the grid.
+    to roundoff away from singular times.  Its work space is the output and
+    small buffers: the chirp M_t multiplies in blocks of rows from its
+    per-axis factors, the chirp-z and the spectral check stream through
+    blocks of lines, and the edge guard sums slabs in place.  That is about
+    one grid state beyond the input, never the chirp, a spectrum or a padded
+    copy of the grid.
     """
     psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
@@ -260,17 +280,13 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
             "away from kernel singularities"
         )
     fac = trajectory_factors(t, spec)
-    vals = _chirp_phase(grid, spec, fac, t) * psi0.values
+    factors = _chirp_factors(grid, spec, fac, t)
+    vals = _times_chirp(factors, psi0.values, np.empty(grid.shape, dtype=complex))
     amp = 1.0 + 0.0j
     for k in range(grid.dims):
         vals = _semidft_axis(vals, grid, axis=k, scale=fac.g[k])
         amp *= _branch_amplitude(spec.sectors[k], spec.axis_omegas[k], t, fac.g[k])
-    # rebuilt rather than held through the transforms: the chirp is one grid
-    # product of d per-axis factors, a held copy one more grid state
-    chirp = _chirp_phase(grid, spec, fac, t)
-    np.multiply(amp, chirp, out=chirp)
-    np.multiply(chirp, vals, out=vals)
-    del chirp
+    _times_chirp(factors, vals, vals, amp)
     e2 = sum(e**2 for e in spec.fields)
     if e2:
         np.multiply(vals, np.exp(-1j * t**3 * e2 / 12.0), out=vals)
@@ -345,8 +361,8 @@ def avron_herbst(psi0: WaveFunction, t: float, E: float) -> WaveFunction:
     hat = to_momentum(psi0).values
     free = hat * np.exp(-1j * t * xi**2)
     shift = t**2 * E
-    rho = np.abs(np.fft.ifft(free * np.exp(1j * (-grid.half_width) * xi))) ** 2
-    radius = tail_radii(rho, grid.nodes, _SUPPORT_TAIL)[0]
+    moved = np.fft.ifft(free * np.exp(1j * (-grid.half_width) * xi))
+    radius = tail_radii(moved, grid.nodes, _SUPPORT_TAIL)[0]
     if radius + abs(shift) > 0.95 * grid.half_width:
         raise DomainEscapeError(
             f"Stark shift t^2 E = {shift:.3g} pushes the state outside the box"
@@ -376,8 +392,9 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     grid = psi0.grid
     _check_guard_time(spec, t)
     fac = trajectory_factors(t, spec)
-    chirp = _chirp_phase(grid, spec, fac, t)
-    phi = to_momentum(WaveFunction(grid, chirp * psi0.values, POSITION))
+    vals = _times_chirp(_chirp_factors(grid, spec, fac, t), psi0.values,
+                        np.empty(grid.shape, dtype=complex))
+    phi = WaveFunction(grid, _momentum_values(vals, grid, out=vals), MOMENTUM)
     _guard_edge(phi.values, grid, phi.representation, EDGE_MASS_TOL,
                 f"chirped spectrum at t={t}")
     return phi, fac.g.copy()

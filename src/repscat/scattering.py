@@ -30,7 +30,7 @@ from .grids import (
     to_momentum,
     to_position,
 )
-from .mehler import _chirp_phase, chirped_spectrum, trajectory_factors
+from .mehler import _chirp_phase, _on_spec_grid, chirped_spectrum, trajectory_factors
 from .potentials import (
     QuadraticSpec,
     p_alpha,
@@ -393,8 +393,8 @@ def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
     frequency max|x| h(2s)/g(2s) plus the bandwidth of phi (its widest axis
     marginal, cut at a 1e-10 tail) must stay below 80% of Nyquist."""
     grid = phi.grid
-    rho = np.abs(np.fft.fftn(to_position(phi).values)) ** 2
-    bandwidth = float(np.max(tail_radii(rho, grid.freq_nodes, 1e-10)))
+    bandwidth = float(np.max(tail_radii(to_position(phi).values, grid.freq_nodes, 1e-10,
+                                        spectral=True)))
     ximax = float(np.max(np.abs(grid.freq_nodes)))
     budget = 0.8 * ximax - bandwidth
     L = grid.half_width
@@ -434,7 +434,7 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     ends with the split-step anchor on [0, s0]; horizons T <= s0 take the
     anchor alone, and T = 0 returns phi.
     """
-    phi = to_position(phi)
+    phi = _on_spec_grid(phi, spec)
     out = {T: phi for T in Ts if T == 0.0}
     nonzero = [T for T in Ts if T != 0.0]
     if not nonzero:

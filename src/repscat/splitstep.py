@@ -91,28 +91,38 @@ def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray,
     np.multiply(phase, buf, out=buf)
 
 
-def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, dt: float, n: int,
-                  context: str):
-    """n Strang steps of length dt from the position samples vals, on two
-    buffers allocated here (so the result never aliases vals), guarding every
-    state once.  Returns (samples, max edge mass)."""
-    half_v = np.exp(-0.5j * dt * cfg.potential)
-    full_v = half_v * half_v if n > 1 else half_v
-    kin = np.exp(-1j * dt * cfg.kinetic)
+def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str,
+                  conjugate: bool = False):
+    """Strang steps from the position samples vals: n steps of length dt for
+    each (dt, n) of segments in turn, on two buffers allocated here (so the
+    result never aliases vals), guarding every state once.  With conjugate,
+    the run starts from conj(vals) and the result is conjugated in place.
+    Returns (samples, max edge mass)."""
     guard_args = (cfg.grid, POSITION, cfg.edge_mass_tol, context)
-    buf = half_v * vals
+    buf = np.empty(vals.shape, dtype=complex)
     spec = np.empty_like(buf)
+    if conjugate:
+        vals = np.conjugate(vals, out=buf)
     max_edge = 0.0
-    for k in range(n):
-        _fourier_step(buf, spec, kin, full_v if k < n - 1 else half_v)
-        max_edge = max(max_edge, _guard_edge(buf, *guard_args))
+    for dt, n in segments:
+        half_v = np.exp(-0.5j * dt * cfg.potential)
+        full_v = half_v * half_v if n > 1 else half_v
+        kin = np.exp(-1j * dt * cfg.kinetic)
+        np.multiply(half_v, vals, out=buf)
+        for k in range(n):
+            _fourier_step(buf, spec, kin, full_v if k < n - 1 else half_v)
+            max_edge = max(max_edge, _guard_edge(buf, *guard_args))
+        vals = buf
+    if conjugate:
+        np.conjugate(buf, out=buf)
     return buf, max_edge
 
 
 def strang_step(psi: WaveFunction, cfg: EvolutionConfig, dt: Optional[float] = None) -> WaveFunction:
     """One Strang step exp(-i dt V/2) F^-1 exp(-i dt xi^2) F exp(-i dt V/2)."""
     psi = to_position(psi)
-    vals, _ = _strang_steps(psi.values, cfg, cfg.dt if dt is None else dt, 1, "strang_step")
+    vals, _ = _strang_steps(psi.values, cfg, [(cfg.dt if dt is None else dt, 1)],
+                            "strang_step")
     return WaveFunction(psi.grid, vals, POSITION)
 
 
@@ -120,32 +130,28 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
     """Repeated Strang steps with a final fractional step.
 
     Backward evolution (t < 0) runs the conjugate state forward, which is the
-    exact time-reversal for real potentials.  Returns (psi_t, telemetry).
+    exact time-reversal for real potentials; the conjugations run in the
+    Strang loop's own buffer.  Returns (psi_t, telemetry).
     """
     psi0 = to_position(psi0)
     if not l2_norm(psi0) > 0.0:
         raise NumericalStateError("propagate requires a state with positive norm")
     if t == 0.0:
         return psi0, {"steps": 0, "max_edge_mass": 0.0}
-    if t < 0:
-        conj = WaveFunction(psi0.grid, np.conj(psi0.values), POSITION)
-        out, tele = propagate(conj, -t, cfg)
-        return WaveFunction(out.grid, np.conj(out.values), POSITION), tele
 
-    n_full, rem = divmod(t, cfg.dt)
+    n_full, rem = divmod(abs(t), cfg.dt)
     n_full = int(round(n_full))
     if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
         if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
             n_full += 1
         rem = 0.0
 
-    vals, max_edge = psi0.values, 0.0
-    if n_full:
-        vals, max_edge = _strang_steps(vals, cfg, cfg.dt, n_full, "propagate")
-    if rem:
-        vals, rem_edge = _strang_steps(vals, cfg, rem, 1, "propagate")
-        max_edge = max(max_edge, rem_edge)
-    elif not n_full:  # t below the step resolution: no step runs, guard the input
+    segments = [(d, n) for d, n in ((cfg.dt, n_full), (rem, 1)) if d and n]
+    if segments:
+        vals, max_edge = _strang_steps(psi0.values, cfg, segments, "propagate",
+                                       conjugate=t < 0)
+    else:  # t below the step resolution: no step runs, guard the input
+        vals = psi0.values
         max_edge = _guard_edge(vals, cfg.grid, POSITION, cfg.edge_mass_tol, "propagate")
     out = WaveFunction(cfg.grid, vals, POSITION)
     return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}

@@ -466,9 +466,9 @@ def test_factored_propagate_memory_budget(tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    # psi0 and the forward state, plus propagate_factored's ~2 states on the
-    # way back; a padded copy of the grid in the chirp-z would add two more
-    assert peak <= 4.3 * 512**2 * 16
+    # psi0, the forward state and the state coming back, plus small buffers;
+    # a full-grid chirp or round-trip difference would add one more state
+    assert peak <= 3.4 * 512**2 * 16
 
 
 def test_summary_is_bit_identical_across_runs(tmp_path):

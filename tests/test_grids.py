@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,14 @@ from repscat import (
     to_momentum,
     to_position,
 )
-from repscat.grids import _axis_phases, _edge_mask, assert_contained, inner, transform
+from repscat.grids import (
+    _axis_phases,
+    _band_slabs,
+    _sum_sq,
+    assert_contained,
+    inner,
+    transform,
+)
 from repscat.errors import DomainEscapeError
 
 # quad oracle: integral sqrt(1+x^2) exp(-x^2) dx / sqrt(pi), epsabs 1e-14
@@ -196,34 +205,114 @@ def test_boundary_guard_passes_centered():
     assert_contained(gaussian(g))
 
 
-def _uncached_edge_mass(psi, edge_fraction):
-    g = psi.grid
-    if psi.representation == "position":
-        nodes, edge = g.nodes, g.half_width
+def _band_mask(grid, representation):
+    if representation == "position":
+        nodes, edge = grid.nodes, grid.half_width
     else:
-        nodes, edge = g.freq_nodes, np.max(np.abs(g.freq_nodes))
-    band = np.abs(nodes) >= (1.0 - edge_fraction) * edge
-    mask = band[:, None] | band[None, :]
-    rho = np.abs(psi.values) ** 2
-    return float(np.sum(rho[mask]) / np.sum(rho))
+        nodes, edge = grid.freq_nodes, np.max(np.abs(grid.freq_nodes))
+    band = np.abs(nodes) >= 0.9 * edge
+    mask = np.zeros(grid.shape, dtype=bool)
+    for k in range(grid.dims):
+        mask |= band.reshape([-1 if j == k else 1 for j in range(grid.dims)])
+    return mask
+
+
+def _exact_edge_mass(values, mask):
+    """Edge mass with every sum exactly rounded: math.fsum of re^2 + im^2."""
+    def mass(v):
+        return math.fsum(np.concatenate([v.real**2, v.imag**2]).tolist())
+    return mass(values[mask]) / mass(values.ravel())
+
+
+def _mass_from_boxes(values, boxes):
+    flat = np.ascontiguousarray(values).view(float)
+    return sum(_sum_sq(flat[box]) for box in boxes) / _sum_sq(flat)
+
+
+GUARD_GRIDS = [(1, 64, 8.0), (2, 64, 8.0), (3, 16, 8.0)]
 
 
 def test_boundary_mass_fraction_matches_uncached_computation(rng):
+    # the slab sums run in another order than an exactly rounded sum, so the
+    # guard agrees with it to rounding, in every dimension and representation
+    for dims, points, half_width in GUARD_GRIDS:
+        g = make_grid(dims, points, half_width)
+        psi = random_state(g, rng, bandwidth=0.6, extent=0.6)
+        got = []
+        for state in (psi, to_momentum(psi)):
+            exact = _exact_edge_mass(state.values, _band_mask(g, state.representation))
+            got.append(boundary_mass_fraction(state))
+            assert got[-1] == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert len(set(got)) == 2 and min(got) > 0.0
+
+
+@pytest.mark.parametrize("dims, points, half_width", GUARD_GRIDS[1:])
+def test_a_dropped_slab_or_double_counted_corner_misses_the_exact_sum(rng, dims, points,
+                                                                       half_width):
+    # the 1e-13 comparison above sees every box: dropping any one of them, or
+    # summing each axis band over the whole grid (corners counted per axis),
+    # moves the edge mass of a state with mass on every node far beyond it
+    g = make_grid(dims, points, half_width)
+    psi = WaveFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    for state in (psi, to_momentum(psi)):
+        exact = _exact_edge_mass(state.values, _band_mask(g, state.representation))
+        boxes = _band_slabs(dims, points, half_width, state.representation)
+        assert _mass_from_boxes(state.values, boxes) == pytest.approx(exact, rel=1e-13)
+        for j in range(len(boxes)):
+            dropped = boxes[:j] + boxes[j + 1:]
+            assert abs(_mass_from_boxes(state.values, dropped) / exact - 1.0) > 1e-10
+        # each axis band summed over the whole grid counts a corner per axis
+        band = _band_mask(make_grid(1, points, half_width), state.representation)
+        edges = np.flatnonzero(np.diff(np.r_[False, band, False]))
+        overlapping = []
+        for k in range(dims):
+            for a, b in zip(edges[::2], edges[1::2]):
+                box = [slice(None)] * dims
+                box[k] = slice(2 * a, 2 * b) if k == dims - 1 else slice(a, b)
+                overlapping.append(tuple(box))
+        assert abs(_mass_from_boxes(state.values, overlapping) / exact - 1.0) > 1e-10
+
+
+def test_band_slabs_tile_the_band_once_and_are_cached():
+    for dims, points, half_width in GUARD_GRIDS:
+        g = make_grid(dims, points, half_width)
+        for rep in ("position", "momentum"):
+            boxes = _band_slabs(dims, points, half_width, rep)
+            assert boxes is _band_slabs(dims, points, half_width, rep)
+            assert isinstance(boxes, tuple)
+            count = np.zeros(g.shape[:-1] + (2 * points,), dtype=int)
+            for box in boxes:
+                count[box] += 1
+            pairs = count.reshape(g.shape + (2,))
+            assert np.array_equal(pairs[..., 0], pairs[..., 1])
+            assert np.array_equal(pairs[..., 0], _band_mask(g, rep).astype(int))
+
+
+def test_edge_mass_holds_no_grid_sized_temporary(rng):
+    import tracemalloc
+
+    g = make_grid(2, 512, 20.0)
+    psi = random_state(g, rng, bandwidth=0.6, extent=0.6)
+    for state in (psi, to_momentum(psi)):
+        boundary_mass_fraction(state)  # the band slabs are cached before tracing
+        tracemalloc.start()
+        try:
+            boundary_mass_fraction(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * state.values.nbytes
+
+
+def test_fortran_ordered_samples_are_stored_in_c_order(rng):
+    # the finiteness check and the streamed passes read a float view, which
+    # needs the last axis contiguous
     g = make_grid(2, 64, 8.0)
     psi = random_state(g, rng, bandwidth=0.6, extent=0.6)
-    got = []
-    for state in (psi, to_momentum(psi)):
-        got.append(boundary_mass_fraction(state))
-        assert got[-1] == _uncached_edge_mass(state, 0.1)
-    assert len(set(got)) == 2 and min(got) > 0.0
-
-
-def test_edge_masks_are_cached_read_only():
-    mask = _edge_mask(2, 64, 8.0, "position")
-    assert mask is _edge_mask(2, 64, 8.0, "position")
-    assert not mask.flags.writeable
-    with pytest.raises(ValueError):
-        mask[0, 0] = False
+    f = WaveFunction(g, np.asfortranarray(psi.values))
+    assert f.values.flags.c_contiguous
+    assert np.array_equal(to_momentum(f).values, to_momentum(psi).values)
+    assert boundary_mass_fraction(f) == boundary_mass_fraction(psi)
 
 
 def test_equal_grids_built_apart_compare_and_hash_equal(rng):

@@ -19,15 +19,17 @@ from repscat import (
     propagate_kernel,
     random_state,
     singular_times,
+    to_momentum,
     trajectory_factors,
 )
 from repscat.errors import DomainEscapeError
-from repscat.grids import assert_contained
+from repscat.grids import LINE_BLOCK, assert_contained
 from repscat.mehler import (
-    CZT_BLOCK,
     _check_guard_time,
+    _branch_amplitude,
     _chirp_phase,
     _czt,
+    _semidft_axis,
     chirp_resolution_ok,
     mehler_phase,
 )
@@ -336,27 +338,77 @@ def test_czt_transforms_in_place(rng):
 
 
 def test_czt_line_longer_than_a_block(rng):
-    n = CZT_BLOCK
+    n = LINE_BLOCK
     w, a = np.exp(-1j * 0.37 / n), np.exp(0.2j)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.array_equal(_czt(x.copy(), w, a, 0), _reference_czt(x, w, a, 0))
 
 
-def test_propagate_factored_memory_budget():
+def _traced_peak(fn):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagate_factored_memory_budget():
     g = make_grid(2, 512, 20.0)
     psi = gaussian(g, momentum=0.3)
     spec = QuadraticSpec(dims=2, n_minus=1, omegas=(1.0,))
-    tracemalloc.start()
-    try:
-        propagate_factored(psi, 0.5, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the output and either the chirp or a guard's spectrum, plus one 1 MB
-    # chirp-z buffer; a padded copy of the grid would add two more states
-    assert peak <= 2.3 * psi.values.nbytes
+    peak = _traced_peak(lambda: propagate_factored(psi, 0.5, spec))
+    # the output plus 256 kB blocks of rows or lines and numpy's ufunc buffers;
+    # the chirp M_t or the spectrum |F psi|^2 would add one more state each
+    assert peak <= 1.4 * psi.values.nbytes
+
+
+def test_chirp_resolution_ok_memory_budget():
+    g = make_grid(2, 512, 20.0)
+    psi = gaussian(g, momentum=0.3)
+    spec = QuadraticSpec(dims=2, n_minus=1, omegas=(1.0,))
+    peak = _traced_peak(lambda: chirp_resolution_ok(psi, 0.5, spec))
+    # support and bandwidth marginals stream through blocks of lines
+    assert peak <= 0.1 * psi.values.nbytes
+
+
+def _full_chirp_factored(psi0, t, spec):
+    """propagate_factored with the chirp built on the full grid, as it was
+    before the chirp was applied in blocks of rows."""
+    grid = psi0.grid
+    fac = trajectory_factors(t, spec)
+    vals = _chirp_phase(grid, spec, fac, t) * psi0.values
+    amp = 1.0 + 0.0j
+    for k in range(grid.dims):
+        vals = _semidft_axis(vals, grid, axis=k, scale=fac.g[k])
+        amp *= _branch_amplitude(spec.sectors[k], spec.axis_omegas[k], t, fac.g[k])
+    chirp = _chirp_phase(grid, spec, fac, t)
+    np.multiply(amp, chirp, out=chirp)
+    np.multiply(chirp, vals, out=vals)
+    e2 = sum(e**2 for e in spec.fields)
+    if e2:
+        np.multiply(vals, np.exp(-1j * t**3 * e2 / 12.0), out=vals)
+    return vals
+
+
+@pytest.mark.parametrize("spec, points, half_width, t", [
+    (HYPER, 2**15, 12.0, 0.4),
+    (QuadraticSpec(dims=2, n_minus=1, omegas=(1.0,)), 256, 12.0, 0.5),
+    (QuadraticSpec(dims=3, n_minus=2, omegas=(1.0, 0.5)), 64, 8.0, -0.5),
+    (QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.7,)), 256, 12.0, 0.6),
+], ids=["1d-long", "2d", "3d", "stark"])
+def test_blocked_chirp_is_bit_identical_to_the_full_chirp(spec, points, half_width, t):
+    # blocks of rows: 2 in the long 1-D case, 4 in 2-D, 16 in 3-D
+    grid = make_grid(spec.dims, points, half_width)
+    psi = gaussian(grid, center=0.5, momentum=0.3)
+    out = propagate_factored(psi, t, spec)
+    assert np.array_equal(out.values, _full_chirp_factored(psi, t, spec))
+    fac = trajectory_factors(t, spec)
+    hat, _ = chirped_spectrum(psi, t, spec)
+    ref = to_momentum(WaveFunction(grid, _chirp_phase(grid, spec, fac, t) * psi.values))
+    assert np.array_equal(hat.values, ref.values)
 
 
 def test_chirp_resolution_ok_pinned():

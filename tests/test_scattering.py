@@ -237,6 +237,15 @@ def test_wave_operator_identity_when_free(l2):
     assert l2(out0, psi) == 0.0
 
 
+def test_wave_operator_checks_dims_before_the_chirp_floor():
+    # on 64 points the chirp floor would refuse the grid first ("increase
+    # points"); the dims mismatch is the error to report
+    psi = gaussian(make_grid(2, 64, 12.0))
+    with pytest.raises(ConfigurationError,
+                       match="grid dims 2 do not match quadratic spec dims 1"):
+        wave_operator(psi, 1.0, HYPER, LOGW)
+
+
 def _reference_edges(s0, horizons):
     """Slice edges for the horizons above s0: s0, each horizon, and every
     lattice point s0 + k 0.025 at least half a slice from all horizons."""
