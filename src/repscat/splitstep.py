@@ -130,8 +130,10 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
     """Repeated Strang steps with a final fractional step.
 
     Backward evolution (t < 0) runs the conjugate state forward, which is the
-    exact time-reversal for real potentials; the conjugations run in the
-    Strang loop's own buffer.  Returns (psi_t, telemetry).
+    exact time-reversal for real potentials, with the fractional step first,
+    so that propagate(propagate(psi, t)[0], -t) returns psi to rounding; the
+    conjugations run in the Strang loop's own buffer.  Returns (psi_t,
+    telemetry).
     """
     psi0 = to_position(psi0)
     if not l2_norm(psi0) > 0.0:
@@ -146,7 +148,10 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
             n_full += 1
         rem = 0.0
 
-    segments = [(d, n) for d, n in ((cfg.dt, n_full), (rem, 1)) if d and n]
+    # backward, the remainder step runs first: propagate(-t) then undoes
+    # propagate(t) step for step, since S(-h) is the exact inverse of S(h)
+    order = ((rem, 1), (cfg.dt, n_full)) if t < 0 else ((cfg.dt, n_full), (rem, 1))
+    segments = [(d, n) for d, n in order if d and n]
     if segments:
         vals, max_edge = _strang_steps(psi0.values, cfg, segments, "propagate",
                                        conjugate=t < 0)

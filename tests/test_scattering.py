@@ -39,9 +39,11 @@ from repscat.scattering import (
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
     DensitySnapshot,
+    _anchor_configs,
     _cell_average,
     _chirp_resolution_floor,
     _slice_edges,
+    _wave_operator_direct,
     _wave_operators,
     cauchy_differences,
     cook_record_to_csv,
@@ -235,6 +237,14 @@ def test_wave_operator_identity_when_free(l2):
     assert l2(out, psi) < 1e-10
     out0 = wave_operator(psi, 0.0, HYPER, LOGW)
     assert l2(out0, psi) == 0.0
+
+
+def test_free_anchor_is_an_exact_identity(l2):
+    # the wave-operator config's s0 ends on a fractional step; with V = 0 the
+    # backward run undoes the forward one step for step
+    psi = gaussian(make_grid(1, 2048, 12.0))
+    anchor = _anchor_configs(psi.grid, HYPER, lambda x: 0.0 * x)
+    assert l2(_wave_operator_direct(psi, 0.0572, anchor), psi) <= 1e-13
 
 
 def test_wave_operator_checks_dims_before_the_chirp_floor():

@@ -42,15 +42,20 @@ def _reference_strang_step(vals, cfg, dt):
 def _reference_propagate(psi0, t, cfg):
     """Strang loop that allocates fresh arrays every step.  `propagate` runs
     the same arithmetic on two reused buffers; complex multiply is not
-    bitwise commutative, so it matches this reference to rounding."""
+    bitwise commutative, so it matches this reference to rounding.  Backward
+    (t < 0) runs the conjugate state forward with the fractional step first,
+    mirroring the forward run step for step."""
     psi0 = to_position(psi0)
     if t == 0.0:
         return psi0, {"steps": 0, "max_edge_mass": 0.0}
     if t < 0:
         conj = WaveFunction(psi0.grid, np.conj(psi0.values), POSITION)
-        out, tele = _reference_propagate(conj, -t, cfg)
+        out, tele = _reference_forward(conj, -t, cfg, remainder_first=True)
         return WaveFunction(out.grid, np.conj(out.values), POSITION), tele
+    return _reference_forward(psi0, t, cfg, remainder_first=False)
 
+
+def _reference_forward(psi0, t, cfg, remainder_first):
     n_full, rem = divmod(t, cfg.dt)
     n_full = int(round(n_full))
     if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
@@ -65,6 +70,9 @@ def _reference_propagate(psi0, t, cfg):
     vals = psi0.values
     max_edge = 0.0
     guard_args = (grid, POSITION, cfg.edge_mass_tol, "propagate")
+    if rem and remainder_first:
+        vals = _reference_strang_step(vals, cfg, rem)
+        max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     if n_full:
         vals = half_v * vals
         for k in range(n_full - 1):
@@ -74,9 +82,9 @@ def _reference_propagate(psi0, t, cfg):
         vals = np.fft.ifftn(kin * np.fft.fftn(vals))
         vals = half_v * vals
         max_edge = max(max_edge, _guard_edge(vals, *guard_args))
-    if rem:
+    if rem and not remainder_first:
         vals = _reference_strang_step(vals, cfg, rem)
-    if rem or not n_full:
+    if (rem and not remainder_first) or not (n_full or rem):
         max_edge = max(max_edge, _guard_edge(vals, *guard_args))
     return WaveFunction(grid, vals, POSITION), {"steps": n_full + (1 if rem else 0),
                                                 "max_edge_mass": max_edge}
@@ -150,6 +158,18 @@ def test_propagate_roundtrip(l2):
     fwd, _ = propagate(psi, 0.5, cfg)
     back, _ = propagate(fwd, -0.5, cfg)
     assert l2(back, psi) <= 1e-8
+
+
+def test_roundtrip_with_a_fractional_step_is_exact(l2):
+    # velocity_alpha1's grid and step: t = 1.0005 ends on a half step, and
+    # the backward run undoes it first (the forward run last), so the round
+    # trip is S(-dt)^n S(-r) S(r) S(dt)^n, the identity to rounding
+    g = make_grid(1, 4096, 152.0)
+    psi = gaussian(g)
+    cfg = evolution_config(g, 2e-3, repulsive=RepulsiveSpec(1.0))
+    fwd, _ = propagate(psi, 1.0005, cfg)
+    back, _ = propagate(fwd, -1.0005, cfg)
+    assert l2(back, psi) <= 1e-12
 
 
 def test_time_reversal_by_conjugation(l2):
@@ -349,8 +369,8 @@ def test_propagate_returns_unaliased_read_only_states():
 def test_propagate_is_unitary_and_reversible(shape, alpha, dt, steps, frac, center,
                                              momentum, width):
     """Every Strang step is a product of unitary phases and FFTs, so the
-    norm holds to roundoff at any t, and a whole number of steps run back
-    by propagate(-t) returns the start state to roundoff.  Both are lattice
+    norm holds to roundoff at any t, and propagate(-t), which runs the
+    fractional step first, returns the start state to roundoff.  Both are lattice
     identities that need no containment, so the edge guard is relaxed as in
     the wave-operator anchor: on 16^2 points a unit packet puts more than
     1e-6 of its mass in the edge band within a dozen steps."""
@@ -359,6 +379,7 @@ def test_propagate_is_unitary_and_reversible(shape, alpha, dt, steps, frac, cent
     psi = gaussian(g, center=center, width=width, momentum=momentum)
     odd, _ = propagate(psi, (steps + frac) * dt, cfg)
     assert l2_norm(odd) == pytest.approx(l2_norm(psi), rel=1e-12)
-    fwd, _ = propagate(psi, steps * dt, cfg)
-    back, _ = propagate(fwd, -steps * dt, cfg)
-    assert l2_norm(WaveFunction(g, back.values - psi.values)) <= 1e-11
+    for t in (steps * dt, (steps + frac) * dt):
+        fwd, _ = propagate(psi, t, cfg)
+        back, _ = propagate(fwd, -t, cfg)
+        assert l2_norm(WaveFunction(g, back.values - psi.values)) <= 1e-11
