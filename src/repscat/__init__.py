@@ -29,6 +29,7 @@ from .grids import (
     expectation,
     gaussian,
     inner,
+    l2_distance,
     l2_norm,
     make_grid,
     random_state,
@@ -47,7 +48,6 @@ from .mehler import (
 )
 from .phasespace import (
     CutoffSpec,
-    SymbolFn,
     a2_bracket_closed_form,
     mourre_shell_scan,
     poisson_bracket,

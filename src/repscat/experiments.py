@@ -3,7 +3,6 @@ collect metrics, pass/fail checks, and CSV artifacts."""
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -12,7 +11,7 @@ from . import classical as cl
 from . import scattering as sc
 from .config import KINDS, ExperimentConfig, read_config
 from .errors import ConfigurationError
-from .grids import LINE_BLOCK, gaussian, l2_norm, to_position
+from .grids import gaussian, l2_distance, l2_norm, to_position
 from .mehler import propagate_factored
 from .phasespace import (
     heuristic_a_symbol,
@@ -109,15 +108,6 @@ def _split_step(grid, dt, **blocks):
     return evolution_config(grid, dt, **blocks)
 
 
-def _sq_distance(a, b) -> float:
-    """sum |a - b|^2, formed in blocks of leading-axis rows so that no
-    grid-sized difference exists (a 1-D state of up to LINE_BLOCK points is
-    one block)."""
-    rows = max(1, LINE_BLOCK // math.prod(a.shape[1:]))
-    return sum(float(np.sum(np.abs(a[i:i + rows] - b[i:i + rows]) ** 2))
-               for i in range(0, a.shape[0], rows))
-
-
 def run_propagate(v, out_dir):
     grid, psi0, quad, rep, pert = _on_grid(v)
     t = v["t"]
@@ -132,11 +122,11 @@ def run_propagate(v, out_dir):
     back = evolve(out, -t)
     # the round-trip difference needs psi0 and back only
     del out
-    rt = np.sqrt(_sq_distance(back.values, to_position(psi0).values) * back.measure)
-    metrics = {"norm_drift": drift, "roundtrip_error": float(rt), "t": t}
+    rt = l2_distance(back, to_position(psi0))
+    metrics = {"norm_drift": drift, "roundtrip_error": rt, "t": t}
     checks = [
         _bound_check("unitarity", drift, v["norm_tol"]),
-        _bound_check("reversibility", float(rt), v["roundtrip_tol"]),
+        _bound_check("reversibility", rt, v["roundtrip_tol"]),
     ]
     return metrics, checks
 

@@ -172,6 +172,17 @@ def l2_norm(psi: WaveFunction) -> float:
     return float(np.sqrt(np.sum(psi.density()) * psi.measure))
 
 
+def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
+    """Discrete L2 distance sqrt(sum |a - b|^2 * cell measure) between two
+    states in one representation on one grid, summed in blocks of
+    leading-axis rows so that no grid-sized difference exists (a 1-D state
+    of up to LINE_BLOCK points is one block)."""
+    rows = max(1, LINE_BLOCK // math.prod(a.values.shape[1:]))
+    sq = sum(float(np.sum(np.abs(a.values[i:i + rows] - b.values[i:i + rows]) ** 2))
+             for i in range(0, a.values.shape[0], rows))
+    return float(np.sqrt(sq * a.measure))
+
+
 def inner(a: WaveFunction, b: WaveFunction) -> complex:
     """Sesquilinear <a, b> in the shared representation."""
     if a.representation != b.representation or a.grid is not b.grid and a.grid != b.grid:

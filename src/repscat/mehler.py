@@ -141,21 +141,12 @@ def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: f
     return factors
 
 
-def _chirp_phase(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> np.ndarray:
-    """M_t on the grid, the product of _chirp_factors taken axis by axis; in
-    1-D the single factor is returned as it is."""
-    chirp, *rest = _chirp_factors(grid, spec, fac, t)
-    for factor in rest:
-        chirp = chirp * factor
-    return chirp
-
-
 def _times_chirp(factors: list, values: np.ndarray, out: np.ndarray, amp=None) -> np.ndarray:
     """out <- (amp *) M_t * values for M_t given by its per-axis factors.
 
-    M_t is formed one block of leading-axis rows at a time, in the order of
-    _chirp_phase, so the result is bit-identical to the full-grid product
-    and no N^d chirp exists; out may be values itself."""
+    M_t is formed one block of leading-axis rows at a time, multiplying the
+    factors in axis order, so the result is bit-identical to the full-grid
+    product of the factors and no N^d chirp exists; out may be values itself."""
     rows = max(1, LINE_BLOCK // math.prod(values.shape[1:]))
     for i in range(0, values.shape[0], rows):
         chirp = factors[0][i:i + rows]

@@ -3,9 +3,6 @@ h = xi^2 - <x>^alpha, and energy-shell scans for the lower bound sigma - eta."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .csvout import write_rows
@@ -13,31 +10,17 @@ from .errors import ConfigurationError
 from .potentials import bracket_x, sigma_alpha
 
 
-@dataclass(frozen=True)
-class SymbolFn:
-    """Scalar phase-space symbol with its analytic partials.
+def poisson_bracket(h, a, x, xi):
+    """{h, a} = dh/dxi * da/dx - dh/dx * da/dxi for 1-D symbols.
 
-    fn(x, xi) -> value; grad_x/grad_xi mirror the signature.  All entries
-    accept arrays and broadcast.
+    A symbol is one function (x, xi) -> (value, d/dx, d/dxi) built by the
+    factories below; x and xi are broadcast to one float shape here, so each
+    symbol is called once and every partial it returns has that shape.
     """
-
-    fn: Callable
-    grad_x: Callable
-    grad_xi: Callable
-
-    def value(self, x, xi):
-        return self.fn(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-
-    def dx(self, x, xi):
-        return self.grad_x(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-
-    def dxi(self, x, xi):
-        return self.grad_xi(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-
-
-def poisson_bracket(h: SymbolFn, a: SymbolFn, x, xi):
-    """{h, a} = dh/dxi * da/dx - dh/dx * da/dxi (1-D symbols)."""
-    return h.dxi(x, xi) * a.dx(x, xi) - h.dx(x, xi) * a.dxi(x, xi)
+    x, xi = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+    _, h_x, h_xi = h(x, xi)
+    _, a_x, a_xi = a(x, xi)
+    return h_xi * a_x - h_x * a_xi
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +52,10 @@ class CutoffSpec:
         return p / (p + q)
 
     def derivative(self, u):
+        return self.value_and_derivative(u)[1]
+
+    def value_and_derivative(self, u):
+        """(psi(u), psi'(u)) from one evaluation of the shoulder."""
         u = np.asarray(u, dtype=float)
         v, p, q = self._shoulder(u)
         # f'(s) = f(s)/s^2, so dS/dv = p q (1/(1+v)^2 + 1/(1-v)^2) / (p+q)^2,
@@ -77,7 +64,7 @@ class CutoffSpec:
         w = np.where(inside, v, 0.0)
         ds_dv = np.where(inside, p * q * (1.0 / (1.0 + w) ** 2 + 1.0 / (1.0 - w) ** 2)
                          / (p + q) ** 2, 0.0)
-        return -np.sign(u) * ds_dv * 2.0 / (self.support - self.plateau)
+        return p / (p + q), -np.sign(u) * ds_dv * 2.0 / (self.support - self.plateau)
 
 
 DEFAULT_CUTOFF = CutoffSpec()
@@ -94,14 +81,15 @@ def symbol_a2(x, xi):
     return np.log(bracket_x(xi + x)) - np.log(bracket_x(xi - x))
 
 
-def a2_symbol() -> SymbolFn:
-    def dx(x, xi):
-        return (xi + x) / (1.0 + (xi + x) ** 2) + (xi - x) / (1.0 + (xi - x) ** 2)
+def a2_symbol():
+    """a_2 as one symbol (x, xi) -> (value, d/dx, d/dxi)."""
 
-    def dxi(x, xi):
-        return (xi + x) / (1.0 + (xi + x) ** 2) - (xi - x) / (1.0 + (xi - x) ** 2)
+    def symbol(x, xi):
+        p, m = xi + x, xi - x
+        dp, dm = p / (1.0 + p**2), m / (1.0 + m**2)
+        return np.log(bracket_x(p)) - np.log(bracket_x(m)), dp + dm, dp - dm
 
-    return SymbolFn(fn=symbol_a2, grad_x=dx, grad_xi=dxi)
+    return symbol
 
 
 def a2_bracket_closed_form(x, xi):
@@ -126,84 +114,59 @@ def symbol_a_alpha(x, xi, alpha):
     return x * xi * bracket_x(x) ** (-alpha) * DEFAULT_CUTOFF(_shell_ratio(x, xi, alpha))
 
 
-def a_alpha_symbol(alpha: float) -> SymbolFn:
-    def fn(x, xi):
-        return symbol_a_alpha(x, xi, alpha)
+def a_alpha_symbol(alpha: float):
+    """a_alpha as one symbol (x, xi) -> (value, d/dx, d/dxi): <x>^alpha, the
+    shell ratio u and psi(u), psi'(u) are evaluated once for all three."""
+    if not (0.0 < alpha < 2.0):
+        raise ConfigurationError("a_alpha_symbol requires alpha in (0, 2)")
 
-    def du_dx(x, xi):
+    def symbol(x, xi):
         bx = bracket_x(x)
         bx_a = bx**alpha
+        xi2 = xi**2
+        u = (xi2 - bx_a) / (xi2 + bx_a)
+        psi, dpsi = DEFAULT_CUTOFF.value_and_derivative(u)
+        decay = bx ** (-alpha)
+        core = x * xi * decay
+        dcore = xi * decay - alpha * x**2 * xi * bx ** (-alpha - 2.0)
         dbx_a = alpha * bx ** (alpha - 2.0) * x
-        denom = (xi**2 + bx_a) ** 2
-        return (-dbx_a * (xi**2 + bx_a) - (xi**2 - bx_a) * dbx_a) / denom
+        denom = (xi2 + bx_a) ** 2
+        du_dx = (-dbx_a * (xi2 + bx_a) - (xi2 - bx_a) * dbx_a) / denom
+        du_dxi = (2 * xi * (xi2 + bx_a) - (xi2 - bx_a) * 2 * xi) / denom
+        return (core * psi,
+                dcore * psi + core * dpsi * du_dx,
+                x * decay * psi + core * dpsi * du_dxi)
 
-    def du_dxi(x, xi):
-        bx_a = bracket_x(x) ** alpha
-        denom = (xi**2 + bx_a) ** 2
-        return (2 * xi * (xi**2 + bx_a) - (xi**2 - bx_a) * 2 * xi) / denom
+    return symbol
 
-    def dx(x, xi):
+
+def hamiltonian_symbol(alpha: float):
+    """h = xi^2 - <x>^alpha as one symbol (x, xi) -> (value, d/dx, d/dxi)."""
+
+    def symbol(x, xi):
         bx = bracket_x(x)
-        u = _shell_ratio(x, xi, alpha)
-        core = x * xi * bx ** (-alpha)
-        dcore = xi * bx ** (-alpha) - alpha * x**2 * xi * bx ** (-alpha - 2.0)
-        return (dcore * DEFAULT_CUTOFF(u)
-                + core * DEFAULT_CUTOFF.derivative(u) * du_dx(x, xi))
+        return xi**2 - bx**alpha, -alpha * bx ** (alpha - 2.0) * x, 2.0 * xi
 
-    def dxi(x, xi):
-        bx = bracket_x(x)
-        u = _shell_ratio(x, xi, alpha)
-        core = x * xi * bx ** (-alpha)
-        return (x * bx ** (-alpha) * DEFAULT_CUTOFF(u)
-                + core * DEFAULT_CUTOFF.derivative(u) * du_dxi(x, xi))
-
-    return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
+    return symbol
 
 
-def hamiltonian_symbol(alpha: float) -> SymbolFn:
-    """h = xi^2 - <x>^alpha with analytic partials."""
-
-    def fn(x, xi):
-        return xi**2 - bracket_x(x) ** alpha
-
-    def dx(x, xi):
-        return -alpha * bracket_x(x) ** (alpha - 2.0) * np.asarray(x, dtype=float) \
-            + 0.0 * np.asarray(xi, dtype=float)
-
-    def dxi(x, xi):
-        return 2.0 * np.asarray(xi, dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
-
-
-def plain_hamiltonian_symbol(alpha: float) -> SymbolFn:
+def plain_hamiltonian_symbol(alpha: float):
     """Unregularized h = xi^2 - x^alpha on x > 0 (heuristic bracket checks)."""
 
-    def fn(x, xi):
-        return xi**2 - np.asarray(x, dtype=float) ** alpha
+    def symbol(x, xi):
+        return xi**2 - x**alpha, -alpha * x ** (alpha - 1.0), 2.0 * xi
 
-    def dx(x, xi):
-        return -alpha * np.asarray(x, dtype=float) ** (alpha - 1.0) + 0.0 * np.asarray(xi)
-
-    def dxi(x, xi):
-        return 2.0 * np.asarray(xi, dtype=float) + 0.0 * np.asarray(x)
-
-    return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
+    return symbol
 
 
-def heuristic_a_symbol(alpha: float) -> SymbolFn:
+def heuristic_a_symbol(alpha: float):
     """Un-cut a = xi x^{1-alpha} on x > 0."""
 
-    def fn(x, xi):
-        return np.asarray(xi, dtype=float) * np.asarray(x, dtype=float) ** (1.0 - alpha)
+    def symbol(x, xi):
+        x_pow = x ** (1.0 - alpha)
+        return xi * x_pow, (1.0 - alpha) * xi * x ** (-alpha), x_pow
 
-    def dx(x, xi):
-        return (1.0 - alpha) * np.asarray(xi, dtype=float) * np.asarray(x, dtype=float) ** (-alpha)
-
-    def dxi(x, xi):
-        return np.asarray(x, dtype=float) ** (1.0 - alpha) + 0.0 * np.asarray(xi)
-
-    return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
+    return symbol
 
 
 def heuristic_bracket_identity(x, E, alpha):
@@ -219,22 +182,18 @@ def symbol_v_alpha(x, xi, alpha):
     return sigma_alpha(alpha) * x * xi * bracket_x(x) ** (-1.0 - alpha / 2.0)
 
 
-def v_alpha_symbol(alpha: float) -> SymbolFn:
+def v_alpha_symbol(alpha: float):
+    """v_alpha as one symbol (x, xi) -> (value, d/dx, d/dxi)."""
     s = sigma_alpha(alpha)
 
-    def fn(x, xi):
-        return symbol_v_alpha(x, xi, alpha)
-
-    def dx(x, xi):
+    def symbol(x, xi):
         bx = bracket_x(x)
-        return s * xi * (bx ** (-1.0 - alpha / 2.0)
-                         - (1.0 + alpha / 2.0) * x**2 * bx ** (-3.0 - alpha / 2.0))
+        decay = bx ** (-1.0 - alpha / 2.0)
+        return (s * x * xi * decay,
+                s * xi * (decay - (1.0 + alpha / 2.0) * x**2 * bx ** (-3.0 - alpha / 2.0)),
+                s * x * decay)
 
-    def dxi(x, xi):
-        return s * np.asarray(x, dtype=float) * bracket_x(x) ** (-1.0 - alpha / 2.0) \
-            + 0.0 * np.asarray(xi)
-
-    return SymbolFn(fn=fn, grad_x=dx, grad_xi=dxi)
+    return symbol
 
 
 def symbol_accel_alpha(x, xi, alpha):
@@ -277,17 +236,7 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     restricted = not bool(np.all(feasible))
     radii = radii[feasible]
     target = sigma_alpha(alpha) - eta
-    if radii.size == 0:
-        return {
-            "min_bracket": np.inf,
-            "violating_points": np.empty((0, 3)),
-            "R_threshold": np.inf,
-            "constraint_restricted": True,
-            "points": np.empty((0, 3)),
-            "shell_E": E,
-            "target": target,
-        }
-    xi_mag = np.sqrt(bracket_x(radii) ** alpha + E)
+    xi_mag = np.sqrt(wx[feasible] + E)
     xs = np.concatenate([radii, radii, -radii, -radii])
     xis = np.concatenate([xi_mag, -xi_mag, xi_mag, -xi_mag])
     br = poisson_bracket(h, a, xs, xis)
@@ -299,14 +248,10 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     sorted_bad = bad[order]
     sorted_r = rads[order]
     viol_idx = np.nonzero(sorted_bad)[0]
-    if viol_idx.size == 0:
-        r_threshold = float(sorted_r[0])
-    elif viol_idx[-1] == len(sorted_r) - 1:
-        r_threshold = np.inf
-    else:
-        r_threshold = float(sorted_r[viol_idx[-1] + 1])
+    first_good = viol_idx[-1] + 1 if viol_idx.size else 0
+    r_threshold = float(sorted_r[first_good]) if first_good < len(sorted_r) else np.inf
     return {
-        "min_bracket": float(np.min(br)),
+        "min_bracket": float(np.min(br, initial=np.inf)),
         "violating_points": pts[bad],
         "R_threshold": r_threshold,
         "constraint_restricted": restricted,

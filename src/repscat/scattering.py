@@ -26,11 +26,18 @@ from .grids import (
     Grid,
     WaveFunction,
     _checked_density,
+    l2_distance,
     tail_radii,
     to_momentum,
     to_position,
 )
-from .mehler import _chirp_phase, _on_spec_grid, chirped_spectrum, trajectory_factors
+from .mehler import (
+    _chirp_factors,
+    _on_spec_grid,
+    _times_chirp,
+    chirped_spectrum,
+    trajectory_factors,
+)
 from .potentials import (
     QuadraticSpec,
     p_alpha,
@@ -381,11 +388,12 @@ def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: f
                              perturbation: Callable):
     """exp(i delta W_s) = M_s^* F^* exp(i delta V(g(2s) .)) F M_s with W_s =
     exp(i s H0) V exp(-i s H0), exactly unitary on the lattice: returns the
-    chirp M_s and the dual-lattice multiplier exp(i delta V(g(2s) .))."""
+    per-axis factors of the chirp M_s (mehler._chirp_factors) and the
+    dual-lattice multiplier exp(i delta V(g(2s) .))."""
     fac = trajectory_factors(s, spec)
-    chirp = _chirp_phase(grid, spec, fac, s)
+    factors = _chirp_factors(grid, spec, fac, s)
     vbar = _lattice_values(perturbation, _Lattice(grid, fac.g, True))
-    return chirp, np.exp(1j * delta * vbar)
+    return factors, np.exp(1j * delta * vbar)
 
 
 def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
@@ -426,7 +434,7 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     slice lattice.
 
     Walking the slices of _slice_edges from the top down, each slice's
-    (chirp, multiplier) is built once and applied in place to every chain
+    (chirp factors, multiplier) is built once and applied in place to every chain
     whose horizon is at or above the slice's top edge; a chain starts as a
     copy of phi when the descent reaches its horizon.  Every chain uses the
     same slices below its horizon, so Omega_T2 = Omega_T1 S(T1, T2) holds
@@ -459,12 +467,15 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
         if horizons and hi == horizons[-1]:
             chains[horizons.pop()] = phi.values.copy()
-        chirp, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
-                                                     perturbation)
-        conj = np.conj(chirp)
+        factors, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
+                                                       perturbation)
+        # conj(a b) = conj(a) conj(b) exactly, so M_s^* is the product of
+        # the conjugated factors
+        conj = [np.conj(f) for f in factors]
         for u in chains.values():
-            np.multiply(chirp, u, out=u)
-            _fourier_step(u, work, multiplier, conj)
+            _times_chirp(factors, u, u)
+            _fourier_step(u, work, multiplier)
+            _times_chirp(conj, u, u)
     for T, u in chains.items():
         out[T] = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, anchor)
     return out
@@ -502,10 +513,7 @@ def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSp
     [T1, T2], pushed through the same unitary lower chain."""
     states = _wave_operators(phi, Ts, spec, perturbation)
     omegas = {T: states[T] for T in Ts}
-    diffs = []
-    for t1, t2 in zip(Ts, Ts[1:]):
-        d = omegas[t2].values - omegas[t1].values
-        diffs.append(float(np.sqrt(np.sum(np.abs(d) ** 2) * omegas[t2].measure)))
+    diffs = [l2_distance(omegas[t2], omegas[t1]) for t1, t2 in zip(Ts, Ts[1:])]
     return diffs, omegas
 
 

@@ -22,6 +22,7 @@ from .grids import (
     WaveFunction,
     _guard_edge,
     expectation,
+    l2_distance,
     l2_norm,
     to_momentum,
     to_position,
@@ -80,15 +81,13 @@ def evolution_config(grid: Grid, dt: float,
     return EvolutionConfig(grid=grid, dt=dt, potential=pot, edge_mass_tol=edge_mass_tol)
 
 
-def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray,
-                  phase: np.ndarray) -> None:
-    """buf <- phase * F^-1(multiplier * F buf) in place through `spec`: every
-    Strang step and wave-operator slice.  Complex multiply is not bitwise
-    commutative, so the operand order is fixed here for all of them."""
+def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray) -> None:
+    """buf <- F^-1(multiplier * F buf) in place through `spec`: the Fourier
+    half of every Strang step and wave-operator slice, whose callers then
+    apply their own position phase."""
     np.fft.fftn(buf, out=spec)
     np.multiply(multiplier, spec, out=spec)
     np.fft.ifftn(spec, out=buf)
-    np.multiply(phase, buf, out=buf)
 
 
 def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str,
@@ -110,7 +109,8 @@ def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str
         kin = np.exp(-1j * dt * cfg.kinetic)
         np.multiply(half_v, vals, out=buf)
         for k in range(n):
-            _fourier_step(buf, spec, kin, full_v if k < n - 1 else half_v)
+            _fourier_step(buf, spec, kin)
+            np.multiply(full_v if k < n - 1 else half_v, buf, out=buf)
             max_edge = max(max_edge, _guard_edge(buf, *guard_args))
         vals = buf
     if conjugate:
@@ -194,12 +194,11 @@ def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig, dt_seq
     if len(dts) < 4:
         raise ConfigurationError("need at least 4 dt values in geometric progression")
     ref = dense_oracle(psi0, t, cfg)
-    ref_norm = np.sqrt(np.sum(np.abs(ref.values) ** 2) * ref.measure)
+    ref_norm = l2_norm(ref)
     errs = []
     for d in dts:
         out, _ = propagate(psi0, t, replace(cfg, dt=d))
-        err = np.sqrt(np.sum(np.abs(out.values - ref.values) ** 2) * out.measure)
-        errs.append(float(err / ref_norm))
+        errs.append(l2_distance(out, ref) / ref_norm)
     errs = np.array(errs)
     floor = 1e-11
     keep = errs > floor

@@ -293,7 +293,7 @@ def test_criterion_11_symbol_consistency():
     traj = rs.flow(rs.zero_energy_start(alpha), alpha, 6.0, 1e-4, record_every=10)
     hsym = hamiltonian_symbol(alpha)
     vsym = v_alpha_symbol(alpha)
-    vals = vsym.value(traj.xs[:, 0], traj.xis[:, 0])
+    vals = rs.symbol_v_alpha(traj.xs[:, 0], traj.xis[:, 0], alpha)
     dadt = np.gradient(vals, traj.times)
     br = poisson_bracket(hsym, vsym, traj.xs[:, 0], traj.xis[:, 0])
     flow_dev = float(np.max(np.abs(dadt[2:-2] - br[2:-2])))

@@ -12,6 +12,7 @@ from repscat import (
     boundary_mass_fraction,
     expectation,
     gaussian,
+    l2_distance,
     l2_norm,
     make_grid,
     random_state,
@@ -87,6 +88,21 @@ def test_l2_norm_rejects_nan():
     vals[3] = np.nan
     with pytest.raises(NumericalStateError):
         l2_norm(WaveFunction(g, vals))
+
+
+@pytest.mark.parametrize("dims, points", [(1, 512), (1, 2**15), (2, 256), (3, 64)])
+def test_l2_distance_matches_the_full_grid_difference(dims, points, rng, l2):
+    # blocks of rows: one in 1-D up to LINE_BLOCK points, 2 in the long 1-D
+    # case, 4 in 2-D, 16 in 3-D
+    g = make_grid(dims, points, 8.0)
+    a = random_state(g, rng)
+    b = random_state(g, rng)
+    if dims == 1 and points <= 2**14:
+        # one block: the same sum as the full-grid formula, bit for bit
+        assert l2_distance(a, b) == l2(a, b)
+    else:
+        assert l2_distance(a, b) == pytest.approx(l2(a, b), rel=1e-13)
+    assert l2_distance(a, a) == 0.0
 
 
 def test_transform_roundtrip(rng, l2):

@@ -4,7 +4,6 @@ import pytest
 from repscat import (
     ConfigurationError,
     CutoffSpec,
-    SymbolFn,
     flow,
     mourre_shell_scan,
     poisson_bracket,
@@ -65,6 +64,15 @@ def test_a_alpha_example_value():
     xi = bracket_x(4.0) ** 0.5
     assert symbol_a_alpha(x, xi, alpha) == pytest.approx(4.0 / bracket_x(4.0) ** 0.5,
                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 2.5])
+def test_a_alpha_refuses_alpha_outside_its_range(alpha):
+    # alpha = 2 has its own conjugate symbol a_2
+    with pytest.raises(ConfigurationError):
+        symbol_a_alpha(3.0, 5.0, alpha)
+    with pytest.raises(ConfigurationError):
+        a_alpha_symbol(alpha)
 
 
 def test_cutoff_shape():
@@ -186,11 +194,10 @@ def test_bracket_bilinearity(rng):
     h = hamiltonian_symbol(1.0)
     a = v_alpha_symbol(1.0)
     b = a_alpha_symbol(1.0)
-    combo = SymbolFn(
-        fn=lambda x, xi: 2.0 * a.fn(x, xi) + 3.0 * b.fn(x, xi),
-        grad_x=lambda x, xi: 2.0 * a.dx(x, xi) + 3.0 * b.dx(x, xi),
-        grad_xi=lambda x, xi: 2.0 * a.dxi(x, xi) + 3.0 * b.dxi(x, xi),
-    )
+
+    def combo(x, xi):
+        return tuple(2.0 * p + 3.0 * q for p, q in zip(a(x, xi), b(x, xi)))
+
     for _ in range(20):
         x = float(rng.uniform(0.5, 6))
         xi = float(rng.uniform(-4, 4))
@@ -205,22 +212,53 @@ def test_bracket_bilinearity(rng):
     (a_alpha_symbol, (1.5,)),
     (v_alpha_symbol, (0.7,)),
     (hamiltonian_symbol, (1.3,)),
+    (plain_hamiltonian_symbol, (1.5,)),
+    (heuristic_a_symbol, (1.5,)),
+    (heuristic_a_symbol, (0.5,)),
 ])
 def test_gradient_consistency_analytic_vs_fd(make, args, rng):
     sym = make(*args)
+    # the unregularized heuristic symbols live on x > 0
+    x_range = (0.5, 8) if make in (plain_hamiltonian_symbol, heuristic_a_symbol) else (-8, 8)
     h = 1e-5
     n_checked = 0
     for _ in range(1000):
-        x = float(rng.uniform(-8, 8))
+        x = float(rng.uniform(*x_range))
         xi = float(rng.uniform(-8, 8))
-        gx_a, gxi_a = sym.dx(x, xi), sym.dxi(x, xi)
-        gx_f = (sym.fn(x + h, xi) - sym.fn(x - h, xi)) / (2 * h)
-        gxi_f = (sym.fn(x, xi + h) - sym.fn(x, xi - h)) / (2 * h)
+        _, gx_a, gxi_a = sym(x, xi)
+        gx_f = (sym(x + h, xi)[0] - sym(x - h, xi)[0]) / (2 * h)
+        gxi_f = (sym(x, xi + h)[0] - sym(x, xi - h)[0]) / (2 * h)
         scale = max(abs(gx_a), abs(gxi_a), 1.0)
         assert abs(gx_a - gx_f) < 1e-5 * scale
         assert abs(gxi_a - gxi_f) < 1e-5 * scale
         n_checked += 1
     assert n_checked == 1000
+
+
+@pytest.mark.parametrize("x, xi", [
+    (np.linspace(-3.0, 3.0, 7), np.linspace(-1.0, 2.0, 7)),
+    (1.5, np.linspace(-1.0, 2.0, 7)),
+    (np.linspace(0.5, 3.0, 4)[:, None], np.linspace(-1.0, 2.0, 5)),
+], ids=["arrays", "scalar-x", "outer"])
+def test_poisson_bracket_calls_each_symbol_once(x, xi):
+    calls = []
+
+    def counted(sym, name):
+        def wrapped(x, xi):
+            calls.append((name, np.shape(x), np.shape(xi)))
+            return sym(x, xi)
+        return wrapped
+
+    h, a = hamiltonian_symbol(1.3), a_alpha_symbol(1.3)
+    br = poisson_bracket(counted(h, "h"), counted(a, "a"), x, xi)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(xi))
+    # both symbols see x and xi already broadcast to the bracket's shape
+    assert calls == [("h", shape, shape), ("a", shape, shape)]
+    assert br.shape == shape
+    xb, xib = np.broadcast_arrays(np.asarray(x, dtype=float), xi)
+    _, h_x, h_xi = h(xb, xib)
+    _, a_x, a_xi = a(xb, xib)
+    assert np.array_equal(br, h_xi * a_x - h_x * a_xi)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7, 2.0])
@@ -263,7 +301,7 @@ def test_bracket_matches_time_derivative_along_flow():
     a = v_alpha_symbol(alpha)
     x = traj.xs[:, 0]
     xi = traj.xis[:, 0]
-    vals = a.value(x, xi)
+    vals = symbol_v_alpha(x, xi, alpha)
     dadt = np.gradient(vals, traj.times)
     br = poisson_bracket(h, a, x, xi)
     # central differences on the recorded lattice: compare away from ends

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -23,7 +24,7 @@ from repscat import (
 )
 from repscat.errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from repscat.grids import MOMENTUM, POSITION
-from repscat.mehler import _chirp_phase, trajectory_factors
+from repscat.mehler import _chirp_factors, trajectory_factors
 from repscat.potentials import (
     PRESETS,
     bracket_x,
@@ -42,6 +43,7 @@ from repscat.scattering import (
     _anchor_configs,
     _cell_average,
     _chirp_resolution_floor,
+    _interaction_phase_slice,
     _slice_edges,
     _wave_operator_direct,
     _wave_operators,
@@ -277,7 +279,7 @@ def _reference_slices(phi_values, grid, spec, perturbation, edges):
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
         s, delta = 0.5 * (lo + hi), hi - lo
         fac = trajectory_factors(s, spec)
-        chirp = _chirp_phase(grid, spec, fac, s)
+        chirp = functools.reduce(np.multiply, _chirp_factors(grid, spec, fac, s))
         if grid.dims == 1:
             vbar = _cell_average(perturbation, float(fac.g[0]), grid.freq_nodes,
                                  grid.freq_spacing)
@@ -319,6 +321,33 @@ def test_wave_operator_slices_match_reference_loop(grid, spec, perturbation, T):
         np.testing.assert_allclose(out.values, ref.values, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(ref.values)))
     assert np.array_equal(psi.values, start)
+
+
+def test_2d_slices_are_bit_identical_to_the_full_grid_chirp_product():
+    # the descent applies M_s and M_s^* in blocks of rows from the per-axis
+    # factors (and their conjugates); here each slice forms the full-grid
+    # product of the factors and its conjugate, in the same operand order
+    grid = make_grid(2, 64, 4.0)
+    spec = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,))
+    pert = preset_power(1.0, 1.0)
+    psi = gaussian(grid, width=0.7, momentum=0.3)
+    T = 1.0
+    s0 = max(2.0 * _chirp_resolution_floor(psi, spec), 0.05)
+    edges = _slice_edges(s0, [T])
+    assert len(edges) > 2
+    u = psi.values.copy()
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        factors, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
+                                                       pert)
+        chirp = factors[0] * factors[1]
+        np.multiply(chirp, u, out=u)
+        hat = np.fft.fftn(u)
+        np.multiply(multiplier, hat, out=hat)
+        np.fft.ifftn(hat, out=u)
+        np.multiply(np.conj(chirp), u, out=u)
+    ref = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0,
+                                _anchor_configs(grid, spec, pert))
+    assert np.array_equal(wave_operator(psi, T, spec, pert).values, ref.values)
 
 
 def test_lockstep_horizons_match_reference_loop():
