@@ -14,17 +14,13 @@ import repscat as rs
 HYPER = rs.QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
 
 
-def l2(a, b):
-    return np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.measure)
-
-
 def main():
     grid = rs.make_grid(1, 128, 12.0)
     psi = rs.gaussian(grid, momentum=0.5)
     print("== factored application vs direct kernel quadrature (t = 0.3) ==")
     fast = rs.propagate_factored(psi, 0.3, HYPER)
     slow = rs.propagate_kernel(psi, 0.3, HYPER)
-    print(f"   relative L2 difference: {l2(fast, slow):.3e}")
+    print(f"   relative L2 difference: {rs.l2_distance(fast, slow):.3e}")
     print(f"   norm after evolution:   {rs.l2_norm(fast):.15f}")
 
     print("== group law: e(-0.2 H) e(-0.3 H) = e(-0.5 H) ==")
@@ -32,7 +28,7 @@ def main():
     psi2 = rs.gaussian(g2, momentum=0.3)
     comp = rs.propagate_factored(rs.propagate_factored(psi2, 0.3, HYPER), 0.2, HYPER)
     direct = rs.propagate_factored(psi2, 0.5, HYPER)
-    print(f"   composition error: {l2(comp, direct):.3e}")
+    print(f"   composition error: {rs.l2_distance(comp, direct):.3e}")
 
     print("== free sector vs the analytic dispersive Gaussian (t = 1) ==")
     gf = rs.make_grid(1, 512, 20.0)
@@ -48,7 +44,8 @@ def main():
     cfg = rs.evolution_config(gs, 1e-4, repulsive=rs.RepulsiveSpec(2.0, regularized=False))
     ss, telemetry = rs.propagate(psis, 0.5, cfg)
     mh = rs.propagate_factored(psis, 0.5, HYPER)
-    print(f"   L2 difference after {telemetry['steps']} Strang steps: {l2(ss, mh):.3e}")
+    diff = rs.l2_distance(ss, mh)
+    print(f"   L2 difference after {telemetry['steps']} Strang steps: {diff:.3e}")
 
     print("== Strang order check against the dense matrix exponential ==")
     go = rs.make_grid(1, 64, 8.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvout import write_rows
 from .errors import ConfigurationError, NoEscapeError, check_integer
-from .potentials import p_alpha
+from .potentials import p_alpha, radius_sq
 
 #: |x| or |xi| beyond which a run is truncated and flagged.
 OVERFLOW_LIMIT = 1e120
@@ -54,15 +54,16 @@ class Trajectory:
         return float(np.max(np.abs(h - self.energy0)) / (1.0 + abs(self.energy0)))
 
     def radius(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.xs**2, axis=1))
+        return np.sqrt(radius_sq(*self.xs.T))
 
     def final(self) -> PhasePoint:
         return PhasePoint(self.xs[-1], self.xis[-1])
 
 
 def _energy(xs, xis, alpha, regularized):
-    r2 = np.sum(np.asarray(xs) ** 2, axis=-1)
-    ke = np.sum(np.asarray(xis) ** 2, axis=-1)
+    # a phase point (1-D) or a row per time (2-D): .T lists the axes
+    r2 = radius_sq(*np.asarray(xs).T)
+    ke = radius_sq(*np.asarray(xis).T)
     if regularized:
         return ke - (1.0 + r2) ** (alpha / 2.0)
     return ke - np.sqrt(r2) ** alpha
@@ -109,7 +110,7 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     times, xs, xis = [0.0], [x[:]], [xi[:]]
     truncated = False
     r2 = 0.0
-    for q in x:  # left to right, as np.sum adds a few elements
+    for q in x:  # left to right, as radius_sq adds them
         r2 += q * q
     c = 0.0
     if n:

@@ -108,19 +108,6 @@ class Grid:
         """Tuple of dims coordinate arrays of full shape."""
         return tuple(np.broadcast_to(self.axis_nodes(k), self.shape) for k in range(self.dims))
 
-    def radius_sq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for k in range(self.dims):
-            out = out + self.axis_nodes(k) ** 2
-        return out
-
-    def kinetic_samples(self) -> np.ndarray:
-        """xi^2 summed over axes, on the dual lattice (full shape)."""
-        out = np.zeros(self.shape)
-        for k in range(self.dims):
-            out = out + self.axis_freqs(k) ** 2
-        return out
-
 
 def make_grid(dims: int, points_per_dim: int, half_width: float) -> Grid:
     """Build a Grid; rejects non-power-of-two sizes and non-positive widths."""
@@ -416,23 +403,35 @@ def assert_contained(psi: WaveFunction, context: str = ""):
     _guard_edge(psi.values, psi.grid, psi.representation, EDGE_MASS_TOL, context)
 
 
+def _packet(grid: Grid, centers, width: float, momenta) -> np.ndarray:
+    """prod_k exp(i m_k x_k) exp(-(x_k - c_k)^2/(2 w^2)) on the grid, built in place."""
+    vals = np.ones(grid.shape, dtype=complex)
+    for k in range(grid.dims):
+        xk = grid.axis_nodes(k)
+        vals *= np.exp(-((xk - centers[k]) ** 2) / (2.0 * width**2) + 1j * momenta[k] * xk)
+    return vals
+
+
+def _normalised(grid: Grid, vals: np.ndarray) -> WaveFunction:
+    """The position state of vals divided in place by their L2 norm; zero
+    mass on the grid (a packet that underflows there) raises before any NaN."""
+    nrm = np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
+    if nrm == 0.0:
+        raise NumericalStateError("state has zero norm on the grid (its packets underflow)")
+    vals /= nrm
+    return WaveFunction(grid, vals, POSITION)
+
+
 def gaussian(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:
     """Normalized Gaussian packet prod_k exp(i k_j x_j) exp(-(x_j-c_j)^2/(2 w^2))."""
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dims,))
     moms = np.broadcast_to(np.asarray(momentum, dtype=float), (grid.dims,))
-    vals = np.ones(grid.shape, dtype=complex)
-    # in place: the packet is the one grid array it allocates
-    for k in range(grid.dims):
-        xk = grid.axis_nodes(k)
-        vals *= np.exp(-((xk - centers[k]) ** 2) / (2.0 * width**2) + 1j * moms[k] * xk)
-    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
-    return WaveFunction(grid, vals, POSITION)
+    return _normalised(grid, _packet(grid, centers, width, moms))
 
 
 def random_state(grid: Grid, rng: np.random.Generator, bandwidth: float = 0.1,
-                 extent: float = 0.2, n_packets: int = 5,
-                 width: float = 1.0) -> WaveFunction:
-    """Random normalized superposition of Gaussian packets.
+                 extent: float = 0.2) -> WaveFunction:
+    """Random normalized superposition of 5 Gaussian packets of width 1.
 
     Centers are drawn within `extent` x half_width and momenta within
     `bandwidth` x Nyquist, so position and momentum tails are exactly
@@ -440,19 +439,10 @@ def random_state(grid: Grid, rng: np.random.Generator, bandwidth: float = 0.1,
     """
     ximax = float(np.max(np.abs(grid.freq_nodes)))
     vals = np.zeros(grid.shape, dtype=complex)
-    for _ in range(n_packets):
+    for _ in range(5):
         c = (rng.standard_normal(2) @ [1, 1j]) / np.sqrt(2)
         centers = rng.uniform(-extent * grid.half_width, extent * grid.half_width,
                               size=grid.dims)
         momenta = rng.uniform(-bandwidth * ximax, bandwidth * ximax, size=grid.dims)
-        packet = np.ones(grid.shape, dtype=complex)
-        for ax in range(grid.dims):
-            x = grid.axis_nodes(ax)
-            packet = packet * np.exp(
-                -((x - centers[ax]) ** 2) / (2.0 * width**2) + 1j * momenta[ax] * x
-            )
-        vals = vals + c * packet
-    nrm = np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
-    if nrm == 0.0:
-        raise NumericalStateError("degenerate random state draw")
-    return WaveFunction(grid, vals / nrm, POSITION)
+        vals += c * _packet(grid, centers, 1.0, momenta)
+    return _normalised(grid, vals)

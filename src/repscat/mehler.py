@@ -124,8 +124,8 @@ def _check_guard_time(spec: QuadraticSpec, t: float):
             )
 
 
-def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: float) -> list:
-    """M_t(x) = exp( i sum x_k^2 h_k/(2 g_k) - i (t/2) sum E_k x_k ).
+def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors) -> list:
+    """M_t(x) = exp( i sum x_k^2 h_k/(2 g_k) - i (t/2) sum E_k x_k ), t = fac.t.
 
     The phase is a sum of per-axis terms, so M_t is the broadcast product of
     one N-point factor exp(i phi_k(x_k)) per axis, listed here: d N complex
@@ -136,7 +136,7 @@ def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors, t: f
         xk = grid.axis_nodes(k)
         phase = xk**2 * fac.h[k] / (2.0 * fac.g[k])
         if spec.axis_fields[k]:
-            phase = phase - (t / 2.0) * spec.axis_fields[k] * xk
+            phase = phase - (fac.t / 2.0) * spec.axis_fields[k] * xk
         factors.append(np.exp(1j * phase))
     return factors
 
@@ -271,7 +271,7 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
             "away from kernel singularities"
         )
     fac = trajectory_factors(t, spec)
-    factors = _chirp_factors(grid, spec, fac, t)
+    factors = _chirp_factors(grid, spec, fac)
     vals = _times_chirp(factors, psi0.values, np.empty(grid.shape, dtype=complex))
     amp = 1.0 + 0.0j
     for k in range(grid.dims):
@@ -286,6 +286,16 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
     return out
 
 
+def _axis_phase(spec: QuadraticSpec, fac: TrajectoryFactors, k: int, x, y):
+    """Axis k's term ((x^2 + y^2) h_k/2 - x y)/g_k - E_k (x + y) t/2 - E_k^2 t^3/12
+    of the Mehler phase S at t = fac.t, for x, y that broadcast."""
+    s = ((x**2 + y**2) / 2.0 * fac.h[k] - x * y) / fac.g[k]
+    ek = spec.axis_fields[k]
+    if ek:
+        s = s - (ek / 2.0 * (x + y) * fac.t + ek**2 / 12.0 * fac.t**3)
+    return s
+
+
 def mehler_phase(t: float, spec: QuadraticSpec):
     """Closure S(t, x, y) of the kernel exp(i S); x, y are per-axis tuples."""
     fac = trajectory_factors(t, spec)
@@ -293,14 +303,7 @@ def mehler_phase(t: float, spec: QuadraticSpec):
     def S(x, y):
         xs = [np.asarray(c, dtype=float) for c in np.atleast_1d(x)] if np.ndim(x) else [x]
         ys = [np.asarray(c, dtype=float) for c in np.atleast_1d(y)] if np.ndim(y) else [y]
-        total = 0.0
-        for k in range(spec.dims):
-            xk, yk = xs[k], ys[k]
-            total = total + ((xk**2 + yk**2) / 2.0 * fac.h[k] - xk * yk) / fac.g[k]
-            ek = spec.axis_fields[k]
-            if ek:
-                total = total - (ek / 2.0 * (xk + yk) * t + ek**2 / 12.0 * t**3)
-        return total
+        return sum(_axis_phase(spec, fac, k, xs[k], ys[k]) for k in range(spec.dims))
 
     return S
 
@@ -323,12 +326,7 @@ def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveF
     x = grid.nodes
     vals = psi0.values
     for k in range(grid.dims):
-        X = x[:, None]
-        Y = x[None, :]
-        S = ((X**2 + Y**2) / 2.0 * fac.h[k] - X * Y) / fac.g[k]
-        ek = spec.axis_fields[k]
-        if ek:
-            S = S - (ek / 2.0 * (X + Y) * t + ek**2 / 12.0 * t**3)
+        S = _axis_phase(spec, fac, k, x[:, None], x[None, :])
         amp = _branch_amplitude(spec.sectors[k], spec.axis_omegas[k], t, fac.g[k])
         kernel = amp / np.sqrt(2.0 * np.pi) * np.exp(1j * S) * grid.spacing
         vals = np.moveaxis(np.tensordot(kernel, vals, axes=([1], [k])), 0, k)
@@ -383,7 +381,7 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     grid = psi0.grid
     _check_guard_time(spec, t)
     fac = trajectory_factors(t, spec)
-    vals = _times_chirp(_chirp_factors(grid, spec, fac, t), psi0.values,
+    vals = _times_chirp(_chirp_factors(grid, spec, fac), psi0.values,
                         np.empty(grid.shape, dtype=complex))
     phi = WaveFunction(grid, _momentum_values(vals, grid, out=vals), MOMENTUM)
     _guard_edge(phi.values, grid, phi.representation, EDGE_MASS_TOL,

@@ -24,10 +24,14 @@ def bracket_x(x):
     return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 
+def radius_sq(*coords):
+    """|x|^2 = sum_k x_k^2 for a point given per-axis coordinates (broadcast)."""
+    return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+
+
 def bracket_r(*coords):
     """<x> for a point given per-axis coordinates."""
-    r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-    return np.sqrt(1.0 + r2)
+    return np.sqrt(1.0 + radius_sq(*coords))
 
 
 def p_alpha(x, alpha: float):
@@ -78,8 +82,7 @@ class RepulsiveSpec:
         """<x>^alpha (or |x|^alpha) at the given coordinates."""
         if self.regularized:
             return bracket_r(*coords) ** self.alpha
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        return np.sqrt(r2) ** self.alpha
+        return np.sqrt(radius_sq(*coords)) ** self.alpha
 
     def potential(self, *coords):
         return -self.weight(*coords)
@@ -200,14 +203,14 @@ def preset_log_power(height: float, exponent: float) -> Callable:
 
 
 def preset_gaussian_bump(height: float, width: float) -> Callable:
-    return lambda *c: height * np.exp(-sum(np.asarray(x) ** 2 for x in c) / (2.0 * width**2))
+    return lambda *c: height * np.exp(-radius_sq(*c) / (2.0 * width**2))
 
 
 def preset_compact_bump(height: float, radius: float) -> Callable:
     """Smooth bump supported in |x| <= radius (classic exp(-1/(1-u^2)) profile)."""
 
     def bump(*c):
-        u2 = sum(np.asarray(x, dtype=float) ** 2 for x in c) / radius**2
+        u2 = radius_sq(*c) / radius**2
         inside = u2 < 1.0
         with np.errstate(divide="ignore", over="ignore"):
             vals = np.exp(1.0 - 1.0 / (1.0 - np.where(inside, u2, 0.0)))
@@ -220,19 +223,13 @@ def preset_short_range(alpha: float, epsilon: float, height: float = 1.0) -> Cal
     """height * (1 + p_alpha(x))^(-1-epsilon): a bounded representative of the
     short-range class |V| <~ p_alpha^(-1-epsilon)."""
     _check_alpha(alpha)
-    return lambda *c: height * (1.0 + _p_alpha_point(alpha, *c)) ** (-1.0 - epsilon)
+    return lambda *c: height * (1.0 + p_alpha(np.sqrt(radius_sq(*c)), alpha)) ** (-1.0 - epsilon)
 
 
 def preset_borderline(alpha: float, height: float = 1.0) -> Callable:
-    """height * (1 + p_alpha(x))^(-1): bounded, with the exact borderline
+    """Short-range at epsilon = 0: bounded, with the exact borderline
     p_alpha^(-1) tail separating long- from short-range behaviour."""
-    _check_alpha(alpha)
-    return lambda *c: height * (1.0 + _p_alpha_point(alpha, *c)) ** (-1.0)
-
-
-def _p_alpha_point(alpha, *coords):
-    r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-    return p_alpha(np.sqrt(r2), alpha)
+    return preset_short_range(alpha, 0.0, height)
 
 
 PRESETS = {

@@ -13,6 +13,7 @@ point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,6 +43,7 @@ from .potentials import (
     QuadraticSpec,
     p_alpha,
     p_alpha_inverse,
+    radius_sq,
     sigma_alpha,
 )
 from .splitstep import EvolutionConfig, _fourier_step, evolution_config, propagate
@@ -90,17 +92,10 @@ def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float)
     out, so the 8-point error there is ~rho^-16, below roundoff.
     """
     near = np.abs(nodes) < _NEAR_CELLS * spacing
-    tiers = ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS))
-    v = np.concatenate([np.add.outer(nodes[mask], (spacing / 2.0) * x).ravel()
-                        for mask, x, _ in tiers])
-    v *= scale
     out = np.empty(nodes.shape)
-    start = 0
-    for mask, x, w in tiers:
-        stop = start + np.count_nonzero(mask) * x.size
-        if stop > start:
-            out[mask] = fn(v[start:stop].reshape(-1, x.size)) @ w / 2.0
-        start = stop
+    for mask, x, w in ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS)):
+        if np.any(mask):
+            out[mask] = fn(scale * np.add.outer(nodes[mask], (spacing / 2.0) * x)) @ w / 2.0
     return out
 
 
@@ -222,7 +217,8 @@ def local_velocity_expectation(psi: WaveFunction, alpha: float) -> float:
     grid = pos.grid
     rho = _checked_density(pos.values)
     hat = to_momentum(pos).values
-    decay = sigma_alpha(alpha) * (1.0 + grid.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
+    r2 = radius_sq(*(grid.axis_nodes(k) for k in range(grid.dims)))
+    decay = sigma_alpha(alpha) * (1.0 + r2) ** (-(1.0 + alpha / 2.0) / 2.0)
     num = 0.0
     for k in range(grid.dims):
         d_psi = to_position(WaveFunction(grid, hat * grid.axis_freqs(k), MOMENTUM)).values
@@ -240,20 +236,17 @@ class CookRecord:
     integrand: np.ndarray
     tail_kind: str                # 'power' or 'exponential'
     tail_exponent: float          # power p in t^p, or rate lambda in e^(-lambda t)
-    tail_exponent_full: float     # power-law fit over the whole schedule
+    tail_exponent_full: float     # power-law slope over the whole schedule
     integral_estimate: float
     tail_integral: Callable = field(repr=False)
     truncated: bool = False
 
 
 def _fit_tails(times, vals, tail_start):
-    mask = times >= tail_start
-    t = times[mask]
-    v = vals[mask]
-    pos = v > 0
-    if np.sum(pos) < 3:
+    mask = (times >= tail_start) & (vals > 0)
+    if np.sum(mask) < 3:
         return "power", -np.inf, None
-    t, v = t[pos], v[pos]
+    t, v = times[mask], vals[mask]
     p_slope, p_off = np.polyfit(np.log(t), np.log(v), 1)
     e_slope, e_off = np.polyfit(t, np.log(v), 1)
     p_res = np.sum((np.log(v) - (p_slope * np.log(t) + p_off)) ** 2)
@@ -320,15 +313,18 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
     times = times[: len(vals)]
     tail_start = float(np.sqrt(times[0] * times[-1]))
     kind, expo, fit = _fit_tails(times, vals, tail_start)
-    full_slope = _fit_tails(times, vals, times[0])[1]
+    # a power law over the whole schedule, whichever model fits the tail
+    pos = vals > 0
+    full_slope = (float(np.polyfit(np.log(times[pos]), np.log(vals[pos]), 1)[0])
+                  if np.sum(pos) >= 3 else -np.inf)
 
     def tail_integral(t_lo, t_hi):
         if fit is None:
             return 0.0
         a, b = fit
+        c = np.exp(b)
         if kind == "power":
             p = a
-            c = np.exp(b)
             if t_hi == np.inf:
                 if p >= -1.0:
                     return np.inf
@@ -337,7 +333,6 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
                 return c * np.log(t_hi / t_lo)
             return c * (t_hi ** (p + 1.0) - t_lo ** (p + 1.0)) / (p + 1.0)
         lam = -a
-        c = np.exp(b)
         if lam <= 0:
             return np.inf
         hi_part = 0.0 if t_hi == np.inf else c * np.exp(-lam * t_hi) / lam
@@ -391,7 +386,7 @@ def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: f
     per-axis factors of the chirp M_s (mehler._chirp_factors) and the
     dual-lattice multiplier exp(i delta V(g(2s) .))."""
     fac = trajectory_factors(s, spec)
-    factors = _chirp_factors(grid, spec, fac, s)
+    factors = _chirp_factors(grid, spec, fac)
     vbar = _lattice_values(perturbation, _Lattice(grid, fac.g, True))
     return factors, np.exp(1j * delta * vbar)
 
@@ -587,25 +582,16 @@ def _radial_mean_nd(rho: np.ndarray, grid: Grid, g: np.ndarray, alpha: float) ->
     lattice of grid), with a Gauss-refined origin cell (the only cell where
     p_alpha(g.u) varies below lattice resolution)."""
     rho = rho / rho.sum()
-    r2 = sum((g[k] * grid.axis_freqs(k)) ** 2 for k in range(grid.dims))
-    vals = p_alpha(np.sqrt(r2), alpha)
+    vals = p_alpha(np.sqrt(radius_sq(*(gk * grid.axis_freqs(k) for k, gk in enumerate(g)))), alpha)
     total = float(np.sum(vals * rho))
-    # refine the origin cell by a tensor Gauss rule
+    # refine the origin cell by a tensor Gauss rule (np.ix_ lays rule k along axis k)
     idx = tuple([0] * grid.dims)
     w0 = float(rho[idx])
     if w0 > 0:
-        h = grid.freq_spacing
-        pts = (h / 2.0) * _GAUSS_NODES
-        mesh = np.meshgrid(*([pts] * grid.dims), indexing="ij")
-        wmesh = np.ones_like(mesh[0])
-        for k in range(grid.dims):
-            wshape = [1] * grid.dims
-            wshape[k] = len(_GAUSS_WEIGHTS)
-            wmesh = wmesh * (_GAUSS_WEIGHTS.reshape(wshape) / 2.0)
-        rr = np.zeros_like(mesh[0])
-        for k in range(grid.dims):
-            rr = rr + (g[k] * mesh[k]) ** 2
-        refined = float(np.sum(p_alpha(np.sqrt(rr), alpha) * wmesh))
+        pts = np.ix_(*[(grid.freq_spacing / 2.0) * _GAUSS_NODES] * grid.dims)
+        rr = radius_sq(*(gk * p for gk, p in zip(g, pts)))
+        weights = math.prod(np.ix_(*[_GAUSS_WEIGHTS / 2.0] * grid.dims))
+        refined = float(np.sum(p_alpha(np.sqrt(rr), alpha) * weights))
         total += w0 * (refined - float(vals[idx]))
     return total
 

@@ -27,7 +27,14 @@ from .grids import (
     to_momentum,
     to_position,
 )
-from .potentials import QuadraticSpec, RepulsiveSpec, p_alpha, p_alpha_inverse, sigma_alpha
+from .potentials import (
+    QuadraticSpec,
+    RepulsiveSpec,
+    p_alpha,
+    p_alpha_inverse,
+    radius_sq,
+    sigma_alpha,
+)
 
 ORACLE_MAX_POINTS = 128
 
@@ -54,7 +61,8 @@ class EvolutionConfig:
         if not np.all(np.isfinite(pot)):
             raise ConfigurationError("potential samples must be finite and real")
         object.__setattr__(self, "potential", pot)
-        object.__setattr__(self, "kinetic", self.grid.kinetic_samples())
+        freqs = (self.grid.axis_freqs(k) for k in range(self.grid.dims))
+        object.__setattr__(self, "kinetic", radius_sq(*freqs))
         winding = self.dt * float(np.max(np.abs(pot)))
         if winding > np.pi:
             raise PhaseWindingError(

@@ -754,3 +754,24 @@ def test_mutated_config_run_exits_0_1_or_2(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(tmp, name, raw)
         assert main(["run", path, "--out", os.path.join(tmp, "out"), "--quiet"]) in (0, 1, 2)
+
+
+def test_state_whose_packet_underflows_exits_2_without_a_warning(tmp_path):
+    # center 100 on a box of half width 5: the packet underflows at every
+    # node; the run must refuse it before any NaN, with warnings as errors
+    cfg = _write(tmp_path, "far.yaml", """
+experiment: propagate
+grid: {dims: 1, points: 64, half_width: 5.0}
+hamiltonian:
+  quadratic: {n_minus: 1, omegas: [1.0]}
+state: {center: 100}
+t: 0.5
+""")
+    src = os.path.dirname(os.path.dirname(repscat.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repscat.cli", "run", cfg,
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "zero norm" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

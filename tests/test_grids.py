@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -390,3 +391,42 @@ def test_transform_is_parseval_on_any_samples(shape, half_width, seed, start):
     assert abs(inner(fa, fb) - inner(a, b)) <= 1e-13 * l2_norm(a) * l2_norm(b)
     back = transform(fa, start)
     assert np.max(np.abs(back.values - a.values)) <= 1e-13 * np.max(np.abs(a.values))
+
+
+def _random_state_formula(grid, rng, bandwidth, extent):
+    """random_state written out: five packets of width 1, each a new product
+    array, summed into a new array and divided into another."""
+    width = 1.0
+    ximax = float(np.max(np.abs(grid.freq_nodes)))
+    vals = np.zeros(grid.shape, dtype=complex)
+    for _ in range(5):
+        c = (rng.standard_normal(2) @ [1, 1j]) / np.sqrt(2)
+        centers = rng.uniform(-extent * grid.half_width, extent * grid.half_width,
+                              size=grid.dims)
+        momenta = rng.uniform(-bandwidth * ximax, bandwidth * ximax, size=grid.dims)
+        packet = np.ones(grid.shape, dtype=complex)
+        for ax in range(grid.dims):
+            x = grid.axis_nodes(ax)
+            packet = packet * np.exp(
+                -((x - centers[ax]) ** 2) / (2.0 * width**2) + 1j * momenta[ax] * x)
+        vals = vals + c * packet
+    return vals / np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dims)
+
+
+@pytest.mark.parametrize("dims, points", [(1, 256), (2, 64)])
+def test_random_state_is_bit_identical_to_its_formula(dims, points):
+    g = make_grid(dims, points, 8.0)
+    for bandwidth, extent in ((0.1, 0.2), (0.6, 0.6)):
+        psi = random_state(g, np.random.default_rng(3), bandwidth=bandwidth, extent=extent)
+        expected = _random_state_formula(g, np.random.default_rng(3), bandwidth, extent)
+        assert np.array_equal(psi.values, expected)
+
+
+def test_gaussian_whose_packet_underflows_raises_before_any_nan():
+    # center 100 on a box of half width 5: the packet underflows to 0 at
+    # every node, so its norm is 0, and no division may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g, center in ((make_grid(1, 64, 5.0), 100.0), (make_grid(2, 16, 5.0), (0.0, 100.0))):
+            with pytest.raises(NumericalStateError, match="zero norm"):
+                gaussian(g, center=center)

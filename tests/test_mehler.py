@@ -377,7 +377,7 @@ def test_chirp_resolution_ok_memory_budget():
 def _full_grid_chirp(grid, spec, fac, t):
     """M_t on the full grid as the product of the per-axis factors, taken
     axis by axis: the chirp before it was applied in blocks of rows."""
-    chirp, *rest = _chirp_factors(grid, spec, fac, t)
+    chirp, *rest = _chirp_factors(grid, spec, fac)
     for factor in rest:
         chirp = chirp * factor
     return chirp
@@ -450,7 +450,7 @@ CHIRP_TIMES = [0.05, 0.3, 1.0, 2.5, 5.0]
 def test_chirp_1d_bit_identical_to_full_grid_formula(spec, t):
     grid = make_grid(1, 1024, 12.0)
     fac = trajectory_factors(t, spec)
-    (chirp,) = _chirp_factors(grid, spec, fac, t)
+    (chirp,) = _chirp_factors(grid, spec, fac)
     assert np.array_equal(chirp, _reference_chirp(grid, spec, fac, t))
 
 

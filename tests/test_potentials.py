@@ -14,6 +14,7 @@ from repscat.potentials import (
     p_alpha_inverse,
     preset_borderline,
     preset_power,
+    radius_sq,
     w_product,
 )
 
@@ -168,3 +169,18 @@ def test_p_alpha_log_branch_small_argument_series(sign):
     series = y2 / 2 - y2**2 / 4 + y2**3 / 6 - y2**4 / 8 + y2**5 / 10
     got = p_alpha(y, 2.0)
     assert np.max(np.abs(got - series) / series) <= 1e-15
+
+
+def test_radius_sq_sums_squares_over_broadcast_axes():
+    x, y = np.arange(3.0)[:, None], np.array([[0.5, -2.0]])
+    assert np.array_equal(radius_sq(x, y), x**2 + y**2)
+    assert radius_sq(3.0, 4.0) == 25.0
+    assert radius_sq(-1.5) == 2.25
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_borderline_is_bit_identical_to_its_formula(alpha):
+    x = np.linspace(-8.0, 8.0, 41)[:, None]
+    y = np.linspace(-3.0, 5.0, 17)[None, :]
+    expected = 0.7 * (1.0 + p_alpha(np.sqrt(x**2 + y**2), alpha)) ** (-1.0)
+    assert np.array_equal(preset_borderline(alpha, 0.7)(x, y), expected)

@@ -50,6 +50,7 @@ from repscat.scattering import (
     cauchy_differences,
     cook_record_to_csv,
     histograms_to_csv,
+    _radial_mean_nd,
     _simpson,
     local_velocity_expectation,
     velocity_trace_to_csv,
@@ -74,7 +75,7 @@ def _two_sided_local_velocity(psi, alpha):
         hat = to_momentum(WaveFunction(g, v)).values * g.axis_freqs(k)
         return to_position(WaveFunction(g, hat, MOMENTUM)).values
 
-    decay = (1.0 + g.radius_sq()) ** (-(1.0 + alpha / 2.0) / 2.0)
+    decay = (1.0 + sum(x**2 for x in g.meshgrid())) ** (-(1.0 + alpha / 2.0) / 2.0)
     out = np.zeros(g.shape, dtype=complex)
     for k in range(g.dims):
         f = g.axis_nodes(k) * decay
@@ -132,6 +133,7 @@ def test_cook_zero_potential():
     g = make_grid(1, 256, 12.0)
     record = cook_scan(gaussian(g), HYPER, lambda x: 0.0 * x, np.linspace(1, 5, 9))
     assert np.all(record.integrand == 0.0)
+    assert record.tail_exponent_full == -np.inf
 
 
 def test_cook_log_coupling_tail():
@@ -279,7 +281,7 @@ def _reference_slices(phi_values, grid, spec, perturbation, edges):
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
         s, delta = 0.5 * (lo + hi), hi - lo
         fac = trajectory_factors(s, spec)
-        chirp = functools.reduce(np.multiply, _chirp_factors(grid, spec, fac, s))
+        chirp = functools.reduce(np.multiply, _chirp_factors(grid, spec, fac))
         if grid.dims == 1:
             vbar = _cell_average(perturbation, float(fac.g[0]), grid.freq_nodes,
                                  grid.freq_spacing)
@@ -726,3 +728,50 @@ def test_splitstep_per_direction_trace_is_the_log_mean():
     cfg = evolution_config(g, 1e-2, quadratic=HYPER)
     trace = velocity_trace(gaussian(g), cfg, 2.0, [0.25, 0.5], per_direction=True)
     np.testing.assert_array_equal(trace.per_direction[0], trace.means)
+
+
+def _radial_mean_meshgrid(rho, grid, g, alpha):
+    """<p_alpha(|x|)> with the origin-cell tensor rule built on np.meshgrid
+    arrays, its weights and radii accumulated axis by axis."""
+    rho = rho / rho.sum()
+    r2 = sum((g[k] * grid.axis_freqs(k)) ** 2 for k in range(grid.dims))
+    vals = p_alpha(np.sqrt(r2), alpha)
+    total = float(np.sum(vals * rho))
+    idx = (0,) * grid.dims
+    pts = (grid.freq_spacing / 2.0) * _GAUSS_NODES
+    mesh = np.meshgrid(*([pts] * grid.dims), indexing="ij")
+    wmesh = np.ones_like(mesh[0])
+    for k in range(grid.dims):
+        wshape = [1] * grid.dims
+        wshape[k] = len(_GAUSS_WEIGHTS)
+        wmesh = wmesh * (_GAUSS_WEIGHTS.reshape(wshape) / 2.0)
+    rr = np.zeros_like(mesh[0])
+    for k in range(grid.dims):
+        rr = rr + (g[k] * mesh[k]) ** 2
+    refined = float(np.sum(p_alpha(np.sqrt(rr), alpha) * wmesh))
+    return total + float(rho[idx]) * (refined - float(vals[idx]))
+
+
+@pytest.mark.parametrize("dims, points", [(2, 32), (3, 16)])
+def test_radial_mean_nd_is_bit_identical_to_the_meshgrid_rule(dims, points, rng):
+    g = make_grid(dims, points, 6.0)
+    rho = to_momentum(random_state(g, rng)).density()
+    for scales in ([3.0, 0.5, 7.0], [40.0, 1.0, 0.2]):
+        scales = np.array(scales[:dims])
+        for alpha in (0.5, 1.0, 2.0):
+            assert _radial_mean_nd(rho, g, scales, alpha) == _radial_mean_meshgrid(
+                rho, g, scales, alpha)
+
+
+def test_tail_exponent_full_is_a_power_law_on_an_exponential_tail():
+    # the Gaussian bump's integrand falls off exponentially, so the tail
+    # takes the exponential model; the full-schedule figure stays the
+    # log-log slope, negative for a decaying integrand
+    g = make_grid(1, 2048, 12.0)
+    record = cook_scan(gaussian(g), HYPER, PRESETS["gaussian-bump"](1.0, 1.0),
+                       np.linspace(1.0, 6.0, 21))
+    assert record.tail_kind == "exponential"
+    pos = record.integrand > 0
+    slope = np.polyfit(np.log(record.times[pos]), np.log(record.integrand[pos]), 1)[0]
+    assert record.tail_exponent_full == slope
+    assert record.tail_exponent_full < -10.0

@@ -383,3 +383,14 @@ def test_propagate_is_unitary_and_reversible(shape, alpha, dt, steps, frac, cent
         fwd, _ = propagate(psi, t, cfg)
         back, _ = propagate(fwd, -t, cfg)
         assert l2_norm(WaveFunction(g, back.values - psi.values)) <= 1e-11
+
+
+@pytest.mark.parametrize("dims, points", [(1, 64), (2, 32), (3, 16)])
+def test_kinetic_symbol_is_bit_identical_to_the_axis_by_axis_sum(dims, points):
+    g = make_grid(dims, points, 6.0)
+    expected = np.zeros(g.shape)
+    for k in range(dims):
+        expected = expected + g.axis_freqs(k) ** 2
+    kinetic = evolution_config(g, 0.01).kinetic
+    assert kinetic.shape == g.shape
+    assert np.array_equal(kinetic, expected)
