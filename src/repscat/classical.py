@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvout import write_rows
 from .errors import ConfigurationError, NoEscapeError, check_integer
-from .potentials import p_alpha, radius_sq
+from .potentials import _check_alpha, p_alpha, radius_sq
 
 #: |x| or |xi| beyond which a run is truncated and flagged.
 OVERFLOW_LIMIT = 1e120
@@ -56,9 +56,6 @@ class Trajectory:
     def radius(self) -> np.ndarray:
         return np.sqrt(radius_sq(*self.xs.T))
 
-    def final(self) -> PhasePoint:
-        return PhasePoint(self.xs[-1], self.xis[-1])
-
 
 def _energy(xs, xis, alpha, regularized):
     # a phase point (1-D) or a row per time (2-D): .T lists the axes
@@ -95,8 +92,7 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     """
     if not dt > 0:
         raise ConfigurationError("dt must be positive")
-    if not (0.0 < alpha <= 2.0):
-        raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     record_every = check_integer(record_every, "record_every", minimum=1)
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ConfigurationError(f"t_final must be finite and >= 0, got {t_final}")

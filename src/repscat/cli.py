@@ -11,7 +11,7 @@ import yaml
 
 from .config import _file_name, format_float, load_config
 from .errors import ConfigurationError, RepscatError
-from .experiments import make_output_dir, run_experiment
+from .experiments import run_experiment
 
 
 def _jsonable(obj):
@@ -28,8 +28,18 @@ def write_summary(summary: dict, path: str):
         fh.write("\n")
 
 
+def make_output_dir(path: str):
+    """Create the directory `path` (and its parents) unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot create output directory: {exc.strerror or exc}") from exc
+
+
 def _run_one(config_path: str, out_dir: str, seed, quiet: bool):
     cfg = load_config(config_path, seed_override=seed)
+    make_output_dir(out_dir)
     summary = run_experiment(cfg, out_dir)
     name = os.path.splitext(os.path.basename(config_path))[0]
     summary_path = os.path.join(out_dir, f"{name}.summary.json")

@@ -4,7 +4,8 @@ shared block, read and checked in one place before any work starts.
 A table maps each accepted key to (reader, default): `reader(value, path)`
 returns the typed value or raises a ConfigurationError naming the key path.
 The default REQUIRED means the key must be given; None leaves it unset.  A
-key given as null counts as left out, and any other key is refused.
+key given as null counts as left out, and any other key is refused.  The
+rules that join blocks run after the tables, in `_check_on_grid`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from .classical import PhasePoint
 from .errors import ConfigurationError, check_integer
 from .grids import make_grid
-from .potentials import PRESETS, RepulsiveSpec
+from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
 # cold start (3.6 MB resident) for one 16-hex-digit digest.
@@ -65,11 +67,15 @@ def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
 
 
 def read_config(raw: dict) -> dict:
-    """The config's values, read through the table of its experiment kind."""
+    """The config's values, read through the table of its experiment kind and
+    checked by every rule that the values alone decide."""
     kind = raw.get("experiment")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigurationError(f"experiment must be one of {tuple(KINDS)}, got {kind!r}")
-    return _read(KINDS[kind], raw, "", f"a {kind} config")
+    values = _read(KINDS[kind], raw, "", f"a {kind} config")
+    if "grid" in values:
+        _check_on_grid(kind, values)
+    return values
 
 
 def _read(table: dict, block, key: str, what: str) -> dict:
@@ -107,11 +113,18 @@ def _real(value, key: str) -> float:
     raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
 
-def _positive(value, key: str) -> float:
-    x = _real(value, key)
-    if not x > 0:
-        raise ConfigurationError(f"{key} must be > 0, got {value!r}")
-    return x
+def _range(test, words: str):
+    """`_real` restricted to the numbers that pass `test`."""
+    def read(value, key):
+        x = _real(value, key)
+        if not test(x):
+            raise ConfigurationError(f"{key} must be {words}, got {value!r}")
+        return x
+    return read
+
+
+def _alpha(value, key: str) -> float:
+    return _check_alpha(_real(value, key))
 
 
 def _boolean(value, key: str) -> bool:
@@ -121,15 +134,22 @@ def _boolean(value, key: str) -> bool:
     return value
 
 
-def _reals(values, key: str) -> list:
-    """A list of real config values; item i is named key[i] in errors."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
-    return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
+def _list_of(item):
+    """Reader of a list of numbers, each read by `item`; entry i is named key[i]."""
+    def read(values, key):
+        if not isinstance(values, (list, tuple)):
+            raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
+        return [item(v, f"{key}[{i}]") for i, v in enumerate(values)]
+    return read
+
+
+_positive = _range(lambda x: x > 0, "> 0")
+_nonnegative = _range(lambda x: x >= 0, ">= 0")
+_reals = _list_of(_real)
 
 
 def _axis_reals(value, key: str):
-    """One real for every axis, or a list of reals (the runner checks its length)."""
+    """One real for every axis, or a list of reals (`_check_on_grid` checks its length)."""
     return _reals(value, key) if isinstance(value, (list, tuple)) else _real(value, key)
 
 
@@ -178,7 +198,7 @@ def _file_name(value, key: str) -> str:
 
 def _perturbation(values: dict, key: str):
     """Symbolic preset, or raw sample table (one value per grid point, in the
-    grid's row-major order; the runner checks its length)."""
+    grid's row-major order; `_check_on_grid` checks its length)."""
     preset, args, table = values["preset"], values["args"], values["table"]
     if (preset is None) == (table is None) or (preset is None and args is not None):
         raise ConfigurationError(f"{key} must be given as a preset (with its args) or a table")
@@ -209,24 +229,75 @@ def _mapping(value, key: str) -> dict:
     return value
 
 
+def _built(cls, key: str, **fields):
+    """cls(**fields), whose own ConfigurationError is prefixed with the key."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from exc
+
+
+def _check_on_grid(kind: str, v: dict):
+    """The rules that combine the grid, state and hamiltonian blocks.  The
+    quadratic block becomes a QuadraticSpec, and a table is reshaped to the grid."""
+    grid, ham = v["grid"], v["hamiltonian"]
+    for name, value in v["state"].items():
+        if isinstance(value, list) and len(value) != grid.dims:
+            raise ConfigurationError(f"state.{name} must be a number or a list of "
+                                     f"{grid.dims} numbers (one per axis), got {value!r}")
+    quad, pert = ham["quadratic"], ham["perturbation"]
+    if quad is not None:
+        quad = ham["quadratic"] = _built(QuadraticSpec, "hamiltonian.quadratic",
+                                         dims=grid.dims, **quad)
+        # the quadratic route evolves the factorized saddle alone
+        refused = {"velocity": ("repulsive", "perturbation"), "cook": ("repulsive",),
+                   "wave-operator": ("repulsive",)}.get(kind, ())
+        for key in refused:
+            if ham[key] is not None:
+                raise ConfigurationError(
+                    f"hamiltonian.{key}: the quadratic (factorized) route of this experiment "
+                    f"cannot include it; drop hamiltonian.{key} or hamiltonian.quadratic")
+    if kind == "wave-operator" and (quad is None or quad.n_plus > 0 or pert is None):
+        raise ConfigurationError("wave operators need hamiltonian.perturbation and a "
+                                 "hamiltonian.quadratic with n_plus = 0 (no confining axis)")
+    split_step = quad is None or (kind == "propagate"
+                                  and (ham["repulsive"] is not None or pert is not None))
+    if split_step and "dt" in v and v["dt"] is None:
+        raise ConfigurationError("dt must be given: the split-step route needs a time step")
+    if pert is not None and not callable(pert):
+        if quad is not None and kind in ("cook", "wave-operator"):
+            raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
+                                     "need a symbolic perturbation preset; a table cannot be "
+                                     "evaluated at dilated coordinates")
+        if pert.size != grid.points_per_dim ** grid.dims:
+            raise ConfigurationError(
+                f"hamiltonian.perturbation.table must hold one value per grid point "
+                f"({grid.points_per_dim ** grid.dims}), got {pert.size}")
+        ham["perturbation"] = pert.reshape(grid.shape)
+    if kind == "velocity" and grid.dims > 1 and (quad is None or v["histogram_csv"]):
+        raise ConfigurationError("an n-D velocity run needs hamiltonian.quadratic and takes no "
+                                 "histogram_csv: split-step snapshots and histograms are 1-D")
+
+
 GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),
                "half_width": (_real, REQUIRED)},
               lambda v, key: make_grid(v["dims"], v["points"], v["half_width"]))
-STATE = _block({"kind": (_choice("gaussian"), "gaussian"), "width": (_positive, 1.0),
+STATE = _block({"width": (_positive, 1.0),
                 "center": (_axis_reals, 0.0), "momentum": (_axis_reals, 0.0)})
 HAMILTONIAN = _block({
     "quadratic": (_block({"n_minus": (_count(0), 0), "n_plus": (_count(0), 0),
                           "n_E": (_count(0), 0), "omegas": (_reals, ()),
                           "fields": (_reals, ())}), None),
     "repulsive": (_block({"alpha": (_real, REQUIRED), "regularized": (_boolean, True)},
-                         lambda v, key: RepulsiveSpec(**v)), None),
+                         lambda v, key: _built(RepulsiveSpec, key, **v)), None),
     "perturbation": (_block({"preset": (_choice(*PRESETS), None), "args": (_mapping, None),
                              "table": (_reals, None)}, _perturbation), None),
 })
 SCHEDULE = _block({"times": (_increasing, None), "start": (_positive, None),
                    "stop": (_positive, None), "count": (_count(1), None),
                    "spacing": (_choice("linear", "geometric"), "linear")}, _schedule)
-START = _block({"x": (_axis_reals, REQUIRED), "xi": (_axis_reals, REQUIRED)})
+START = _block({"x": (_axis_reals, REQUIRED), "xi": (_axis_reals, REQUIRED)},
+               lambda v, key: _built(PhasePoint, key, **v))
 
 _COMMON = {"experiment": (lambda value, key: value, REQUIRED), "seed": (check_integer, 0)}
 _ON_GRID = {**_COMMON, "grid": (GRID, REQUIRED), "state": (STATE, {}),
@@ -234,28 +305,26 @@ _ON_GRID = {**_COMMON, "grid": (GRID, REQUIRED), "state": (STATE, {}),
 
 #: The accepted keys of each experiment kind; experiments.py has one runner per kind.
 KINDS = {
-    "propagate": {**_ON_GRID, "t": (_real, REQUIRED), "dt": (_real, None),
-                  "norm_tol": (_real, 1e-10), "roundtrip_tol": (_real, 1e-8)},
-    "cook": {**_ON_GRID, "schedule": (SCHEDULE, REQUIRED), "dt": (_real, None),
+    "propagate": {**_ON_GRID, "t": (_real, REQUIRED), "dt": (_positive, None)},
+    "cook": {**_ON_GRID, "schedule": (_counted(SCHEDULE, 4), REQUIRED), "dt": (_positive, None),
              "expected_exponent": (_real, None), "tol": (_real, 0.3),
              "csv": (_file_name, None)},
-    "wave-operator": {**_ON_GRID, "horizons": (_counted(_increasing, 2), REQUIRED),
-                      "isometry_tol": (_real, 1e-8)},
-    "velocity": {**_ON_GRID, "alpha": (_real, REQUIRED), "schedule": (SCHEDULE, REQUIRED),
-                 "dt": (_real, None), "tol": (_real, None),
+    "wave-operator": {**_ON_GRID, "horizons": (_counted(_increasing, 2), REQUIRED)},
+    "velocity": {**_ON_GRID, "alpha": (_alpha, REQUIRED), "schedule": (SCHEDULE, REQUIRED),
+                 "dt": (_positive, None), "tol": (_real, None),
                  "per_direction": (_boolean, False), "csv": (_file_name, None),
                  "histogram_csv": (_file_name, None)},
-    "classical": {**_COMMON, "alpha": (_real, REQUIRED), "t_final": (_real, REQUIRED),
-                  "dt": (_real, 1e-3), "tol": (_real, None), "start": (START, None),
+    "classical": {**_COMMON, "alpha": (_alpha, REQUIRED), "t_final": (_nonnegative, REQUIRED),
+                  "dt": (_positive, 1e-3), "tol": (_real, None), "start": (START, None),
                   "regularized": (_boolean, True), "record_every": (_count(1), 10),
                   "csv": (_file_name, None)},
-    "mourre-scan": {**_COMMON, "alpha": (_real, REQUIRED), "E": (_real, REQUIRED),
-                    "eta": (_real, REQUIRED),
+    "mourre-scan": {**_COMMON, "alpha": (_alpha, REQUIRED), "E": (_real, REQUIRED),
+                    "eta": (_positive, REQUIRED),
                     "radius_range": (_counted(_increasing, 2, 2), (0.5, 50.0)),
-                    "samples": (_count(1), 10_000), "check_heuristic": (_boolean, True),
-                    "csv": (_file_name, None)},
+                    "samples": (_count(1), 10_000), "csv": (_file_name, None)},
     "convergence": {**_ON_GRID, "t": (_real, REQUIRED),
-                    "dt_sequence": (_counted(_reals, 4), REQUIRED), "tol": (_real, 0.1)},
+                    "dt_sequence": (_counted(_list_of(_positive), 4), REQUIRED),
+                    "tol": (_real, 0.1)},
 }
 
 

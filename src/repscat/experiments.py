@@ -1,5 +1,6 @@
-"""Experiment runners: dispatch a validated config to the library modules and
-collect metrics, pass/fail checks, and CSV artifacts."""
+"""Experiment runners: dispatch a config to the library modules and collect
+metrics, pass/fail checks, and CSV artifacts.  The runners receive values
+that config.read_config has checked, so they only build the state and run."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 from . import classical as cl
 from . import scattering as sc
 from .config import KINDS, ExperimentConfig, read_config
-from .errors import ConfigurationError
 from .grids import gaussian, l2_distance, l2_norm, to_position
 from .mehler import propagate_factored
 from .phasespace import (
@@ -21,14 +21,19 @@ from .phasespace import (
     poisson_bracket,
     scan_to_csv,
 )
-from .potentials import QuadraticSpec, sigma_alpha
+from .potentials import sigma_alpha
 from .splitstep import convergence_order, evolution_config, propagate
 
 
+#: Bounds of the roundoff-level checks of propagate and wave-operator runs.
+NORM_TOL = 1e-10
+ROUNDTRIP_TOL = 1e-8
+ISOMETRY_TOL = 1e-8
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Execute one experiment; returns the JSON-ready summary dict."""
+    """Execute one experiment (CSVs go to the existing out_dir); returns the summary dict."""
     values = read_config(cfg.raw)
-    make_output_dir(out_dir)
     metrics, checks = _RUNNERS[cfg.kind](values, out_dir)
     return {
         "experiment": cfg.kind,
@@ -37,15 +42,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
         "metrics": metrics,
         "checks": checks,
     }
-
-
-def make_output_dir(path: str):
-    """Create the directory `path` (and its parents) unless it exists."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"{path}: cannot create output directory: {exc.strerror or exc}") from exc
 
 
 def _check(name, expected, measured, tol) -> dict:
@@ -63,49 +59,11 @@ def _flag_check(name, ok) -> dict:
     return {"name": name, "expected": True, "measured": ok, "tol": 0.0, "pass": ok}
 
 
-def _per_axis(value, key, dims):
-    """One number for every axis, or a list of `dims` numbers."""
-    if isinstance(value, list) and len(value) != dims:
-        raise ConfigurationError(
-            f"{key} must be a number or a list of {dims} numbers (one per axis), got {value!r}")
-    return value
-
-
-def _on_grid(v, refuse=(), dilated=False):
-    """Grid, initial state and Hamiltonian blocks, after the checks that combine
-    them.  The quadratic route evolves the factorized saddle alone, so there
-    the blocks in `refuse` are refused rather than silently dropped, and a
-    `dilated` runner, which evaluates V at dilated coordinates, refuses a table."""
+def _on_grid(v):
+    """Grid, initial state and Hamiltonian blocks of a checked config."""
     grid, state, ham = v["grid"], v["state"], v["hamiltonian"]
-    psi0 = gaussian(grid, center=_per_axis(state["center"], "state.center", grid.dims),
-                    width=state["width"],
-                    momentum=_per_axis(state["momentum"], "state.momentum", grid.dims))
-    quad, pert = ham["quadratic"], ham["perturbation"]
-    if quad is not None:
-        quad = QuadraticSpec(dims=grid.dims, **quad)
-        for key in refuse:
-            if ham[key] is not None:
-                raise ConfigurationError(
-                    f"hamiltonian.{key}: the quadratic (factorized) route of this experiment "
-                    f"cannot include it; drop hamiltonian.{key} or hamiltonian.quadratic")
-    if pert is not None and not callable(pert):
-        if quad is not None and dilated:
-            raise ConfigurationError(
-                "quadratic-route experiments need a symbolic perturbation preset; "
-                "raw sample tables cannot be evaluated at dilated coordinates"
-            )
-        if pert.size != grid.points_per_dim ** grid.dims:
-            raise ConfigurationError(
-                f"hamiltonian.perturbation.table must hold one value per grid point "
-                f"({grid.points_per_dim ** grid.dims}), got {pert.size}")
-        pert = pert.reshape(grid.shape)
-    return grid, psi0, quad, ham["repulsive"], pert
-
-
-def _split_step(grid, dt, **blocks):
-    if dt is None:
-        raise ConfigurationError("dt must be given: the split-step route needs a time step")
-    return evolution_config(grid, dt, **blocks)
+    psi0 = gaussian(grid, **state)
+    return grid, psi0, ham["quadratic"], ham["repulsive"], ham["perturbation"]
 
 
 def run_propagate(v, out_dir):
@@ -115,7 +73,7 @@ def run_propagate(v, out_dir):
     if quad is not None and rep is None and pert is None:
         evolve = lambda psi, s: propagate_factored(psi, s, quad)
     else:
-        cfg = _split_step(grid, v["dt"], repulsive=rep, quadratic=quad, perturbation=pert)
+        cfg = evolution_config(grid, v["dt"], repulsive=rep, quadratic=quad, perturbation=pert)
         evolve = lambda psi, s: propagate(psi, s, cfg)[0]
     out = evolve(psi0, t)
     drift = abs(l2_norm(out) - norm0) / norm0
@@ -125,22 +83,19 @@ def run_propagate(v, out_dir):
     rt = l2_distance(back, to_position(psi0))
     metrics = {"norm_drift": drift, "roundtrip_error": rt, "t": t}
     checks = [
-        _bound_check("unitarity", drift, v["norm_tol"]),
-        _bound_check("reversibility", rt, v["roundtrip_tol"]),
+        _bound_check("unitarity", drift, NORM_TOL),
+        _bound_check("reversibility", rt, ROUNDTRIP_TOL),
     ]
     return metrics, checks
 
 
 def run_velocity(v, out_dir):
-    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive", "perturbation"))
+    grid, psi0, quad, rep, pert = _on_grid(v)
     alpha = v["alpha"]
     sigma = sigma_alpha(alpha)
     tol = 0.2 * sigma if v["tol"] is None else v["tol"]
-    if v["histogram_csv"] and grid.dims > 1:
-        raise ConfigurationError("histogram_csv: velocity histograms are one-dimensional; "
-                                 "drop it for an n-D grid")
     hamiltonian = (quad if quad is not None
-                   else _split_step(grid, v["dt"], repulsive=rep, perturbation=pert))
+                   else evolution_config(grid, v["dt"], repulsive=rep, perturbation=pert))
     trace = sc.velocity_trace(psi0, hamiltonian, alpha, v["schedule"],
                               per_direction=v["per_direction"])
     final = float(trace.means[-1])
@@ -164,14 +119,14 @@ def run_velocity(v, out_dir):
 
 
 def run_cook(v, out_dir):
-    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",), dilated=True)
+    grid, psi0, quad, rep, pert = _on_grid(v)
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
     elif not callable(pert):
         # a table lists V at the spatial nodes, where the split-step route samples it
         table = pert
         pert = lambda *c: table
-    hamiltonian = quad if quad is not None else _split_step(grid, v["dt"], repulsive=rep)
+    hamiltonian = quad if quad is not None else evolution_config(grid, v["dt"], repulsive=rep)
     record = sc.cook_scan(psi0, hamiltonian, pert, v["schedule"])
     metrics = {
         "tail_kind": record.tail_kind,
@@ -191,12 +146,8 @@ def run_cook(v, out_dir):
 
 
 def run_wave_operator(v, out_dir):
-    grid, psi0, quad, rep, pert = _on_grid(v, refuse=("repulsive",), dilated=True)
+    grid, psi0, quad, rep, pert = _on_grid(v)
     Ts = v["horizons"]
-    if quad is None:
-        raise ConfigurationError("wave-operator experiment requires a quadratic block")
-    if pert is None:
-        raise ConfigurationError("wave-operator experiment requires a perturbation")
     diffs, omegas = sc.cauchy_differences(psi0, Ts, quad, pert)
     defects = [abs(l2_norm(om) - l2_norm(psi0)) for om in omegas.values()]
     record = sc.cook_scan(psi0, quad, pert, np.geomspace(min(Ts), max(Ts), 33))
@@ -208,7 +159,7 @@ def run_wave_operator(v, out_dir):
         "isometry_defect": max(defects),
     }
     checks = [
-        _bound_check("isometry", max(defects), v["isometry_tol"]),
+        _bound_check("isometry", max(defects), ISOMETRY_TOL),
         _flag_check("cauchy_decreasing", bool(np.all(np.diff(diffs) <= 1e-8))),
         # ||Omega(T2) phi - Omega(T1) phi|| <= int_T1^T2 ||V e^{-itH0} phi|| dt
         _flag_check("cook_inequality", all(d <= b + 1e-8 for d, b in zip(diffs, bounds))),
@@ -219,13 +170,7 @@ def run_wave_operator(v, out_dir):
 def run_classical(v, out_dir):
     alpha, t_final, start = v["alpha"], v["t_final"], v["start"]
     tol = (0.03 if alpha < 2.0 else 0.02) if v["tol"] is None else v["tol"]
-    if start is None:
-        point = cl.zero_energy_start(alpha)
-    else:
-        # x sets the dimension: one number, or a nonempty list of them
-        dims = len(start["x"]) if isinstance(start["x"], list) and start["x"] else 1
-        point = cl.PhasePoint(_per_axis(start["x"], "start.x", dims),
-                              _per_axis(start["xi"], "start.xi", dims))
+    point = cl.zero_energy_start(alpha) if start is None else start
     traj = cl.flow(point, alpha, t_final, v["dt"], regularized=v["regularized"],
                    record_every=v["record_every"])
     metrics = {"energy_drift": traj.energy_drift(), "truncated": traj.truncated}
@@ -258,17 +203,14 @@ def run_mourre_scan(v, out_dir):
         "constraint_restricted": result["constraint_restricted"],
     }
     checks = [_flag_check("finite_good_radius", bool(np.isfinite(result["R_threshold"])))]
-    if alpha < 2.0 and v["check_heuristic"]:
-        xs = np.geomspace(max(radius_range[0], 1.0), radius_range[1], 64)
-        h = plain_hamiltonian_symbol(alpha)
-        a = heuristic_a_symbol(alpha)
-        xi = np.sqrt(xs**alpha + E) if np.all(xs**alpha + E >= 0) else None
-        if xi is not None:
-            br = poisson_bracket(h, a, xs, xi)
-            ident = heuristic_bracket_identity(xs, E, alpha)
-            dev = float(np.max(np.abs(br - ident)))
-            metrics["heuristic_identity_dev"] = dev
-            checks.append(_bound_check("heuristic_identity", dev, 1e-10))
+    # the un-cut bracket on the shell xi^2 = x^alpha + E, wherever that shell is real
+    xs = np.geomspace(max(radius_range[0], 1.0), radius_range[1], 64)
+    if alpha < 2.0 and np.all(xs**alpha + E >= 0):
+        br = poisson_bracket(plain_hamiltonian_symbol(alpha), heuristic_a_symbol(alpha), xs,
+                             np.sqrt(xs**alpha + E))
+        dev = float(np.max(np.abs(br - heuristic_bracket_identity(xs, E, alpha))))
+        metrics["heuristic_identity_dev"] = dev
+        checks.append(_bound_check("heuristic_identity", dev, 1e-10))
     if v["csv"]:
         scan_to_csv(result, os.path.join(out_dir, v["csv"]))
     return metrics, checks

@@ -7,7 +7,7 @@ import numpy as np
 
 from .csvout import write_rows
 from .errors import ConfigurationError
-from .potentials import bracket_x, sigma_alpha
+from .potentials import _check_alpha, bracket_x, sigma_alpha
 
 
 def poisson_bracket(h, a, x, xi):
@@ -76,9 +76,7 @@ DEFAULT_CUTOFF = CutoffSpec()
 
 def symbol_a2(x, xi):
     """Conjugate symbol for alpha = 2: ln<xi + x> - ln<xi - x>."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return np.log(bracket_x(xi + x)) - np.log(bracket_x(xi - x))
+    return a2_symbol()(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
 
 
 def a2_symbol():
@@ -99,19 +97,10 @@ def a2_bracket_closed_form(x, xi):
     return 2.0 * p**2 / (1.0 + p**2) + 2.0 * m**2 / (1.0 + m**2)
 
 
-def _shell_ratio(x, xi, alpha):
-    bx_a = bracket_x(x) ** alpha
-    return (xi**2 - bx_a) / (xi**2 + bx_a)
-
-
 def symbol_a_alpha(x, xi, alpha):
     """Conjugate symbol for alpha < 2:
     x xi <x>^-alpha psi((xi^2 - <x>^alpha)/(xi^2 + <x>^alpha))."""
-    if not (0.0 < alpha < 2.0):
-        raise ConfigurationError("symbol_a_alpha requires alpha in (0, 2)")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return x * xi * bracket_x(x) ** (-alpha) * DEFAULT_CUTOFF(_shell_ratio(x, xi, alpha))
+    return a_alpha_symbol(alpha)(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
 
 
 def a_alpha_symbol(alpha: float):
@@ -177,9 +166,7 @@ def heuristic_bracket_identity(x, E, alpha):
 
 def symbol_v_alpha(x, xi, alpha):
     """Local-velocity symbol sigma_alpha x.xi / <x>^(1+alpha/2)."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return sigma_alpha(alpha) * x * xi * bracket_x(x) ** (-1.0 - alpha / 2.0)
+    return v_alpha_symbol(alpha)(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
 
 
 def v_alpha_symbol(alpha: float):
@@ -224,8 +211,7 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     """
     if eta <= 0:
         raise ConfigurationError("eta must be positive")
-    if not (0.0 < alpha <= 2.0):
-        raise ConfigurationError("alpha must lie in (0, 2]")
+    _check_alpha(alpha)
     h = hamiltonian_symbol(alpha)
     a = a2_symbol() if alpha == 2.0 else a_alpha_symbol(alpha)
     n_radii = max(samples // 4, 2)

@@ -14,14 +14,10 @@ from .errors import ConfigurationError, check_integer
 from .grids import Grid
 
 
-def _check_alpha(alpha: float):
+def _check_alpha(alpha: float) -> float:
     if not (0.0 < alpha <= 2.0):
         raise ConfigurationError(f"alpha must lie in (0, 2], got {alpha}")
-
-
-def bracket_x(x):
-    """Japanese bracket <x> = sqrt(1 + |x|^2); accepts coordinate arrays."""
-    return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
+    return alpha
 
 
 def radius_sq(*coords):
@@ -29,8 +25,8 @@ def radius_sq(*coords):
     return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
 
 
-def bracket_r(*coords):
-    """<x> for a point given per-axis coordinates."""
+def bracket_x(*coords):
+    """Japanese bracket <x> = sqrt(1 + |x|^2) for per-axis coordinates (broadcast)."""
     return np.sqrt(1.0 + radius_sq(*coords))
 
 
@@ -81,7 +77,7 @@ class RepulsiveSpec:
     def weight(self, *coords):
         """<x>^alpha (or |x|^alpha) at the given coordinates."""
         if self.regularized:
-            return bracket_r(*coords) ** self.alpha
+            return bracket_x(*coords) ** self.alpha
         return np.sqrt(radius_sq(*coords)) ** self.alpha
 
     def potential(self, *coords):
@@ -194,12 +190,12 @@ def w_product(coords, betas, quad: QuadraticSpec):
 
 def preset_power(height: float, exponent: float) -> Callable:
     """height * <x>^(-exponent)."""
-    return lambda *c: height * bracket_r(*c) ** (-exponent)
+    return lambda *c: height * bracket_x(*c) ** (-exponent)
 
 
 def preset_log_power(height: float, exponent: float) -> Callable:
     """height * <ln<x>>^(-exponent)."""
-    return lambda *c: height * bracket_x(np.log(bracket_r(*c))) ** (-exponent)
+    return lambda *c: height * bracket_x(np.log(bracket_x(*c))) ** (-exponent)
 
 
 def preset_gaussian_bump(height: float, width: float) -> Callable:

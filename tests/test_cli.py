@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -254,10 +255,6 @@ REPULSIVE_DT_LINE = "  repulsive: {alpha: 1.0}\ndt: abc"
 # Top-level experiment keys: each error must name its key ("t must be ...").
 BAD_TOP_LEVEL = [
     pytest.param(PROPAGATE_CFG, "t: 0.4", "t: abc", "t", id="propagate-t"),
-    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\nnorm_tol: loose", "norm_tol",
-                 id="propagate-norm_tol"),
-    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\nroundtrip_tol: [1]", "roundtrip_tol",
-                 id="propagate-roundtrip_tol"),
     pytest.param(PROPAGATE_CFG, QUAD_LINE, REPULSIVE_DT_LINE, "dt", id="propagate-dt"),
     pytest.param(VELOCITY_CFG, "alpha: 2.0", "alpha: abc", "alpha", id="velocity-alpha"),
     pytest.param(VELOCITY_CFG, "csv: velocity.csv", "csv: velocity.csv\ntol: x", "tol",
@@ -276,9 +273,6 @@ BAD_TOP_LEVEL = [
                  id="wave-horizons-scalar"),
     pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: []", "horizons",
                  id="wave-horizons-empty"),
-    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]",
-                 "horizons: [2.0, 4.0, 6.0]\nisometry_tol: tight", "isometry_tol",
-                 id="wave-isometry_tol"),
     pytest.param(CLASSICAL_CFG, "alpha: 1.0", "alpha: abc", "alpha", id="classical-alpha"),
     pytest.param(CLASSICAL_CFG, "dt: 0.001", "dt: abc", "dt", id="classical-dt"),
     pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: abc", "t_final",
@@ -297,8 +291,6 @@ BAD_TOP_LEVEL = [
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 2000.5", "samples",
                  id="mourre-samples-float"),
     pytest.param(MOURRE_CFG, "samples: 2000", "samples: 0", "samples", id="mourre-samples-zero"),
-    pytest.param(MOURRE_CFG, "samples: 2000", 'samples: 2000\ncheck_heuristic: "yes"',
-                 "check_heuristic", id="mourre-check_heuristic"),
     pytest.param(CONVERGENCE_CFG, "t: 0.1", "t: abc", "t", id="convergence-t"),
     pytest.param(CONVERGENCE_CFG, "dt_sequence: [4.0e-3, 2.0e-3, 1.0e-3, 5.0e-4]",
                  "dt_sequence: 4.0e-3", "dt_sequence", id="convergence-dt_sequence"),
@@ -329,6 +321,102 @@ def test_bad_top_level_inputs_exit_2(tmp_path, capsys, base, line, bad_line, key
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+COOK_SPLIT_CFG = """
+experiment: cook
+grid: {dims: 1, points: 256, half_width: 40.0}
+hamiltonian:
+  repulsive: {alpha: 1.0}
+schedule: {times: [0.5, 1.0, 1.5, 2.0]}
+dt: 0.01
+"""
+
+QUAD_2D_LINE = "  quadratic: {n_minus: 2, omegas: [1.0, 1.0]}"
+VELOCITY_2D_CFG = (VELOCITY_CFG
+                   .replace("{dims: 1, points: 512, half_width: 12.0}",
+                            "{dims: 2, points: 64, half_width: 12.0}")
+                   .replace(QUAD_LINE, QUAD_2D_LINE))
+WAVE_PERTURBATION_LINE = (
+    "\n  perturbation: {preset: log-power, args: {height: 1.0, exponent: 2.0}}")
+
+# One config per rule that combines blocks or bounds one value: each is
+# refused by read_config, before --out or any state exists.
+GATE = [
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {center: [0.5, 0.5]}",
+                 "state.center", id="state-center-length"),
+    pytest.param(VELOCITY_CFG, "state: {width: 1.0}", "state: {momentum: [0.1, 0.1]}",
+                 "state.momentum", id="state-momentum-length"),
+    pytest.param(CLASSICAL_CFG, "csv: traj.csv", "start: {x: [1.0, 2.0], xi: [1.0]}",
+                 "start", id="start-xi-length"),
+    pytest.param(CLASSICAL_CFG, "csv: traj.csv", "start: {x: [1.0, 2.0], xi: 1.0}",
+                 "start", id="start-phase-point"),
+    pytest.param(VELOCITY_SPLIT_CFG, REPULSIVE_LINE,
+                 REPULSIVE_LINE + "\n  perturbation: {table: [1.0, 2.0]}",
+                 "hamiltonian.perturbation.table", id="table-size"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE, QUAD_2D_LINE, "hamiltonian.quadratic",
+                 id="quadratic-sectors"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE, QUAD_LINE + "\n" + REPULSIVE_LINE,
+                 "hamiltonian.repulsive", id="velocity-quadratic-repulsive"),
+    pytest.param(VELOCITY_CFG, QUAD_LINE, QUAD_LINE + WAVE_PERTURBATION_LINE,
+                 "hamiltonian.perturbation", id="velocity-quadratic-perturbation"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE, QUAD_LINE + "\n" + REPULSIVE_LINE,
+                 "hamiltonian.repulsive", id="cook-quadratic-repulsive"),
+    pytest.param(WAVE_CFG, QUAD_LINE, QUAD_LINE + "\n" + REPULSIVE_LINE,
+                 "hamiltonian.repulsive", id="wave-quadratic-repulsive"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE,
+                 QUAD_LINE + "\n  perturbation: {table: %s}" % ([0.1] * 256),
+                 "hamiltonian.perturbation", id="cook-quadratic-table"),
+    pytest.param(WAVE_CFG, WAVE_PERTURBATION_LINE,
+                 "\n  perturbation: {table: %s}" % ([0.1] * 2048),
+                 "hamiltonian.perturbation", id="wave-table"),
+    pytest.param(WAVE_CFG, QUAD_LINE + "\n", "", "hamiltonian.quadratic",
+                 id="wave-no-quadratic"),
+    pytest.param(WAVE_CFG, "{n_minus: 1, omegas: [1.0]}", "{n_plus: 1, omegas: [1.0]}",
+                 "hamiltonian.quadratic", id="wave-confining"),
+    pytest.param(WAVE_CFG, WAVE_PERTURBATION_LINE, "", "hamiltonian.perturbation",
+                 id="wave-no-perturbation"),
+    pytest.param(PROPAGATE_CFG, QUAD_LINE, REPULSIVE_LINE, "dt", id="propagate-no-dt"),
+    pytest.param(VELOCITY_SPLIT_CFG, "dt: 0.01\n", "", "dt", id="velocity-no-dt"),
+    pytest.param(COOK_SPLIT_CFG, "dt: 0.01\n", "", "dt", id="cook-no-dt"),
+    pytest.param(VELOCITY_2D_CFG, QUAD_2D_LINE, REPULSIVE_LINE + "\ndt: 0.01",
+                 "hamiltonian.quadratic", id="velocity-nd-split-step"),
+    pytest.param(VELOCITY_2D_CFG, "csv: velocity.csv", "histogram_csv: hist.csv",
+                 "histogram_csv", id="velocity-nd-histogram"),
+    pytest.param(VELOCITY_CFG, "alpha: 2.0", "alpha: 3.0", "alpha", id="velocity-alpha"),
+    pytest.param(CLASSICAL_CFG, "alpha: 1.0", "alpha: 2.5", "alpha", id="classical-alpha"),
+    pytest.param(MOURRE_CFG, "alpha: 1.0", "alpha: 0.0", "alpha", id="mourre-alpha"),
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\ndt: -0.001", "dt", id="propagate-dt"),
+    pytest.param(VELOCITY_SPLIT_CFG, "dt: 0.01", "dt: -0.001", "dt", id="velocity-dt"),
+    pytest.param(COOK_SPLIT_CFG, "dt: 0.01", "dt: 0.0", "dt", id="cook-dt"),
+    pytest.param(CLASSICAL_CFG, "dt: 0.001", "dt: -0.001", "dt", id="classical-dt"),
+    pytest.param(CONVERGENCE_CFG, "1.0e-3, 5.0e-4", "-1.0e-3, 5.0e-4", "dt_sequence[2]",
+                 id="dt_sequence-entry"),
+    pytest.param(MOURRE_CFG, "eta: 0.1", "eta: -0.1", "eta", id="eta"),
+    pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: -1.0", "t_final", id="t_final"),
+    pytest.param(COOK_ZERO_CFG, "count: 9", "count: 3", "schedule", id="cook-schedule-count"),
+]
+
+
+@pytest.mark.parametrize("base, line, bad_line, key", GATE)
+def test_read_config_refuses_before_output_or_state(tmp_path, monkeypatch, capsys, base,
+                                                      line, bad_line, key):
+    import repscat.experiments
+    import repscat.grids
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a refused config reached grids.gaussian")
+
+    monkeypatch.setattr(repscat.grids, "gaussian", no_state)
+    monkeypatch.setattr(repscat.experiments, "gaussian", no_state)
+    assert line in base
+    cfg = _write(tmp_path, "bad.yaml", base.replace(line, bad_line))
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nd_velocity_histogram_rejected(tmp_path, capsys):

@@ -15,7 +15,6 @@ from repscat import (
 )
 from repscat.phasespace import (
     DEFAULT_CUTOFF,
-    _shell_ratio,
     a2_bracket_closed_form,
     a2_symbol,
     a_alpha_symbol,
@@ -105,7 +104,9 @@ def test_cutoff_midpoint_is_one_half():
 def test_zero_energy_shell_lies_on_the_cutoff_plateau(alpha):
     # the E = 0 scans only see psi = 1 and psi' = 0, whatever the shoulder
     x = np.geomspace(0.2, 60.0, 2500)
-    u = _shell_ratio(x, np.sqrt(bracket_x(x) ** alpha + 0.0), alpha)
+    bx_a = bracket_x(x) ** alpha
+    xi2 = np.sqrt(bx_a + 0.0) ** 2
+    u = (xi2 - bx_a) / (xi2 + bx_a)
     assert np.max(np.abs(u)) <= 1e-12
     assert np.all(DEFAULT_CUTOFF(u) == 1.0)
     assert np.all(DEFAULT_CUTOFF.derivative(u) == 0.0)

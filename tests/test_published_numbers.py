@@ -5,8 +5,8 @@ The tree holds every summary JSON, `suite_report.json` and each CSV under
 WHOLE_CSV_BYTES; a larger CSV is committed as `<name>.csv.stats.json`, its row
 count and each column's min, max and sum.  Strings and booleans must match
 exactly, numbers to RTOL, with an absolute ROUNDOFF_ATOL floor only for the
-roundoff-level keys: roundoff may differ across CPUs and numpy builds, so
-bytes are not compared.
+roundoff-level keys and the `measured` copies of the checks on them:
+roundoff may differ across CPUs and numpy builds, so bytes are not compared.
 
 After a deliberate change to a published number, regenerate the tree with
 
@@ -34,6 +34,8 @@ WHOLE_CSV_BYTES = 30 * 1024
 STATS = ".stats.json"
 RTOL = 1e-10
 ROUNDOFF_KEYS = ("norm_drift", "roundtrip_error", "isometry_defect", "heuristic_identity_dev")
+#: The checks whose `measured` value is one of the roundoff-level metrics.
+ROUNDOFF_CHECKS = ("unitarity", "reversibility", "isometry", "heuristic_identity")
 ROUNDOFF_ATOL = 1e-12
 
 
@@ -87,7 +89,9 @@ def mismatches(ref, got, path: str, key: str = "") -> list:
     if isinstance(ref, dict):
         if not isinstance(got, dict) or set(ref) != set(got):
             return [f"{path}: keys differ"]
-        return [m for k in ref for m in mismatches(ref[k], got[k], f"{path}.{k}", k)]
+        # a check's measured value is compared under the check's name
+        name = lambda k: ref["name"] if k == "measured" and "name" in ref else k
+        return [m for k in ref for m in mismatches(ref[k], got[k], f"{path}.{k}", name(k))]
     if isinstance(ref, list):
         if not isinstance(got, list) or len(ref) != len(got):
             return [f"{path}: length differs"]
@@ -99,7 +103,7 @@ def mismatches(ref, got, path: str, key: str = "") -> list:
     elif math.isnan(ref) or math.isnan(got):
         same = math.isnan(ref) and math.isnan(got)
     else:
-        floor = ROUNDOFF_ATOL if key in ROUNDOFF_KEYS else 0.0
+        floor = ROUNDOFF_ATOL if key in ROUNDOFF_KEYS + ROUNDOFF_CHECKS else 0.0
         same = ref == got or abs(got - ref) <= max(RTOL * abs(ref), floor)
     return [] if same else [f"{path}: {got!r} != expected {ref!r}"]
 
@@ -121,6 +125,20 @@ def test_mismatches_rule():
     assert mismatches({"other": 1e-14}, {"other": 9e-13}, "t")
     assert mismatches([float("nan")], [float("nan")], "t") == []
     assert mismatches({"a": 1}, {"b": 1}, "t") == ["t: keys differ"]
+
+
+def test_roundoff_checks_measured_copies_get_the_floor():
+    # the wave-operator isometry defect moved by roundoff alone, in the metric
+    # and in the check's copy of it; a non-roundoff check still fails at 1e-9
+    def summary(defect, velocity):
+        return {"metrics": {"isometry_defect": defect},
+                "checks": [{"name": "isometry", "expected": 1e-8, "measured": defect,
+                            "tol": 0.0, "pass": True},
+                           {"name": "velocity_limit", "expected": 0.2, "measured": velocity,
+                            "tol": 0.0, "pass": True}]}
+    assert mismatches(summary(1.887e-14, 0.1), summary(1.932e-14, 0.1), "t") == []
+    assert mismatches(summary(1.887e-14, 0.1), summary(1.887e-14, 0.1 * (1 + 1e-9)), "t") == [
+        f"t.checks[1].measured: {0.1 * (1 + 1e-9)!r} != expected 0.1"]
 
 
 def _regenerate():
