@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -97,6 +98,8 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ConfigurationError(f"t_final must be finite and >= 0, got {t_final}")
     n = int(round(t_final / dt))
+    due = iter(sorted(_recorded_steps(n, record_every)))
+    record = next(due, None)
     h = 0.5 * dt
     d2 = dt * 2.0
     expo = alpha / 2.0 - 1.0 if regularized else alpha - 2.0
@@ -127,10 +130,11 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
                 truncated = True
         if truncated:
             break
-        if (k + 1) % record_every == 0 or k == n - 1:
-            times.append((k + 1) * dt)
+        if k + 1 == record:
+            times.append(record * dt)
             xs.append(x[:])
             xis.append(xi[:])
+            record = next(due, None)
     return Trajectory(times=np.array(times), xs=np.array(xs), xis=np.array(xis),
                       energy0=float(_energy(start.x, start.xi, alpha, regularized)),
                       alpha=alpha, regularized=regularized, truncated=truncated)
@@ -150,14 +154,32 @@ def quadratic_closed_form(start: PhasePoint, t) -> PhasePoint:
     return PhasePoint(np.atleast_1d(x), np.atleast_1d(xi))
 
 
-def _fit_window(traj: Trajectory, fit_window) -> np.ndarray:
-    """Mask of the recorded samples with t_lo <= t <= t_hi and t > 0; a
+def _recorded_steps(n: int, record_every: int):
+    """The steps after which flow records a row of an n-step run, last first:
+    step n, then every record_every-th step below it.  Lazy, so a caller can
+    stop early; the time of step s is s * dt, as flow records it."""
+    below = n - 1 - (n - 1) % record_every
+    return chain((n,) if n else (), range(below, 0, -record_every))
+
+
+def _fit_window(times: np.ndarray, fit_window) -> np.ndarray:
+    """Mask of the recorded times with t_lo <= t <= t_hi and t > 0; a
     growth fit needs at least 4 of them."""
     t_lo, t_hi = fit_window
-    mask = (traj.times >= t_lo) & (traj.times <= t_hi) & (traj.times > 0)
+    mask = (times >= t_lo) & (times <= t_hi) & (times > 0)
     if np.sum(mask) < 4:
         raise ConfigurationError("fit window contains fewer than 4 samples")
     return mask
+
+
+def check_fit_window(t_final: float, dt: float, record_every: int):
+    """Refuse a run of flow whose record, untruncated, holds fewer than 4
+    samples in the fit window [t_final/2, t_final].  Only the last step can
+    land past t_final (n dt <= t_final + dt/2), so the newest five recorded
+    times decide."""
+    n = int(round(t_final / dt))
+    newest = [s * dt for s in islice(_recorded_steps(n, record_every), 5)]
+    _fit_window(np.array(newest), (t_final / 2.0, t_final))
 
 
 def escape_exponent(traj: Trajectory, fit_window) -> dict:
@@ -165,7 +187,7 @@ def escape_exponent(traj: Trajectory, fit_window) -> dict:
 
     The trajectory must be escaping (|x| increasing) across the window.
     """
-    mask = _fit_window(traj, fit_window)
+    mask = _fit_window(traj.times, fit_window)
     r = traj.radius()[mask]
     t = traj.times[mask]
     if not np.all(np.diff(r) > 0):
@@ -176,14 +198,14 @@ def escape_exponent(traj: Trajectory, fit_window) -> dict:
 
 def log_growth_rate(traj: Trajectory, fit_window) -> float:
     """Slope of ln|x(t)| against t (the alpha = 2 exponential rate)."""
-    mask = _fit_window(traj, fit_window)
+    mask = _fit_window(traj.times, fit_window)
     return float(np.polyfit(traj.times[mask], np.log(traj.radius()[mask]), 1)[0])
 
 
 def p_alpha_rate(traj: Trajectory, fit_window) -> float:
     """Mean d/dt p_alpha(x(t)) over the window (classical shadow of the
     asymptotic velocity; approaches sigma_alpha along escaping trajectories)."""
-    mask = _fit_window(traj, fit_window)
+    mask = _fit_window(traj.times, fit_window)
     p = p_alpha(traj.radius()[mask], traj.alpha)
     return float(np.polyfit(traj.times[mask], p, 1)[0])
 

@@ -15,12 +15,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .classical import PhasePoint
+from .classical import PhasePoint, check_fit_window
 from .errors import ConfigurationError, check_integer
 from .grids import make_grid
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
@@ -40,9 +41,21 @@ REQUIRED = object()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A raw config of one experiment kind and its seed (None: the config's
+    own `seed` key).  `values` are raw's checked values, read once through
+    read_config on first use."""
+
     kind: str
     raw: dict
-    seed: int
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.seed is None:
+            object.__setattr__(self, "seed", self.values["seed"])
+
+    @cached_property
+    def values(self) -> dict:
+        return read_config(self.raw)
 
     def digest(self) -> str:
         canon = json.dumps({"config": self.raw, "seed": self.seed}, sort_keys=True,
@@ -61,9 +74,9 @@ def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
         raise ConfigurationError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a mapping")
-    values = read_config(raw)
-    seed = values["seed"] if seed_override is None else seed_override
-    return ExperimentConfig(kind=values["experiment"], raw=raw, seed=seed)
+    cfg = ExperimentConfig(kind=raw.get("experiment"), raw=raw, seed=seed_override)
+    cfg.values  # read and checked here, before any output exists
+    return cfg
 
 
 def read_config(raw: dict) -> dict:
@@ -75,6 +88,9 @@ def read_config(raw: dict) -> dict:
     values = _read(KINDS[kind], raw, "", f"a {kind} config")
     if "grid" in values:
         _check_on_grid(kind, values)
+    if kind == "classical":
+        _built(check_fit_window, "t_final", t_final=values["t_final"], dt=values["dt"],
+               record_every=values["record_every"])
     return values
 
 
@@ -230,7 +246,8 @@ def _mapping(value, key: str) -> dict:
 
 
 def _built(cls, key: str, **fields):
-    """cls(**fields), whose own ConfigurationError is prefixed with the key."""
+    """cls(**fields), whose own ConfigurationError is prefixed with the key
+    (cls may be any callable)."""
     try:
         return cls(**fields)
     except ConfigurationError as exc:

@@ -458,7 +458,6 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
         return out
     edges = _slice_edges(s0, horizons)
     chains = {}
-    work = np.empty_like(phi.values)
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
         if horizons and hi == horizons[-1]:
             chains[horizons.pop()] = phi.values.copy()
@@ -469,7 +468,7 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
         conj = [np.conj(f) for f in factors]
         for u in chains.values():
             _times_chirp(factors, u, u)
-            _fourier_step(u, work, multiplier)
+            _fourier_step(u, multiplier)
             _times_chirp(conj, u, u)
     for T, u in chains.items():
         out[T] = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, anchor)

@@ -89,36 +89,51 @@ def evolution_config(grid: Grid, dt: float,
     return EvolutionConfig(grid=grid, dt=dt, potential=pot, edge_mass_tol=edge_mass_tol)
 
 
-def _fourier_step(buf: np.ndarray, spec: np.ndarray, multiplier: np.ndarray) -> None:
-    """buf <- F^-1(multiplier * F buf) in place through `spec`: the Fourier
-    half of every Strang step and wave-operator slice, whose callers then
-    apply their own position phase."""
-    np.fft.fftn(buf, out=spec)
-    np.multiply(multiplier, spec, out=spec)
-    np.fft.ifftn(spec, out=buf)
+def _fourier_step(buf: np.ndarray, multiplier: np.ndarray) -> None:
+    """buf <- F^-1(multiplier * F buf) in place: the Fourier half of every
+    Strang step and wave-operator slice, whose callers then apply their own
+    position phase.  numpy's in-place transforms need only line-sized scratch."""
+    np.fft.fftn(buf, out=buf)
+    np.multiply(multiplier, buf, out=buf)
+    np.fft.ifftn(buf, out=buf)
+
+
+def _phase(coeff: complex, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- exp(coeff * samples), built in out with no complex temporary."""
+    np.multiply(coeff, samples, out=out)
+    return np.exp(out, out=out)
 
 
 def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str,
                   conjugate: bool = False):
     """Strang steps from the position samples vals: n steps of length dt for
-    each (dt, n) of segments in turn, on two buffers allocated here (so the
-    result never aliases vals), guarding every state once.  With conjugate,
-    the run starts from conj(vals) and the result is conjugated in place.
-    Returns (samples, max edge mass)."""
+    each (dt, n) of segments in turn, in one state buffer allocated here (so
+    the result never aliases vals), guarding every state once.  Two phase
+    arrays serve a segment: `kin` holds the kinetic phase, and `pot` the half
+    potential phase of the opening half step, squared in place into the full
+    phase when n > 1; the closing half phase is then rebuilt in `kin` after
+    the last Fourier step.  With conjugate, the run starts from conj(vals)
+    and the result is conjugated in place.  Returns (samples, max edge mass).
+    """
     guard_args = (cfg.grid, POSITION, cfg.edge_mass_tol, context)
     buf = np.empty(vals.shape, dtype=complex)
-    spec = np.empty_like(buf)
+    kin = np.empty_like(buf)
+    pot = np.empty_like(buf)
     if conjugate:
         vals = np.conjugate(vals, out=buf)
     max_edge = 0.0
     for dt, n in segments:
-        half_v = np.exp(-0.5j * dt * cfg.potential)
-        full_v = half_v * half_v if n > 1 else half_v
-        kin = np.exp(-1j * dt * cfg.kinetic)
-        np.multiply(half_v, vals, out=buf)
+        _phase(-1j * dt, cfg.kinetic, kin)
+        _phase(-0.5j * dt, cfg.potential, pot)
+        np.multiply(pot, vals, out=buf)
+        if n > 1:
+            np.multiply(pot, pot, out=pot)
         for k in range(n):
-            _fourier_step(buf, spec, kin)
-            np.multiply(full_v if k < n - 1 else half_v, buf, out=buf)
+            _fourier_step(buf, kin)
+            phase = pot
+            if k == n - 1 and n > 1:
+                phase = _phase(-0.5j * dt, cfg.potential, kin)
+            np.multiply(phase, buf, out=buf)
             max_edge = max(max_edge, _guard_edge(buf, *guard_args))
         vals = buf
     if conjugate:

@@ -13,7 +13,15 @@ from repscat import (
     quadratic_closed_form,
     zero_energy_start,
 )
-from repscat.classical import OVERFLOW_LIMIT, _energy, p_alpha_rate, trajectory_to_csv
+from repscat.classical import (
+    OVERFLOW_LIMIT,
+    _energy,
+    _fit_window,
+    _recorded_steps,
+    check_fit_window,
+    p_alpha_rate,
+    trajectory_to_csv,
+)
 
 
 def _reference_flow(start, alpha, t_final, dt, regularized=True, record_every=1):
@@ -202,6 +210,25 @@ def test_flow_matches_reference_loop_on_drawn_runs(data, dims, alpha, regularize
     assert traj.truncated == truncated
     # the in-place loop works on copies of the start
     assert np.array_equal(start.x, x0) and np.array_equal(start.xi, xi0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(record_every=st.integers(1, 12), dt=st.floats(1e-3, 1e-2),
+       t_final=st.floats(0.0, 0.15) | st.sampled_from([0.0, 0.0045, 0.007, 0.02, 0.0205]))
+def test_check_fit_window_counts_what_flow_records(record_every, dt, t_final):
+    traj = flow(PhasePoint([1.0], [1.5]), 1.0, t_final, dt, record_every=record_every)
+    assert not traj.truncated
+    n = int(round(t_final / dt))
+    recorded = [s * dt for s in sorted(_recorded_steps(n, record_every))]
+    assert traj.times.tolist() == [0.0] + recorded
+    window = (t_final / 2.0, t_final)
+    try:
+        _fit_window(traj.times, window)
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError, match="fewer than 4 samples"):
+            check_fit_window(t_final, dt, record_every)
+    else:
+        check_fit_window(t_final, dt, record_every)
 
 
 @pytest.mark.parametrize("kwargs", [

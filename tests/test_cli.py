@@ -395,6 +395,10 @@ GATE = [
     pytest.param(MOURRE_CFG, "eta: 0.1", "eta: -0.1", "eta", id="eta"),
     pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: -1.0", "t_final", id="t_final"),
     pytest.param(COOK_ZERO_CFG, "count: 9", "count: 3", "schedule", id="cook-schedule-count"),
+    pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: 0.02", "t_final",
+                 id="classical-fit-window"),
+    pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: 0.0", "t_final",
+                 id="classical-fit-window-empty"),
 ]
 
 
@@ -417,6 +421,28 @@ def test_read_config_refuses_before_output_or_state(tmp_path, monkeypatch, capsy
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cook_stark", "classical_kappa"])
+def test_run_reads_its_config_once(tmp_path, monkeypatch, name):
+    import repscat.config
+    from repscat.config import ExperimentConfig
+    from repscat.experiments import run_experiment
+
+    reads = []
+    read_config = repscat.config.read_config
+    monkeypatch.setattr(repscat.config, "read_config",
+                        lambda raw: reads.append(raw) or read_config(raw))
+    path = os.path.join(CONFIG_DIR, f"{name}.yaml")
+    assert main(["run", path, "--out", str(tmp_path / "cli"), "--quiet"]) == 0
+    assert len(reads) == 1
+    # a config built from its raw mapping and a seed is read when it runs
+    raw = load_config(path).raw
+    reads.clear()
+    cfg = ExperimentConfig(raw["experiment"], raw, 3)
+    assert reads == []
+    summary = run_experiment(cfg, str(tmp_path))
+    assert len(reads) == 1 and summary["seed"] == 3
 
 
 def test_nd_velocity_histogram_rejected(tmp_path, capsys):
@@ -554,9 +580,36 @@ def test_factored_propagate_memory_budget(tmp_path):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    # psi0, the forward state and the state coming back, plus small buffers;
-    # a full-grid chirp or round-trip difference would add one more state
-    assert peak <= 3.4 * 512**2 * 16
+    # two states at a time (psi0 and the forward state, the forward state and
+    # the state coming back, that one and the rebuilt psi0), plus small
+    # buffers; a full-grid chirp or round-trip difference would add one more
+    assert peak <= 2.6 * 512**2 * 16
+
+
+def test_split_step_round_trip_memory_budget(tmp_path):
+    import tracemalloc
+
+    cfg = _write(tmp_path, "strang.yaml", """
+experiment: propagate
+grid: {dims: 2, points: 256, half_width: 40.0}
+hamiltonian:
+  repulsive: {alpha: 1.0}
+t: 0.05
+dt: 2.0e-3
+""")
+    # an untraced run first loads numpy.fft and caches the edge mask
+    assert main(["run", cfg, "--out", str(tmp_path / "warm"), "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the potential and kinetic samples (one state together), the state the
+    # run starts from, and the Strang loop's buffer and two phase arrays, plus
+    # the edge guard's line blocks
+    assert peak <= 5.3 * 256**2 * 16
 
 
 def test_summary_is_bit_identical_across_runs(tmp_path):

@@ -28,7 +28,7 @@ from repscat import grids
 from repscat.errors import DomainEscapeError
 from repscat.grids import POSITION, _guard_edge
 from repscat.potentials import preset_compact_bump
-from repscat.splitstep import energy_expectation, hamiltonian_matrix
+from repscat.splitstep import _strang_steps, energy_expectation, hamiltonian_matrix
 
 
 def _reference_strang_step(vals, cfg, dt):
@@ -394,3 +394,83 @@ def test_kinetic_symbol_is_bit_identical_to_the_axis_by_axis_sum(dims, points):
     kinetic = evolution_config(g, 0.01).kinetic
     assert kinetic.shape == g.shape
     assert np.array_equal(kinetic, expected)
+
+
+def _spectrum_buffer_loop(vals, cfg, segments, conjugate=False):
+    """The Strang loop on separate state, spectrum and phase arrays:
+    buf -> spec by FFT, spec -> buf by inverse FFT, and half_v, full_v and
+    kin built afresh for every segment."""
+    buf = np.empty(vals.shape, dtype=complex)
+    spec = np.empty_like(buf)
+    if conjugate:
+        vals = np.conjugate(vals, out=buf)
+    for dt, n in segments:
+        half_v = np.exp(-0.5j * dt * cfg.potential)
+        full_v = half_v * half_v if n > 1 else half_v
+        kin = np.exp(-1j * dt * cfg.kinetic)
+        np.multiply(half_v, vals, out=buf)
+        for k in range(n):
+            np.fft.fftn(buf, out=spec)
+            np.multiply(kin, spec, out=spec)
+            np.fft.ifftn(spec, out=buf)
+            np.multiply(full_v if k < n - 1 else half_v, buf, out=buf)
+        vals = buf
+    if conjugate:
+        np.conjugate(buf, out=buf)
+    return buf
+
+
+def _strang_case(dims):
+    g = make_grid(dims, {1: 256, 2: 64, 3: 16}[dims], 12.0)
+    cfg = evolution_config(g, 4e-3, repulsive=RepulsiveSpec(1.0),
+                           perturbation=preset_compact_bump(0.3, 2.0))
+    return cfg, gaussian(g, center=0.5, momentum=0.7, width=1.1)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("segments, conjugate", [
+    ([(4e-3, 1)], False),
+    ([(1.3e-3, 1)], True),
+    ([(4e-3, 6)], False),
+    ([(4e-3, 2)], True),
+    ([(4e-3, 5), (1.5e-3, 1), (2e-3, 3)], False),
+    ([(1.5e-3, 1), (4e-3, 5)], True),
+], ids=["one", "one-conjugate", "six", "two-conjugate", "three-segments",
+        "remainder-first-conjugate"])
+def test_strang_loop_is_bit_identical_to_the_spectrum_buffer_loop(dims, segments,
+                                                                  conjugate):
+    cfg, psi = _strang_case(dims)
+    out, _ = _strang_steps(psi.values, cfg, segments, "test", conjugate=conjugate)
+    assert np.array_equal(out, _spectrum_buffer_loop(psi.values, cfg, segments, conjugate))
+
+
+@pytest.mark.parametrize("steps", [1.0, 5.0, 5.5, -1.0, -5.0, -5.5])
+def test_propagate_is_bit_identical_to_the_spectrum_buffer_loop(steps):
+    cfg, psi = _strang_case(2)
+    t = steps * cfg.dt
+    n, rem = divmod(abs(t), cfg.dt)  # as propagate splits t
+    segments = [(cfg.dt, int(n)), (rem, 1)] if steps % 1 else [(cfg.dt, round(abs(steps)))]
+    out, _ = propagate(psi, t, cfg)
+    expected = _spectrum_buffer_loop(psi.values, cfg, segments[::-1] if steps < 0 else segments,
+                                     conjugate=steps < 0)
+    assert np.array_equal(out.values, expected)
+    single = strang_step(psi, cfg)
+    assert np.array_equal(single.values, _spectrum_buffer_loop(psi.values, cfg, [(cfg.dt, 1)]))
+
+
+def test_propagate_memory_budget():
+    import tracemalloc
+
+    g = make_grid(2, 256, 40.0)
+    cfg = evolution_config(g, 2e-3, repulsive=RepulsiveSpec(1.0))
+    psi = gaussian(g)
+    propagate(psi, 4e-3, cfg)  # loads numpy.fft and caches the edge mask
+    tracemalloc.start()
+    try:
+        out, _ = propagate(psi, 0.05, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state buffer and two phase arrays, plus the edge guard's line blocks;
+    # a spectrum buffer or a third phase array would add one more state
+    assert peak <= 3.2 * 256**2 * 16
