@@ -17,7 +17,7 @@ def main():
         kappa = 2.0 / (2.0 - alpha)
         T = 160.0
         traj = rs.flow(rs.zero_energy_start(alpha), alpha, T, 1e-3, record_every=50)
-        fit = rs.escape_exponent(traj, (T / 2, T))["kappa_estimate"]
+        fit = rs.escape_exponent(traj, (T / 2, T))
         rate = p_alpha_rate(traj, (T / 2, T))
         print(f"   alpha={alpha}: kappa fit {fit:.4f} (exact {kappa:.4f}); "
               f"d/dt p_alpha -> {rate:.4f} (sigma = {2 - alpha})")

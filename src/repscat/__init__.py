@@ -47,14 +47,10 @@ from .mehler import (
     trajectory_factors,
 )
 from .phasespace import (
-    CutoffSpec,
     a2_bracket_closed_form,
     mourre_shell_scan,
     poisson_bracket,
-    symbol_a2,
-    symbol_a_alpha,
     symbol_accel_alpha,
-    symbol_v_alpha,
 )
 from .potentials import (
     QuadraticSpec,

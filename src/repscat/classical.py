@@ -182,7 +182,7 @@ def check_fit_window(t_final: float, dt: float, record_every: int):
     _fit_window(np.array(newest), (t_final / 2.0, t_final))
 
 
-def escape_exponent(traj: Trajectory, fit_window) -> dict:
+def escape_exponent(traj: Trajectory, fit_window) -> float:
     """Least-squares slope of log|x(t)| against log t over the window.
 
     The trajectory must be escaping (|x| increasing) across the window.
@@ -192,8 +192,7 @@ def escape_exponent(traj: Trajectory, fit_window) -> dict:
     t = traj.times[mask]
     if not np.all(np.diff(r) > 0):
         raise NoEscapeError("trajectory is not escaping over the fit window")
-    slope = float(np.polyfit(np.log(t), np.log(r), 1)[0])
-    return {"kappa_estimate": slope, "n_samples": int(np.sum(mask))}
+    return float(np.polyfit(np.log(t), np.log(r), 1)[0])
 
 
 def log_growth_rate(traj: Trajectory, fit_window) -> float:

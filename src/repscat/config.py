@@ -22,8 +22,9 @@ import numpy as np
 import yaml
 
 from .classical import PhasePoint, check_fit_window
-from .errors import ConfigurationError, check_integer
+from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
+from .mehler import trajectory_factors
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
@@ -43,13 +44,18 @@ REQUIRED = object()
 class ExperimentConfig:
     """A raw config of one experiment kind and its seed (None: the config's
     own `seed` key).  `values` are raw's checked values, read once through
-    read_config on first use."""
+    read_config on first use; the constructor only compares `kind` with
+    raw's `experiment`, so a config built with its seed is read inside the
+    run that uses it."""
 
     kind: str
     raw: dict
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind != self.raw.get("experiment"):
+            raise ConfigurationError(f"kind {self.kind!r} does not match the config's "
+                                     f"experiment {self.raw.get('experiment')!r}")
         if self.seed is None:
             object.__setattr__(self, "seed", self.values["seed"])
 
@@ -226,7 +232,8 @@ def _perturbation(values: dict, key: str):
         inspect.signature(factory).bind(**args)
     except TypeError as exc:
         raise ConfigurationError(f"{key}.args: {exc}") from exc
-    return factory(**{name: _real(value, f"{key}.args.{name}") for name, value in args.items()})
+    return _built(factory, f"{key}.args",
+                  **{name: _real(value, f"{key}.args.{name}") for name, value in args.items()})
 
 
 def _schedule(values: dict, key: str) -> np.ndarray:
@@ -281,6 +288,11 @@ def _check_on_grid(kind: str, v: dict):
                                   and (ham["repulsive"] is not None or pert is not None))
     if split_step and "dt" in v and v["dt"] is None:
         raise ConfigurationError("dt must be given: the split-step route needs a time step")
+    # the factored route evaluates g_k(2t), h_k(2t) at times up to the latest one
+    latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
+              "wave-operator": "horizons"}.get(kind)
+    if not split_step and latest is not None:
+        _built(trajectory_factors, latest, t=float(np.max(np.abs(v[latest]))), spec=quad)
     if pert is not None and not callable(pert):
         if quad is not None and kind in ("cook", "wave-operator"):
             raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
@@ -299,7 +311,7 @@ def _check_on_grid(kind: str, v: dict):
 GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),
                "half_width": (_real, REQUIRED)},
               lambda v, key: make_grid(v["dims"], v["points"], v["half_width"]))
-STATE = _block({"width": (_positive, 1.0),
+STATE = _block({"width": (lambda value, key: check_width(_real(value, key), key), 1.0),
                 "center": (_axis_reals, 0.0), "momentum": (_axis_reals, 0.0)})
 HAMILTONIAN = _block({
     "quadratic": (_block({"n_minus": (_count(0), 0), "n_plus": (_count(0), 0),

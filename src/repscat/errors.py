@@ -1,6 +1,8 @@
-"""Exception family shared by all repscat modules, and the integer check
-that config loading and the classical flow both apply."""
+"""Exception family shared by all repscat modules, the integer check that
+config loading and the classical flow both apply, and the width check of
+the Gaussian state and of the bump presets."""
 
+import math
 import numbers
 
 
@@ -43,3 +45,13 @@ def check_integer(value, key: str, minimum=None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_width(value, key: str) -> float:
+    """A width x > 0 that a packet or bump divides by as 2 x^2 (or x^2): that
+    must be a nonzero finite float, so it neither overflows nor vanishes."""
+    x = float(value)  # Python floats overflow to inf without a warning
+    if not (x > 0 and 0.0 < 2.0 * x * x < math.inf):
+        raise ConfigurationError(
+            f"{key} must be a number x > 0 with 2 x^2 a nonzero finite float, got {value!r}")
+    return x

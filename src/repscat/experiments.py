@@ -180,10 +180,10 @@ def run_classical(v, out_dir):
     window = (t_final / 2.0, t_final)
     if alpha < 2.0:
         kappa = 2.0 / (2.0 - alpha)
-        fit = cl.escape_exponent(traj, window)
-        metrics["kappa_estimate"] = fit["kappa_estimate"]
+        estimate = cl.escape_exponent(traj, window)
+        metrics["kappa_estimate"] = estimate
         metrics["kappa_expected"] = kappa
-        checks.append(_check("kappa", kappa, fit["kappa_estimate"], tol * kappa))
+        checks.append(_check("kappa", kappa, estimate, tol * kappa))
     else:
         rate = cl.log_growth_rate(traj, window)
         metrics["log_growth_rate"] = rate

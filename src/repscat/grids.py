@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainEscapeError, NumericalStateError
+from .errors import ConfigurationError, DomainEscapeError, NumericalStateError, check_width
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -424,6 +424,7 @@ def _normalised(grid: Grid, vals: np.ndarray) -> WaveFunction:
 
 def gaussian(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:
     """Normalized Gaussian packet prod_k exp(i k_j x_j) exp(-(x_j-c_j)^2/(2 w^2))."""
+    check_width(width, "width")
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dims,))
     moms = np.broadcast_to(np.asarray(momentum, dtype=float), (grid.dims,))
     return _normalised(grid, _packet(grid, centers, width, moms))

@@ -69,11 +69,16 @@ def _sector_gh(sector: str, omega: float, targ: float):
 
 
 def trajectory_factors(t: float, spec: QuadraticSpec) -> TrajectoryFactors:
-    """g_k(2t), h_k(2t) for every coordinate of the spec."""
+    """g_k(2t), h_k(2t) for every coordinate of the spec.  A time at which
+    one of them is not a finite float (sinh and cosh overflow once w_k |t|
+    passes about 355) is refused."""
     g = np.empty(spec.dims)
     h = np.empty(spec.dims)
-    for k in range(spec.dims):
-        g[k], h[k] = _sector_gh(spec.sectors[k], spec.axis_omegas[k], 2.0 * t)
+    with np.errstate(over="ignore"):
+        for k in range(spec.dims):
+            g[k], h[k] = _sector_gh(spec.sectors[k], spec.axis_omegas[k], 2.0 * t)
+    if not all(math.isfinite(v) for v in (*g, *h)):
+        raise ConfigurationError(f"g_k(2t) or h_k(2t) is not a finite float at t={t}")
     return TrajectoryFactors(t=t, g=g, h=h)
 
 

@@ -27,57 +27,37 @@ def poisson_bracket(h, a, x, xi):
 # The fixed smooth cutoff: support [-1/2, 1/2], plateau [-1/4, 1/4].
 # ---------------------------------------------------------------------------
 
-class CutoffSpec:
-    """C-infinity bump psi: 1 on [-plateau, plateau], 0 outside [-support, support].
+CUTOFF_SUPPORT = 0.5
+CUTOFF_PLATEAU = 0.25
+
+
+def cutoff(u):
+    """(psi(u), psi'(u)) of the C-infinity bump psi: 1 on [-CUTOFF_PLATEAU,
+    CUTOFF_PLATEAU], 0 outside [-CUTOFF_SUPPORT, CUTOFF_SUPPORT].
 
     The shoulder is the smooth step S(v) = f(1+v) / (f(1+v) + f(1-v)) with
     f(s) = exp(-1/s) for s > 0 and 0 otherwise (Hormander, The Analysis of
     Linear Partial Differential Operators I, ch. 1), where v runs from 1 at
     |u| = plateau to -1 at |u| = support.  The value and the derivative come
-    from the same closed form.
+    from one evaluation of the same closed form.
     """
-
-    support = 0.5
-    plateau = 0.25
-
-    def _shoulder(self, u):
-        """v clipped to [-1, 1], with f(1 + v) and f(1 - v)."""
-        v = np.clip((self.support + self.plateau - 2.0 * np.abs(u))
-                    / (self.support - self.plateau), -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            return v, np.exp(-1.0 / (1.0 + v)), np.exp(-1.0 / (1.0 - v))
-
-    def __call__(self, u):
-        _, p, q = self._shoulder(np.asarray(u, dtype=float))
-        return p / (p + q)
-
-    def derivative(self, u):
-        return self.value_and_derivative(u)[1]
-
-    def value_and_derivative(self, u):
-        """(psi(u), psi'(u)) from one evaluation of the shoulder."""
-        u = np.asarray(u, dtype=float)
-        v, p, q = self._shoulder(u)
-        # f'(s) = f(s)/s^2, so dS/dv = p q (1/(1+v)^2 + 1/(1-v)^2) / (p+q)^2,
-        # which is 0 at v = +-1, where one of the 1/s^2 factors is not finite
-        inside = np.abs(v) < 1.0
-        w = np.where(inside, v, 0.0)
-        ds_dv = np.where(inside, p * q * (1.0 / (1.0 + w) ** 2 + 1.0 / (1.0 - w) ** 2)
-                         / (p + q) ** 2, 0.0)
-        return p / (p + q), -np.sign(u) * ds_dv * 2.0 / (self.support - self.plateau)
-
-
-DEFAULT_CUTOFF = CutoffSpec()
+    u = np.asarray(u, dtype=float)
+    v = np.clip((CUTOFF_SUPPORT + CUTOFF_PLATEAU - 2.0 * np.abs(u))
+                / (CUTOFF_SUPPORT - CUTOFF_PLATEAU), -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        p, q = np.exp(-1.0 / (1.0 + v)), np.exp(-1.0 / (1.0 - v))
+    # f'(s) = f(s)/s^2, so dS/dv = p q (1/(1+v)^2 + 1/(1-v)^2) / (p+q)^2,
+    # which is 0 at v = +-1, where one of the 1/s^2 factors is not finite
+    inside = np.abs(v) < 1.0
+    w = np.where(inside, v, 0.0)
+    ds_dv = np.where(inside, p * q * (1.0 / (1.0 + w) ** 2 + 1.0 / (1.0 - w) ** 2)
+                     / (p + q) ** 2, 0.0)
+    return p / (p + q), -np.sign(u) * ds_dv * 2.0 / (CUTOFF_SUPPORT - CUTOFF_PLATEAU)
 
 
 # ---------------------------------------------------------------------------
 # Symbols.
 # ---------------------------------------------------------------------------
-
-def symbol_a2(x, xi):
-    """Conjugate symbol for alpha = 2: ln<xi + x> - ln<xi - x>."""
-    return a2_symbol()(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
-
 
 def a2_symbol():
     """a_2 as one symbol (x, xi) -> (value, d/dx, d/dxi)."""
@@ -97,12 +77,6 @@ def a2_bracket_closed_form(x, xi):
     return 2.0 * p**2 / (1.0 + p**2) + 2.0 * m**2 / (1.0 + m**2)
 
 
-def symbol_a_alpha(x, xi, alpha):
-    """Conjugate symbol for alpha < 2:
-    x xi <x>^-alpha psi((xi^2 - <x>^alpha)/(xi^2 + <x>^alpha))."""
-    return a_alpha_symbol(alpha)(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
-
-
 def a_alpha_symbol(alpha: float):
     """a_alpha as one symbol (x, xi) -> (value, d/dx, d/dxi): <x>^alpha, the
     shell ratio u and psi(u), psi'(u) are evaluated once for all three."""
@@ -114,7 +88,7 @@ def a_alpha_symbol(alpha: float):
         bx_a = bx**alpha
         xi2 = xi**2
         u = (xi2 - bx_a) / (xi2 + bx_a)
-        psi, dpsi = DEFAULT_CUTOFF.value_and_derivative(u)
+        psi, dpsi = cutoff(u)
         decay = bx ** (-alpha)
         core = x * xi * decay
         dcore = xi * decay - alpha * x**2 * xi * bx ** (-alpha - 2.0)
@@ -162,11 +136,6 @@ def heuristic_bracket_identity(x, E, alpha):
     """2 - alpha + 2 E (1 - alpha) x^-alpha on the shell xi^2 - x^alpha = E."""
     x = np.asarray(x, dtype=float)
     return 2.0 - alpha + 2.0 * E * (1.0 - alpha) * x ** (-alpha)
-
-
-def symbol_v_alpha(x, xi, alpha):
-    """Local-velocity symbol sigma_alpha x.xi / <x>^(1+alpha/2)."""
-    return v_alpha_symbol(alpha)(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))[0]
 
 
 def v_alpha_symbol(alpha: float):
@@ -228,14 +197,11 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     br = poisson_bracket(h, a, xs, xis)
     bad = br < target
     pts = np.column_stack([xs, xis, br])
-    # smallest radius R with no violation at any sampled |x| >= R
-    rads = np.abs(xs)
-    order = np.argsort(rads)
-    sorted_bad = bad[order]
-    sorted_r = rads[order]
-    viol_idx = np.nonzero(sorted_bad)[0]
-    first_good = viol_idx[-1] + 1 if viol_idx.size else 0
-    r_threshold = float(sorted_r[first_good]) if first_good < len(sorted_r) else np.inf
+    # smallest sampled radius R with no violation at any sampled |x| >= R;
+    # xs holds four sign copies of the increasing radii, one block each
+    bad_radii = np.flatnonzero(bad.reshape(4, -1).any(axis=0))
+    first_good = bad_radii[-1] + 1 if bad_radii.size else 0
+    r_threshold = float(radii[first_good]) if first_good < len(radii) else np.inf
     return {
         "min_bracket": float(np.min(br, initial=np.inf)),
         "violating_points": pts[bad],

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integer
+from .errors import ConfigurationError, check_integer, check_width
 from .grids import Grid
 
 
@@ -74,17 +74,12 @@ class RepulsiveSpec:
     def __post_init__(self):
         _check_alpha(self.alpha)
 
-    def weight(self, *coords):
-        """<x>^alpha (or |x|^alpha) at the given coordinates."""
-        if self.regularized:
-            return bracket_x(*coords) ** self.alpha
-        return np.sqrt(radius_sq(*coords)) ** self.alpha
-
-    def potential(self, *coords):
-        return -self.weight(*coords)
-
     def potential_samples(self, grid: Grid) -> np.ndarray:
-        return self.potential(*grid.meshgrid())
+        """-<x>^alpha (or -|x|^alpha) at the grid's nodes."""
+        coords = grid.meshgrid()
+        if self.regularized:
+            return -(bracket_x(*coords) ** self.alpha)
+        return -(np.sqrt(radius_sq(*coords)) ** self.alpha)
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,6 @@ class QuadraticSpec:
         object.__setattr__(self, "axis_omegas", omegas + (0.0,) * (self.n_E + n_free))
         object.__setattr__(self, "axis_fields", (0.0,) * len(omegas) + fields + (0.0,) * n_free)
 
-    def sector(self, axis: int) -> str:
-        if axis < 0 or axis >= self.dims:
-            raise ConfigurationError(f"axis {axis} out of range for dims {self.dims}")
-        return self.sectors[axis]
-
-    def field(self, axis: int) -> float:
-        """E_k on a Stark axis, 0.0 on any other."""
-        self.sector(axis)  # refuses an axis out of range
-        return self.axis_fields[axis]
-
     def potential_samples(self, grid: Grid) -> np.ndarray:
         return eval_quadratic(grid.meshgrid(), self)
 
@@ -169,12 +154,14 @@ def eval_quadratic(point, spec: QuadraticSpec):
 def w_product(coords, betas, quad: QuadraticSpec):
     """Canonical decay-class product: <ln<x_j>>^-beta on hyperbolic axes,
     <x_j>^(-beta/2) on Stark axes, <x_j>^-beta elsewhere."""
+    if len(coords) != quad.dims:
+        raise ConfigurationError(
+            f"point has {len(coords)} coordinates, spec has dims {quad.dims}")
     out = 1.0
-    for j, c in enumerate(coords):
+    for j, (c, sector) in enumerate(zip(coords, quad.sectors)):
         b = betas[j]
         if b == 0:
             continue
-        sector = quad.sector(j)
         if sector == "hyperbolic":
             out = out * bracket_x(np.log(bracket_x(c))) ** (-b)
         elif sector == "stark":
@@ -199,11 +186,13 @@ def preset_log_power(height: float, exponent: float) -> Callable:
 
 
 def preset_gaussian_bump(height: float, width: float) -> Callable:
+    check_width(width, "width")
     return lambda *c: height * np.exp(-radius_sq(*c) / (2.0 * width**2))
 
 
 def preset_compact_bump(height: float, radius: float) -> Callable:
     """Smooth bump supported in |x| <= radius (classic exp(-1/(1-u^2)) profile)."""
+    check_width(radius, "radius")
 
     def bump(*c):
         u2 = radius_sq(*c) / radius**2

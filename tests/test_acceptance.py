@@ -128,7 +128,7 @@ def test_criterion_5_classical_growth():
         kappa = 2.0 / (2.0 - alpha)
         T = 160.0
         traj = rs.flow(rs.zero_energy_start(alpha), alpha, T, 1e-3, record_every=50)
-        fit = rs.escape_exponent(traj, (T / 2, T))["kappa_estimate"]
+        fit = rs.escape_exponent(traj, (T / 2, T))
         rel = abs(fit - kappa) / kappa
         ok &= rel <= 0.03
         details.append(f"kappa({alpha})={fit:.3f} vs {kappa:.3f} ({100*rel:.1f}%)")
@@ -293,7 +293,7 @@ def test_criterion_11_symbol_consistency():
     traj = rs.flow(rs.zero_energy_start(alpha), alpha, 6.0, 1e-4, record_every=10)
     hsym = hamiltonian_symbol(alpha)
     vsym = v_alpha_symbol(alpha)
-    vals = rs.symbol_v_alpha(traj.xs[:, 0], traj.xis[:, 0], alpha)
+    vals = vsym(traj.xs[:, 0], traj.xis[:, 0])[0]
     dadt = np.gradient(vals, traj.times)
     br = poisson_bracket(hsym, vsym, traj.xs[:, 0], traj.xis[:, 0])
     flow_dev = float(np.max(np.abs(dadt[2:-2] - br[2:-2])))

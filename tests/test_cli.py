@@ -399,6 +399,26 @@ GATE = [
                  id="classical-fit-window"),
     pytest.param(CLASSICAL_CFG, "t_final: 160.0", "t_final: 0.0", "t_final",
                  id="classical-fit-window-empty"),
+    # 2 w^2, the packet's denominator, overflows a float
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: 0.4\nstate: {width: 1.0e+200}", "state.width",
+                 id="state-width-overflow"),
+    # g(2t) = sinh(2t) and h(2t) = cosh(2t) overflow at t = 400 on a unit saddle
+    pytest.param(VELOCITY_CFG, "times: [2.0, 4.0, 6.0, 8.0, 10.0]", "times: [2.0, 400.0]",
+                 "schedule", id="velocity-factors-overflow"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE + "\nschedule: {start: 1.0, stop: 5.0, count: 9, "
+                 "spacing: linear}", QUAD_LINE + "\n  perturbation: {preset: power, args: "
+                 "{height: 1.0, exponent: 1.0}}\nschedule: {times: [2.0, 4.0, 8.0, 400.0]}",
+                 "schedule", id="cook-factors-overflow"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, 400.0]", "horizons",
+                 id="wave-factors-overflow"),
+    pytest.param(PROPAGATE_CFG, "t: 0.4", "t: -400.0", "t", id="propagate-factors-overflow"),
+    # a bump of zero width divides by zero
+    pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
+                 "{preset: compact-bump, args: {height: 1.0, radius: 0}}",
+                 "hamiltonian.perturbation.args", id="compact-bump-radius"),
+    pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
+                 "{preset: gaussian-bump, args: {height: 1.0, width: 0}}",
+                 "hamiltonian.perturbation.args", id="gaussian-bump-width"),
 ]
 
 
@@ -443,6 +463,43 @@ def test_run_reads_its_config_once(tmp_path, monkeypatch, name):
     assert reads == []
     summary = run_experiment(cfg, str(tmp_path))
     assert len(reads) == 1 and summary["seed"] == 3
+
+
+def test_experiment_config_refuses_a_kind_its_raw_config_does_not_name():
+    from repscat.config import ExperimentConfig
+
+    raw = load_config(os.path.join(CONFIG_DIR, "propagate_mehler.yaml")).raw
+    with pytest.raises(ConfigurationError, match="'velocity' does not match .*'propagate'"):
+        ExperimentConfig("velocity", raw, 1)
+
+
+@pytest.mark.parametrize("name", SAMPLE_CONFIGS)
+def test_experiment_config_with_a_seed_is_not_read_when_built(monkeypatch, name):
+    # the benchmark's traced runs count config reading inside run_experiment
+    import repscat.config
+    from repscat.config import ExperimentConfig
+
+    raw = load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")).raw
+    reads = []
+    monkeypatch.setattr(repscat.config, "read_config", lambda raw: reads.append(raw))
+    cfg = ExperimentConfig(raw["experiment"], raw, 7)
+    assert reads == [] and cfg.seed == 7
+
+
+def test_every_benchmark_span_names_a_callable_of_repscat():
+    import importlib
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(CONFIG_DIR), "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.SPANS
+    for module, attr, _ in layers.SPANS:
+        owner = importlib.import_module(f"repscat.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"repscat.{module}.{attr}"
 
 
 def test_nd_velocity_histogram_rejected(tmp_path, capsys):

@@ -430,3 +430,9 @@ def test_gaussian_whose_packet_underflows_raises_before_any_nan():
         for g, center in ((make_grid(1, 64, 5.0), 100.0), (make_grid(2, 16, 5.0), (0.0, 100.0))):
             with pytest.raises(NumericalStateError, match="zero norm"):
                 gaussian(g, center=center)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, 1.0e-200, 1.0e+154, 1.0e+200, np.float64(1e200)])
+def test_gaussian_refuses_a_width_whose_2_w_squared_is_not_a_nonzero_finite_float(width):
+    with pytest.raises(ConfigurationError, match="width"):
+        gaussian(make_grid(1, 64, 8.0), width=width)

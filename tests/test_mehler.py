@@ -437,8 +437,8 @@ def _reference_chirp(grid, spec, fac, t):
     for k in range(grid.dims):
         xk = grid.axis_nodes(k)
         phase = phase + xk**2 * fac.h[k] / (2.0 * fac.g[k])
-        if spec.sector(k) == "stark":
-            phase = phase - (t / 2.0) * spec.field(k) * xk
+        if spec.sectors[k] == "stark":
+            phase = phase - (t / 2.0) * spec.axis_fields[k] * xk
     return np.exp(1j * phase)
 
 
@@ -473,8 +473,8 @@ def test_chirp_nd_matches_full_grid_formula(spec, points, t):
     for k in range(grid.dims):
         x = grid.nodes
         phi = x**2 * fac.h[k] / (2.0 * fac.g[k])
-        if spec.sector(k) == "stark":
-            phi = phi - (t / 2.0) * spec.field(k) * x
+        if spec.sectors[k] == "stark":
+            phi = phi - (t / 2.0) * spec.axis_fields[k] * x
         phi_max += float(np.max(np.abs(phi)))
     assert np.max(np.abs(got - ref)) <= 8.0 * np.finfo(float).eps * phi_max
 
@@ -514,3 +514,16 @@ def test_factored_is_unitary_and_reversible(case, center, momentum, width):
     assert l2_norm(out) == pytest.approx(1.0, rel=1e-11)
     back = propagate_factored(out, -t, spec)
     assert l2_norm(WaveFunction(g, back.values - psi.values)) <= 1e-8
+
+
+@pytest.mark.parametrize("spec, t", [(HYPER, 400.0), (HYPER, -356.0),
+                                     (QuadraticSpec(dims=2, n_minus=1, omegas=(4.0,)), 90.0),
+                                     (FREE, np.inf)])
+def test_trajectory_factors_refuse_a_time_past_the_float_range(spec, t):
+    with pytest.raises(ConfigurationError, match="not a finite float"):
+        trajectory_factors(t, spec)
+
+
+def test_trajectory_factors_accept_the_last_finite_times():
+    fac = trajectory_factors(354.0, HYPER)
+    assert np.all(np.isfinite(fac.g)) and np.all(np.isfinite(fac.h))

@@ -3,21 +3,17 @@ import pytest
 
 from repscat import (
     ConfigurationError,
-    CutoffSpec,
     flow,
     mourre_shell_scan,
     poisson_bracket,
-    symbol_a2,
-    symbol_a_alpha,
     symbol_accel_alpha,
-    symbol_v_alpha,
     zero_energy_start,
 )
 from repscat.phasespace import (
-    DEFAULT_CUTOFF,
     a2_bracket_closed_form,
     a2_symbol,
     a_alpha_symbol,
+    cutoff,
     hamiltonian_symbol,
     heuristic_a_symbol,
     heuristic_bracket_identity,
@@ -30,16 +26,16 @@ from repscat.potentials import bracket_x, sigma_alpha
 
 def test_a2_zero_at_x0():
     for xi in (-2.0, 0.0, 5.0):
-        assert symbol_a2(0.0, xi) == 0.0
+        assert a2_symbol()(0.0, xi)[0] == 0.0
 
 
 def test_a2_substitution_value():
-    assert symbol_a2(1.0, 1.0) == pytest.approx(np.log(np.sqrt(5.0)), rel=1e-14)
+    assert a2_symbol()(1.0, 1.0)[0] == pytest.approx(np.log(np.sqrt(5.0)), rel=1e-14)
 
 
 def test_a2_antisymmetry(rng):
     x, xi = rng.uniform(-4, 4, size=(2, 100))
-    assert np.allclose(symbol_a2(-x, xi), -symbol_a2(x, xi), atol=1e-14)
+    assert np.allclose(a2_symbol()(-x, xi)[0], -a2_symbol()(x, xi)[0], atol=1e-14)
 
 
 def test_a_alpha_on_shell_plateau():
@@ -48,56 +44,56 @@ def test_a_alpha_on_shell_plateau():
     alpha = 1.2
     xi = bracket_x(x) ** (alpha / 2.0)
     expected = x * xi * bracket_x(x) ** (-alpha)
-    assert symbol_a_alpha(x, xi, alpha) == pytest.approx(expected, rel=1e-14)
+    assert a_alpha_symbol(alpha)(x, xi)[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_a_alpha_vanishes_far_off_shell():
     x = 2.0
     alpha = 1.0
     xi = np.sqrt(3.2 * bracket_x(x))  # xi^2 > 3 <x>^alpha => argument > 1/2
-    assert symbol_a_alpha(x, xi, alpha) == 0.0
+    assert a_alpha_symbol(alpha)(x, xi)[0] == 0.0
 
 
 def test_a_alpha_example_value():
     x, alpha = 4.0, 1.0
     xi = bracket_x(4.0) ** 0.5
-    assert symbol_a_alpha(x, xi, alpha) == pytest.approx(4.0 / bracket_x(4.0) ** 0.5,
-                                                         rel=1e-12)
+    assert a_alpha_symbol(alpha)(x, xi)[0] == pytest.approx(4.0 / bracket_x(4.0) ** 0.5,
+                                                            rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 2.0, 2.5])
 def test_a_alpha_refuses_alpha_outside_its_range(alpha):
     # alpha = 2 has its own conjugate symbol a_2
     with pytest.raises(ConfigurationError):
-        symbol_a_alpha(3.0, 5.0, alpha)
-    with pytest.raises(ConfigurationError):
         a_alpha_symbol(alpha)
 
 
 def test_cutoff_shape():
-    psi = CutoffSpec()
-    assert psi(0.0) == 1.0
+    assert cutoff(0.0)[0] == 1.0
     u = np.linspace(-1.0, 1.0, 801)
-    vals = psi(u)
+    vals, derivs = cutoff(u)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(vals[np.abs(u) <= 0.25] == 1.0)
     assert np.all(vals[np.abs(u) >= 0.5] == 0.0)
+    assert np.all(derivs[(np.abs(u) <= 0.25) | (np.abs(u) >= 0.5)] == 0.0)
 
 
 def test_cutoff_derivative_consistency():
     # sixth-order central difference; a fourth-order one at this h carries
     # its own truncation error of ~5e-9 on the shoulder near |u| = 0.485
-    psi = CutoffSpec()
+    def psi(u):
+        return cutoff(u)[0]
+
     u = np.linspace(-0.6, 0.6, 501)
     h = 1e-4
     fd = (psi(u + 3 * h) - 9 * psi(u + 2 * h) + 45 * psi(u + h)
           - 45 * psi(u - h) + 9 * psi(u - 2 * h) - psi(u - 3 * h)) / (60 * h)
-    assert np.max(np.abs(fd - psi.derivative(u))) < 1e-9
+    assert np.max(np.abs(fd - cutoff(u)[1])) < 1e-9
 
 
 def test_cutoff_midpoint_is_one_half():
-    assert DEFAULT_CUTOFF(0.375) == 0.5
-    assert DEFAULT_CUTOFF(-0.375) == 0.5
+    assert cutoff(0.375)[0] == 0.5
+    assert cutoff(-0.375)[0] == 0.5
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -108,8 +104,9 @@ def test_zero_energy_shell_lies_on_the_cutoff_plateau(alpha):
     xi2 = np.sqrt(bx_a + 0.0) ** 2
     u = (xi2 - bx_a) / (xi2 + bx_a)
     assert np.max(np.abs(u)) <= 1e-12
-    assert np.all(DEFAULT_CUTOFF(u) == 1.0)
-    assert np.all(DEFAULT_CUTOFF.derivative(u) == 0.0)
+    psi, dpsi = cutoff(u)
+    assert np.all(psi == 1.0)
+    assert np.all(dpsi == 0.0)
 
 
 def test_heuristic_bracket_alpha1_is_exactly_one(rng):
@@ -274,7 +271,7 @@ def test_acceleration_symbol_equals_bracket(alpha, rng):
 
 
 def test_v_alpha_vanishes_at_zero_momentum():
-    assert symbol_v_alpha(3.0, 0.0, 1.0) == 0.0
+    assert v_alpha_symbol(1.0)(3.0, 0.0)[0] == 0.0
 
 
 def test_on_shell_velocity_bound_c11a():
@@ -289,7 +286,7 @@ def test_on_shell_velocity_bound_c11a():
             wx = bracket_x(x) ** alpha
             x = x[wx + E >= 0]
             xi = np.sqrt(bracket_x(x) ** alpha + E)
-            v = np.abs(symbol_v_alpha(x, xi, alpha))
+            v = np.abs(v_alpha_symbol(alpha)(x, xi)[0])
             bound = s + C * bracket_x(x) ** ((beta - 1.0) * alpha / 2.0)
             assert np.all(v <= bound)
 
@@ -302,7 +299,7 @@ def test_bracket_matches_time_derivative_along_flow():
     a = v_alpha_symbol(alpha)
     x = traj.xs[:, 0]
     xi = traj.xis[:, 0]
-    vals = symbol_v_alpha(x, xi, alpha)
+    vals = a(x, xi)[0]
     dadt = np.gradient(vals, traj.times)
     br = poisson_bracket(h, a, x, xi)
     # central differences on the recorded lattice: compare away from ends
@@ -354,3 +351,29 @@ def test_scan_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,xi,bracket,shell_E"
     assert len(lines) == 1 + len(out["points"])
+
+
+def _sorted_threshold(points, target):
+    """R_threshold by sorting every sampled point by |x|: the smallest
+    sampled radius past the last violation, inf if none is left."""
+    rads = np.abs(points[:, 0])
+    order = np.argsort(rads)
+    viol_idx = np.nonzero(points[order, 2] < target)[0]
+    first_good = viol_idx[-1] + 1 if viol_idx.size else 0
+    return float(rads[order][first_good]) if first_good < len(rads) else np.inf
+
+
+def test_mourre_scan_threshold_matches_sorted_reference(rng):
+    # the four sign copies of a radius share its bracket, so a per-radius
+    # reduction gives the threshold of a sort over all points
+    with_violations = 0
+    for _ in range(400):
+        alpha = float(rng.choice([2.0, rng.uniform(0.1, 2.0)]))
+        lo = float(rng.uniform(0.05, 5.0))
+        out = mourre_shell_scan(alpha, float(rng.uniform(-3.0, 3.0)),
+                                float(rng.uniform(0.001, 0.3)),
+                                (lo, lo * float(rng.uniform(1.5, 40.0))),
+                                int(rng.integers(1, 1200)))
+        assert out["R_threshold"] == _sorted_threshold(out["points"], out["target"])
+        with_violations += len(out["violating_points"]) > 0
+    assert with_violations >= 80

@@ -10,6 +10,7 @@ from repscat import (
     sigma_alpha,
 )
 from repscat.potentials import (
+    PRESETS,
     bracket_x,
     p_alpha_inverse,
     preset_borderline,
@@ -108,14 +109,6 @@ def test_quadratic_spec_axis_layout(dims, n_minus, n_plus, n_E):
     assert spec.sectors == tuple(sector for sector, _, _ in layout)
     assert spec.axis_omegas == tuple(w for _, w, _ in layout)
     assert spec.axis_fields == tuple(e for _, _, e in layout)
-    for k, (sector, _, e) in enumerate(layout):
-        assert spec.sector(k) == sector
-        assert spec.field(k) == e
-    for axis in (-1, dims):
-        with pytest.raises(ConfigurationError, match="out of range"):
-            spec.sector(axis)
-        with pytest.raises(ConfigurationError, match="out of range"):
-            spec.field(axis)
 
 
 def test_quadratic_spec_layout_is_derived_not_given():
@@ -184,3 +177,17 @@ def test_borderline_is_bit_identical_to_its_formula(alpha):
     y = np.linspace(-3.0, 5.0, 17)[None, :]
     expected = 0.7 * (1.0 + p_alpha(np.sqrt(x**2 + y**2), alpha)) ** (-1.0)
     assert np.array_equal(preset_borderline(alpha, 0.7)(x, y), expected)
+
+
+@pytest.mark.parametrize("n_coords", [2, 4])
+def test_w_product_refuses_a_point_of_another_dimension(n_coords):
+    quad = QuadraticSpec(dims=3, n_minus=1, n_E=1, omegas=(1.0,), fields=(1.0,))
+    with pytest.raises(ConfigurationError, match="spec has dims 3"):
+        w_product((np.array([3.0]),) * n_coords, (2.0,) * n_coords, quad)
+
+
+@pytest.mark.parametrize("preset, arg", [("gaussian-bump", "width"), ("compact-bump", "radius")])
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.0e-200, 1.0e+200])
+def test_bump_presets_refuse_a_width_they_cannot_divide_by(preset, arg, value):
+    with pytest.raises(ConfigurationError, match=arg):
+        PRESETS[preset](height=1.0, **{arg: value})
