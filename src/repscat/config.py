@@ -292,7 +292,10 @@ def _check_on_grid(kind: str, v: dict):
     latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
               "wave-operator": "horizons"}.get(kind)
     if not split_step and latest is not None:
-        _built(trajectory_factors, latest, t=float(np.max(np.abs(v[latest]))), spec=quad)
+        t = float(np.max(np.abs(v[latest])))
+        fac = _built(trajectory_factors, latest, t=t, spec=quad)
+        if kind != "propagate":
+            _check_dilated_lattice(latest, t, fac.g, grid)
     if pert is not None and not callable(pert):
         if quad is not None and kind in ("cook", "wave-operator"):
             raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
@@ -306,6 +309,22 @@ def _check_on_grid(kind: str, v: dict):
     if kind == "velocity" and grid.dims > 1 and (quad is None or v["histogram_csv"]):
         raise ConfigurationError("an n-D velocity run needs hamiltonian.quadratic and takes no "
                                  "histogram_csv: split-step snapshots and histograms are 1-D")
+
+
+def _check_dilated_lattice(key: str, t: float, g, grid):
+    """Refuse a time whose dilated dual lattice has a point x with |x|^2 past
+    the float range.  The cell rule evaluates a preset or p_alpha at points
+    g_k(2t) (xi + v), |v| <= h/2, so |x|^2 is at most the sum over the axes
+    of (|g_k(2t)| (max|xi| + h/2))^2; g_k(2t) grows with t on every axis the
+    factored route takes, so the latest time decides."""
+    reach = float(np.max(np.abs(grid.freq_nodes))) + grid.freq_spacing / 2.0
+    with np.errstate(over="ignore"):
+        r2 = float(np.sum((np.abs(g) * reach) ** 2))
+    if not math.isfinite(r2):
+        raise ConfigurationError(
+            f"{key}: at t={t} the dilated lattice (max |g_k(2t)| = "
+            f"{float(np.max(np.abs(g))):.3g}, max |xi| + h/2 = {reach:.4g}) has points whose "
+            "|x|^2 overflows a float; shorten the times")
 
 
 GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),

@@ -182,16 +182,32 @@ def _axis_phases(grid: Grid, axis: int, sign: float) -> np.ndarray:
     return np.exp(sign * 1j * (-grid.half_width) * grid.axis_freqs(axis))
 
 
+@functools.lru_cache(maxsize=64)
+def _normalised_phases(dims: int, points_per_dim: int, half_width: float,
+                       sign: float) -> tuple:
+    """Per axis, _axis_phases(grid, axis, sign) times the transform's scalar
+    normalisation (spacing / sqrt(2 pi) forward, sign -1; N freq_spacing /
+    sqrt(2 pi) inverse, sign +1): N points each, read-only.  Keyed by the
+    grid's geometry, as _band_slabs is."""
+    grid = make_grid(dims, points_per_dim, half_width)
+    scale = grid.spacing if sign < 0 else points_per_dim * grid.freq_spacing
+    norm = scale / np.sqrt(2.0 * np.pi)
+    phases = tuple(_axis_phases(grid, ax, sign) * norm for ax in range(dims))
+    for phase in phases:
+        phase.flags.writeable = False
+    return phases
+
+
 def _momentum_values(values: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
     """The momentum samples of the position samples `values`, written into
     `out`, which may be `values` itself: every FFT and multiply runs in
     place, and the scalar normalisation rides on each N-point axis phase."""
-    norm = grid.spacing / np.sqrt(2.0 * np.pi)
+    phases = _normalised_phases(grid.dims, grid.points_per_dim, grid.half_width, -1.0)
     np.fft.fft(values, axis=0, out=out)
     for ax in range(grid.dims):
         if ax:
             np.fft.fft(out, axis=ax, out=out)
-        out *= _axis_phases(grid, ax, -1.0) * norm
+        out *= phases[ax]
     return out
 
 
@@ -212,11 +228,11 @@ def transform(psi: WaveFunction, target_representation: str) -> WaveFunction:
     # axis phase, and after the first (allocating) pass every FFT and
     # multiply runs in place: one grid pass per axis besides the FFT
     if psi.representation == MOMENTUM and target_representation == POSITION:
-        norm = g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi)
-        vals = psi.values * (_axis_phases(g, 0, +1.0) * norm)
+        phases = _normalised_phases(g.dims, g.points_per_dim, g.half_width, +1.0)
+        vals = psi.values * phases[0]
         for ax in range(g.dims):
             if ax:
-                vals *= _axis_phases(g, ax, +1.0) * norm
+                vals *= phases[ax]
             np.fft.ifft(vals, axis=ax, out=vals)
         return WaveFunction(g, vals, POSITION)
     raise ConfigurationError(f"unknown representation {target_representation!r}")

@@ -149,17 +149,22 @@ def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors) -> l
 def _times_chirp(factors: list, values: np.ndarray, out: np.ndarray, amp=None) -> np.ndarray:
     """out <- (amp *) M_t * values for M_t given by its per-axis factors.
 
-    M_t is formed one block of leading-axis rows at a time, multiplying the
-    factors in axis order, so the result is bit-identical to the full-grid
-    product of the factors and no N^d chirp exists; out may be values itself."""
-    rows = max(1, LINE_BLOCK // math.prod(values.shape[1:]))
-    for i in range(0, values.shape[0], rows):
+    values holds one state, or a stack of states along a leading axis (the
+    wave-operator chains); M_t acts on the trailing grid axes, one per
+    factor, and broadcasts over the stack.  M_t is formed one block of rows
+    of the grid's first axis at a time, multiplying the factors in axis
+    order, so the result is bit-identical to the full-grid product of the
+    factors and no N^d chirp exists; out may be values itself."""
+    lead = values.ndim - len(factors)
+    rows = max(1, LINE_BLOCK // math.prod(values.shape[lead + 1:]))
+    for i in range(0, values.shape[lead], rows):
         chirp = factors[0][i:i + rows]
         for factor in factors[1:]:
             chirp = chirp * factor
         if amp is not None:
             chirp = amp * chirp
-        np.multiply(chirp, values[i:i + rows], out=out[i:i + rows])
+        block = (Ellipsis, slice(i, i + rows)) + (slice(None),) * (len(factors) - 1)
+        np.multiply(chirp, values[block], out=out[block])
     return out
 
 

@@ -21,13 +21,19 @@ def _check_alpha(alpha: float) -> float:
 
 
 def radius_sq(*coords):
-    """|x|^2 = sum_k x_k^2 for a point given per-axis coordinates (broadcast)."""
-    return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+    """|x|^2 = sum_k x_k^2 for a point given per-axis coordinates (broadcast).
+    The sum starts from the first square, so no coordinate pays an add to 0."""
+    squares = (np.asarray(c, dtype=float) ** 2 for c in coords)
+    return sum(squares, next(squares, 0))
 
 
 def bracket_x(*coords):
-    """Japanese bracket <x> = sqrt(1 + |x|^2) for per-axis coordinates (broadcast)."""
-    return np.sqrt(1.0 + radius_sq(*coords))
+    """Japanese bracket <x> = sqrt(1 + |x|^2) for per-axis coordinates (broadcast).
+    An array |x|^2 is radius_sq's own fresh result, so 1 is added and the root
+    taken in place; a scalar |x|^2 takes the same two operations by value."""
+    r2 = radius_sq(*coords)
+    out = r2 if isinstance(r2, np.ndarray) else None
+    return np.sqrt(np.add(r2, 1.0, out=out), out=out)
 
 
 def p_alpha(x, alpha: float):
@@ -47,7 +53,8 @@ def p_alpha_inverse(p, alpha: float):
     _check_alpha(alpha)
     p = np.asarray(p, dtype=float)
     if alpha == 2.0:
-        bx2 = np.exp(2.0 * p)
+        with np.errstate(over="ignore"):  # p > ~354.9: the radius is inf, as it should be
+            bx2 = np.exp(2.0 * p)
     else:
         bx2 = np.maximum(p, 0.0) ** (2.0 / (1.0 - alpha / 2.0))
     return np.sqrt(np.maximum(bx2 - 1.0, 0.0))

@@ -13,6 +13,7 @@ point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -20,14 +21,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvout import write_rows
-from .errors import ConfigurationError, DomainEscapeError
+from .errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from .grids import (
     MOMENTUM,
     POSITION,
     Grid,
     WaveFunction,
+    _check_finite,
     _checked_density,
     l2_distance,
+    l2_norm,
     tail_radii,
     to_momentum,
     to_position,
@@ -46,7 +49,7 @@ from .potentials import (
     radius_sq,
     sigma_alpha,
 )
-from .splitstep import EvolutionConfig, _fourier_step, evolution_config, propagate
+from .splitstep import EvolutionConfig, _evolve, _fourier_step, evolution_config, propagate
 
 
 def _mirrored(nodes: tuple, weights: tuple):
@@ -80,8 +83,28 @@ _NEAR_CELLS = 32
 _MASS_BLOCK = 2**11
 
 
+@functools.lru_cache(maxsize=16)
+def _cell_tiers(nodes: bytes, spacing: float) -> tuple:
+    """(mask, node table, weights) of each non-empty Gauss tier of
+    _cell_average on the float64 nodes given by their bytes: the cells the
+    tier takes, the points node + (h/2) x of its rule x (one row per cell,
+    read-only) and its weights w.  These depend on the lattice alone, so a
+    lattice builds them once; keyed by value, as grids._band_slabs is, so
+    no array outlives its run.  The table holds 8 floats per far cell."""
+    nodes = np.frombuffer(nodes)
+    near = np.abs(nodes) < _NEAR_CELLS * spacing
+    tiers = []
+    for mask, x, w in ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS)):
+        if np.any(mask):
+            table = np.add.outer(nodes[mask], (spacing / 2.0) * x)
+            table.flags.writeable = False
+            tiers.append((mask, table, w))
+    return tuple(tiers)
+
+
 def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float) -> np.ndarray:
-    """Average of fn(scale * v) over each cell [node - h/2, node + h/2].
+    """Average of fn(scale * v) over each cell [node - h/2, node + h/2] of
+    the 1-D `nodes`.
 
     Point sampling is wrong whenever fn(scale * v) varies on the 1/scale
     scale inside a cell (the origin cell at large dilation scales); Gauss
@@ -89,13 +112,13 @@ def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float)
     0 take 32-point Gauss-Legendre and the rest 8-point: features of width
     ~1 near y = 0 (the <y> branch points at +-i, the log-power poles at
     |y| ~ 1.3) lie outside a Bernstein ellipse rho >~ 4k of a cell k cells
-    out, so the 8-point error there is ~rho^-16, below roundoff.
+    out, so the 8-point error there is ~rho^-16, below roundoff.  fn is
+    called once per tier, on that tier's (cells, rule points) array.
     """
-    near = np.abs(nodes) < _NEAR_CELLS * spacing
+    nodes = np.ascontiguousarray(nodes, dtype=float)
     out = np.empty(nodes.shape)
-    for mask, x, w in ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS)):
-        if np.any(mask):
-            out[mask] = fn(scale * np.add.outer(nodes[mask], (spacing / 2.0) * x)) @ w / 2.0
+    for mask, table, w in _cell_tiers(nodes.tobytes(), spacing):
+        out[mask] = fn(scale * table) @ w / 2.0
     return out
 
 
@@ -428,14 +451,18 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     """{T: Omega_T phi} for every horizon in Ts, in one descent over one
     slice lattice.
 
-    Walking the slices of _slice_edges from the top down, each slice's
-    (chirp factors, multiplier) is built once and applied in place to every chain
-    whose horizon is at or above the slice's top edge; a chain starts as a
-    copy of phi when the descent reaches its horizon.  Every chain uses the
-    same slices below its horizon, so Omega_T2 = Omega_T1 S(T1, T2) holds
-    exactly on the lattice, and memory is one state per horizon.  Each chain
-    ends with the split-step anchor on [0, s0]; horizons T <= s0 take the
-    anchor alone, and T = 0 returns phi.
+    The chains, one state per horizon above s0, are the rows of one stack,
+    largest horizon first.  Walking the slices of _slice_edges from the top
+    down, each slice's (chirp factors, multiplier) is built once and applied
+    in place to every live row at once (the rows whose horizon is at or
+    above the slice's top edge); a row starts as a copy of phi when the
+    descent reaches its horizon.  Every chain uses the same slices below its
+    horizon, so Omega_T2 = Omega_T1 S(T1, T2) holds exactly on the lattice.
+    The stack then takes the split-step anchor on [0, s0] in place, in one
+    Strang loop, and its rows are the results: memory is one state per
+    horizon, as for chains run one at a time, plus the anchor's two
+    grid-shaped phase arrays.  Horizons T <= s0 take the anchor alone, one
+    state each, and T = 0 returns phi.
     """
     phi = _on_spec_grid(phi, spec)
     out = {T: phi for T in Ts if T == 0.0}
@@ -450,28 +477,33 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     grid = phi.grid
     s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
     anchor = _anchor_configs(grid, spec, perturbation)
+    if not l2_norm(phi) > 0.0:
+        raise NumericalStateError("wave operators require a state with positive norm")
     for T in nonzero:
         if T <= s0:
-            out[T] = _wave_operator_direct(phi, T, anchor)
-    horizons = sorted({T for T in nonzero if T > s0})
+            vals = _wave_operator_direct(phi.values.copy(), T, anchor)
+            out[T] = WaveFunction(grid, vals, POSITION)
+    horizons = sorted({T for T in nonzero if T > s0}, reverse=True)
     if not horizons:
         return out
     edges = _slice_edges(s0, horizons)
-    chains = {}
+    stack = np.empty((len(horizons),) + grid.shape, dtype=complex)
+    live = 0
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
-        if horizons and hi == horizons[-1]:
-            chains[horizons.pop()] = phi.values.copy()
+        if live < len(horizons) and hi == horizons[live]:
+            stack[live] = phi.values
+            live += 1
         factors, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
                                                        perturbation)
         # conj(a b) = conj(a) conj(b) exactly, so M_s^* is the product of
         # the conjugated factors
         conj = [np.conj(f) for f in factors]
-        for u in chains.values():
-            _times_chirp(factors, u, u)
-            _fourier_step(u, multiplier)
-            _times_chirp(conj, u, u)
-    for T, u in chains.items():
-        out[T] = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0, anchor)
+        chains = stack[:live]
+        _times_chirp(factors, chains, chains)
+        _fourier_step(chains, multiplier, grid.dims)
+        _times_chirp(conj, chains, chains)
+    for T, u in zip(horizons, _wave_operator_direct(stack, s0, anchor)):
+        out[T] = WaveFunction(grid, u, POSITION)
     return out
 
 
@@ -483,19 +515,24 @@ def _anchor_configs(grid: Grid, spec: QuadraticSpec, perturbation: Callable):
                              edge_mass_tol=1e-2))
 
 
-def _wave_operator_direct(phi: WaveFunction, T: float, anchor) -> WaveFunction:
-    """exp(i T H) exp(-i T H0) phi by split-step on both halves (small T),
-    with `anchor` the (free, perturbed) configs of _anchor_configs.
+def _wave_operator_direct(vals: np.ndarray, T: float, anchor) -> np.ndarray:
+    """exp(i T H) exp(-i T H0) by split-step on both halves (small T > 0),
+    in place on the position samples vals, which are returned: one state, or
+    a stack of them along a leading axis that steps as one
+    (splitstep._strang_steps).  `anchor` holds the (free, perturbed) configs
+    of _anchor_configs.
 
     Matching discretizations make the V = 0 case an exact identity, and the
     shared Strang error cancels to first order in the perturbation.  The
     edge guard is relaxed here: wave-operator states legitimately carry a
-    small spread scattered component.
+    small spread scattered component.  Every state is guarded on its own,
+    and a non-finite sample (an overflowing slice) is refused.
     """
+    _check_finite(vals)
     cfg0, cfg = anchor
-    free, _ = propagate(phi, T, cfg0)
-    out, _ = propagate(free, -T, cfg)
-    return out
+    _evolve(vals, T, cfg0, "wave-operator anchor", out=vals)
+    _evolve(vals, -T, cfg, "wave-operator anchor", out=vals)
+    return vals
 
 
 def cauchy_differences(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,

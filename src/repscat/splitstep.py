@@ -89,13 +89,19 @@ def evolution_config(grid: Grid, dt: float,
     return EvolutionConfig(grid=grid, dt=dt, potential=pot, edge_mass_tol=edge_mass_tol)
 
 
-def _fourier_step(buf: np.ndarray, multiplier: np.ndarray) -> None:
-    """buf <- F^-1(multiplier * F buf) in place: the Fourier half of every
-    Strang step and wave-operator slice, whose callers then apply their own
-    position phase.  numpy's in-place transforms need only line-sized scratch."""
-    np.fft.fftn(buf, out=buf)
+def _fourier_step(buf: np.ndarray, multiplier: np.ndarray, dims: int) -> None:
+    """buf <- F^-1(multiplier * F buf) in place over the last `dims` axes of
+    buf, which holds one state on a dims-dimensional grid or a stack of them
+    along a leading axis: the Fourier half of every Strang step and
+    wave-operator slice, whose callers then apply their own position phase.
+    The axes are transformed one at a time, the last first as numpy's fftn
+    orders them; in-place transforms need only line-sized scratch."""
+    axes = range(buf.ndim - 1, buf.ndim - 1 - dims, -1)
+    for ax in axes:
+        np.fft.fft(buf, axis=ax, out=buf)
     np.multiply(multiplier, buf, out=buf)
-    np.fft.ifftn(buf, out=buf)
+    for ax in axes:
+        np.fft.ifft(buf, axis=ax, out=buf)
 
 
 def _phase(coeff: complex, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -104,21 +110,35 @@ def _phase(coeff: complex, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _guard_states(states: np.ndarray, cfg: EvolutionConfig, context: str) -> float:
+    """The largest edge mass of the states along the first axis of `states`,
+    each guarded by _guard_edge against cfg's tolerance."""
+    return max(_guard_edge(state, cfg.grid, POSITION, cfg.edge_mass_tol, context)
+               for state in states)
+
+
 def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str,
-                  conjugate: bool = False):
+                  conjugate: bool = False, out=None):
     """Strang steps from the position samples vals: n steps of length dt for
-    each (dt, n) of segments in turn, in one state buffer allocated here (so
-    the result never aliases vals), guarding every state once.  Two phase
-    arrays serve a segment: `kin` holds the kinetic phase, and `pot` the half
-    potential phase of the opening half step, squared in place into the full
-    phase when n > 1; the closing half phase is then rebuilt in `kin` after
-    the last Fourier step.  With conjugate, the run starts from conj(vals)
-    and the result is conjugated in place.  Returns (samples, max edge mass).
+    each (dt, n) of segments in turn.  vals is one state on cfg's grid or a
+    stack of states along a leading axis (the wave-operator chains), which
+    then step together: every multiply broadcasts over the stack and every
+    transform runs over the grid axes alone, so each state takes the
+    operations of a run of its own, and each is guarded once per step.  The
+    states step in `out`, a C-contiguous buffer of vals' shape that may be
+    vals itself; by default one is allocated here, so the result never
+    aliases vals.  Two grid-shaped phase arrays serve a segment and every
+    state: `kin` holds the kinetic phase, and `pot` the half potential phase
+    of the opening half step, squared in place into the full phase when
+    n > 1; the closing half phase is then rebuilt in `kin` after the last
+    Fourier step.  With conjugate, the run starts from conj(vals) and the
+    result is conjugated in place.  Returns (samples, max edge mass).
     """
-    guard_args = (cfg.grid, POSITION, cfg.edge_mass_tol, context)
-    buf = np.empty(vals.shape, dtype=complex)
-    kin = np.empty_like(buf)
-    pot = np.empty_like(buf)
+    grid = cfg.grid
+    buf = np.empty(vals.shape, dtype=complex) if out is None else out
+    states = buf.reshape((-1,) + grid.shape)
+    kin = np.empty(grid.shape, dtype=complex)
+    pot = np.empty_like(kin)
     if conjugate:
         vals = np.conjugate(vals, out=buf)
     max_edge = 0.0
@@ -129,16 +149,39 @@ def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str
         if n > 1:
             np.multiply(pot, pot, out=pot)
         for k in range(n):
-            _fourier_step(buf, kin)
+            _fourier_step(buf, kin, grid.dims)
             phase = pot
             if k == n - 1 and n > 1:
                 phase = _phase(-0.5j * dt, cfg.potential, kin)
             np.multiply(phase, buf, out=buf)
-            max_edge = max(max_edge, _guard_edge(buf, *guard_args))
+            max_edge = max(max_edge, _guard_states(states, cfg, context))
         vals = buf
     if conjugate:
         np.conjugate(buf, out=buf)
     return buf, max_edge
+
+
+def _evolve(vals: np.ndarray, t: float, cfg: EvolutionConfig, context: str, out=None):
+    """exp(-i t H) on the position samples vals (one state or a stack, in the
+    buffer `out`, as in _strang_steps): whole steps of cfg.dt and a
+    fractional remainder (none within 1e-12 dt of a whole step).  Backward
+    (t < 0) the conjugate states step forward, the exact time-reversal for
+    real potentials, with the remainder first, so that a backward run undoes
+    a forward one step for step, since S(-h) is the exact inverse of S(h).
+    A t below the step resolution runs no step and guards vals as given.
+    Returns (samples, steps, max edge mass)."""
+    n_full, rem = divmod(abs(t), cfg.dt)
+    n_full = int(round(n_full))
+    if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+        if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+            n_full += 1
+        rem = 0.0
+    order = ((rem, 1), (cfg.dt, n_full)) if t < 0 else ((cfg.dt, n_full), (rem, 1))
+    segments = [(d, n) for d, n in order if d and n]
+    if not segments:
+        return vals, 0, _guard_states(vals.reshape((-1,) + cfg.grid.shape), cfg, context)
+    vals, max_edge = _strang_steps(vals, cfg, segments, context, conjugate=t < 0, out=out)
+    return vals, n_full + (1 if rem else 0), max_edge
 
 
 def strang_step(psi: WaveFunction, cfg: EvolutionConfig, dt: Optional[float] = None) -> WaveFunction:
@@ -163,26 +206,9 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
         raise NumericalStateError("propagate requires a state with positive norm")
     if t == 0.0:
         return psi0, {"steps": 0, "max_edge_mass": 0.0}
-
-    n_full, rem = divmod(abs(t), cfg.dt)
-    n_full = int(round(n_full))
-    if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
-        if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
-            n_full += 1
-        rem = 0.0
-
-    # backward, the remainder step runs first: propagate(-t) then undoes
-    # propagate(t) step for step, since S(-h) is the exact inverse of S(h)
-    order = ((rem, 1), (cfg.dt, n_full)) if t < 0 else ((cfg.dt, n_full), (rem, 1))
-    segments = [(d, n) for d, n in order if d and n]
-    if segments:
-        vals, max_edge = _strang_steps(psi0.values, cfg, segments, "propagate",
-                                       conjugate=t < 0)
-    else:  # t below the step resolution: no step runs, guard the input
-        vals = psi0.values
-        max_edge = _guard_edge(vals, cfg.grid, POSITION, cfg.edge_mass_tol, "propagate")
+    vals, steps, max_edge = _evolve(psi0.values, t, cfg, "propagate")
     out = WaveFunction(cfg.grid, vals, POSITION)
-    return out, {"steps": n_full + (1 if rem else 0), "max_edge_mass": max_edge}
+    return out, {"steps": steps, "max_edge_mass": max_edge}
 
 
 def hamiltonian_matrix(cfg: EvolutionConfig) -> np.ndarray:

@@ -412,6 +412,16 @@ GATE = [
     pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, 400.0]", "horizons",
                  id="wave-factors-overflow"),
     pytest.param(PROPAGATE_CFG, "t: 0.4", "t: -400.0", "t", id="propagate-factors-overflow"),
+    # at t = 354 g(2t) = sinh(708) is finite, but g(2t) (max|xi| + h/2) squared,
+    # the largest |x|^2 of the cell rule, is not: the run published NaN means
+    pytest.param(VELOCITY_CFG, "times: [2.0, 4.0, 6.0, 8.0, 10.0]", "times: [2.0, 354.0]",
+                 "schedule", id="velocity-lattice-overflow"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE + "\nschedule: {start: 1.0, stop: 5.0, count: 9, "
+                 "spacing: linear}", QUAD_LINE + "\n  perturbation: {preset: log-power, args: "
+                 "{height: 1.0, exponent: 2.0}}\nschedule: {times: [2.0, 4.0, 8.0, 354.0]}",
+                 "schedule", id="cook-lattice-overflow"),
+    pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, 354.0]", "horizons",
+                 id="wave-lattice-overflow"),
     # a bump of zero width divides by zero
     pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
                  "{preset: compact-bump, args: {height: 1.0, radius: 0}}",
@@ -952,6 +962,32 @@ def test_mutated_config_run_exits_0_1_or_2(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(tmp, name, raw)
         assert main(["run", path, "--out", os.path.join(tmp, "out"), "--quiet"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("t, code", [(175.6, 0), (175.8, 2)])
+def test_velocity_time_at_the_lattice_overflow_bound(tmp_path, t, code):
+    # the sample velocity_alpha2 config (512 points, half width 12): the cell
+    # rule's largest |x| = sinh(2t) (max|xi| + h/2) squares past the float
+    # range between t = 175.6 and 175.8; inside, the run (histograms
+    # included) completes with warnings as errors and finite means
+    with open(os.path.join(CONFIG_DIR, "velocity_alpha2.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["schedule"] = {"times": [2.0, t]}
+    cfg = _write_config(str(tmp_path), "velocity_alpha2", raw)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(repscat.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repscat.cli", "run", cfg,
+         "--out", str(out), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 2:
+        assert "overflows a float" in proc.stderr and not out.exists()
+    else:
+        with open(out / "velocity_alpha2.summary.json") as fh:
+            means = json.load(fh)["metrics"]["means"]
+        assert all(isinstance(m, float) and np.isfinite(m) for m in means)
 
 
 def test_state_whose_packet_underflows_exits_2_without_a_warning(tmp_path):

@@ -357,6 +357,28 @@ def _reference_transform(psi, target):
     return vals
 
 
+@pytest.mark.parametrize("dims, points", [(1, 64), (2, 32), (3, 16)])
+def test_cached_axis_phases_give_the_formula_bits(rng, dims, points):
+    # the in-place transforms with each normalised axis phase built afresh
+    g = make_grid(dims, points, 9.0)
+    psi = random_state(g, rng)
+    norm = g.spacing / np.sqrt(2.0 * np.pi)
+    hat = np.fft.fft(psi.values, axis=0)
+    for ax in range(g.dims):
+        if ax:
+            np.fft.fft(hat, axis=ax, out=hat)
+        hat *= _axis_phases(g, ax, -1.0) * norm
+    norm = g.points_per_dim * g.freq_spacing / np.sqrt(2.0 * np.pi)
+    back = hat * (_axis_phases(g, 0, +1.0) * norm)
+    for ax in range(g.dims):
+        if ax:
+            back *= _axis_phases(g, ax, +1.0) * norm
+        np.fft.ifft(back, axis=ax, out=back)
+    for _ in range(2):  # the phases built, then the phases cached
+        assert np.array_equal(to_momentum(psi).values, hat)
+        assert np.array_equal(to_position(WaveFunction(g, hat, "momentum")).values, back)
+
+
 @pytest.mark.parametrize("dims, points", [(1, 64), (1, 4096), (2, 128), (3, 16)])
 def test_transform_matches_two_pass_reference(rng, dims, points):
     g = make_grid(dims, points, 9.0)

@@ -36,6 +36,14 @@ def test_p_alpha_inverse_roundtrip():
             assert p_alpha_inverse(p_alpha(r, alpha), alpha) == pytest.approx(r, abs=1e-9)
 
 
+def test_p_alpha_inverse_reaches_an_infinite_radius_without_overflow():
+    # exp(2p) passes the float range at p ~ 354.9 (a velocity histogram's top
+    # bin at t ~ 71): the radius is inf, and no overflow is signalled
+    with np.errstate(over="raise"):
+        r = p_alpha_inverse(np.array([300.0, 355.0, 1e4]), 2.0)
+    assert np.isfinite(r[0]) and np.all(np.isinf(r[1:]))
+
+
 def test_p_alpha_monotone_radially():
     x = np.linspace(0.0, 50.0, 400)
     for alpha in (0.5, 1.0, 1.7, 2.0):
@@ -169,6 +177,38 @@ def test_radius_sq_sums_squares_over_broadcast_axes():
     assert np.array_equal(radius_sq(x, y), x**2 + y**2)
     assert radius_sq(3.0, 4.0) == 25.0
     assert radius_sq(-1.5) == 2.25
+
+
+def _summed_squares(*coords):
+    """|x|^2 as a sum that starts from int 0, the form radius_sq replaces."""
+    return sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+
+
+RADIUS_POINTS = [
+    (3.0,), (-1.5, 2.0), (0.5, -0.25, 7.0),                      # Python floats
+    (np.float64(-0.0),), (np.array(2.5), np.array(-1e-160)),     # 0-d and numpy scalars
+    (3,), (np.linspace(-4.0, 4.0, 9),),                          # an int, one axis
+    (np.arange(3.0)[:, None], np.array([[0.5, -2.0]])),          # broadcast shapes
+    (np.arange(2.0)[:, None, None], np.linspace(-1, 1, 3)[None, :, None],
+     np.array([1e200, -0.0, 5e-324])[None, None, :]),            # 3-D, huge and subnormal
+]
+
+
+@pytest.mark.parametrize("coords", RADIUS_POINTS)
+def test_radius_sq_and_bracket_x_are_bit_identical_to_the_summed_forms(coords):
+    before = [np.array(c, copy=True) for c in coords]
+    with np.errstate(over="ignore", under="ignore"):
+        r2, ref = radius_sq(*coords), _summed_squares(*coords)
+        bx, ref_bx = bracket_x(*coords), np.sqrt(1.0 + _summed_squares(*coords))
+    for got, want in ((r2, ref), (bx, ref_bx)):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # bracket_x works in place on radius_sq's fresh array, never on its input
+    for c, b in zip(coords, before):
+        assert np.array_equal(np.asarray(c), b)
+    if isinstance(coords[0], np.ndarray) and len(coords) == 1:
+        assert bracket_x(coords[0]) is not coords[0]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

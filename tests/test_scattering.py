@@ -24,7 +24,7 @@ from repscat import (
 )
 from repscat.errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from repscat.grids import MOMENTUM, POSITION
-from repscat.mehler import _chirp_factors, trajectory_factors
+from repscat.mehler import _chirp_factors, _times_chirp, trajectory_factors
 from repscat.potentials import (
     PRESETS,
     bracket_x,
@@ -42,6 +42,7 @@ from repscat.scattering import (
     DensitySnapshot,
     _anchor_configs,
     _cell_average,
+    _cell_tiers,
     _chirp_resolution_floor,
     _interaction_phase_slice,
     _slice_edges,
@@ -55,6 +56,7 @@ from repscat.scattering import (
     local_velocity_expectation,
     velocity_trace_to_csv,
 )
+from repscat.splitstep import _fourier_step
 
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
 STARK = QuadraticSpec(dims=1, n_E=1, fields=(1.0,))
@@ -248,7 +250,8 @@ def test_free_anchor_is_an_exact_identity(l2):
     # backward run undoes the forward one step for step
     psi = gaussian(make_grid(1, 2048, 12.0))
     anchor = _anchor_configs(psi.grid, HYPER, lambda x: 0.0 * x)
-    assert l2(_wave_operator_direct(psi, 0.0572, anchor), psi) <= 1e-13
+    out = _wave_operator_direct(psi.values.copy(), 0.0572, anchor)
+    assert l2(WaveFunction(psi.grid, out, POSITION), psi) <= 1e-13
 
 
 def test_wave_operator_checks_dims_before_the_chirp_floor():
@@ -347,9 +350,8 @@ def test_2d_slices_are_bit_identical_to_the_full_grid_chirp_product():
         np.multiply(multiplier, hat, out=hat)
         np.fft.ifftn(hat, out=u)
         np.multiply(np.conj(chirp), u, out=u)
-    ref = _wave_operator_direct(WaveFunction(grid, u, POSITION), s0,
-                                _anchor_configs(grid, spec, pert))
-    assert np.array_equal(wave_operator(psi, T, spec, pert).values, ref.values)
+    ref = _wave_operator_direct(u, s0, _anchor_configs(grid, spec, pert))
+    assert np.array_equal(wave_operator(psi, T, spec, pert).values, ref)
 
 
 def test_lockstep_horizons_match_reference_loop():
@@ -364,6 +366,75 @@ def test_lockstep_horizons_match_reference_loop():
         ref = _reference_wave_operator(psi, T, HYPER, LOGW, Ts)
         assert np.array_equal(outs[T].values, ref.values)
     assert np.array_equal(psi.values, start)
+
+
+def _per_chain_wave_operators(phi, Ts, spec, perturbation):
+    """{T: Omega_T phi values}, each chain run on its own as one state: the
+    slices below T on the shared lattice of all horizons, then propagate
+    forward and back on [0, s0] (on [0, T] alone for T <= s0)."""
+    grid = phi.grid
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    free, full = _anchor_configs(grid, spec, perturbation)
+    edges = _slice_edges(s0, [T for T in Ts if T > s0]) if max(Ts) > s0 else []
+    out = {}
+    for T in Ts:
+        if T == 0.0:
+            out[T] = phi.values
+            continue
+        u, t = phi.values.copy(), min(T, s0)
+        below = [e for e in edges if e <= T] if T > s0 else []
+        for lo, hi in zip(below[-2::-1], below[:0:-1]):
+            factors, multiplier = _interaction_phase_slice(grid, spec, 0.5 * (lo + hi), hi - lo,
+                                                           perturbation)
+            _times_chirp(factors, u, u)
+            _fourier_step(u, multiplier, grid.dims)
+            _times_chirp([np.conj(f) for f in factors], u, u)
+        forward = propagate(WaveFunction(grid, u, POSITION), t, free)[0]
+        out[T] = propagate(forward, -t, full)[0].values
+    return out
+
+
+@pytest.mark.parametrize("grid, spec, perturbation, state, Ts", [
+    # the sample wave_operator config (s0 ~ 0.057), with T = 0 and a horizon below s0
+    (make_grid(1, 2048, 12.0), HYPER, LOGW, {}, [0.0, 0.03, 2.0, 4.0, 6.0]),
+    # 64^2 saddle and Stark axes, s0 ~ 0.30
+    (make_grid(2, 64, 4.0), QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,),
+                                          fields=(0.5,)),
+     preset_power(1.0, 1.0), {"width": 0.7, "momentum": 0.3}, [0.0, 0.2, 0.6, 1.0]),
+], ids=["sample-1d", "saddle-stark-64x64"])
+def test_stacked_chains_are_bit_identical_to_chains_run_one_by_one(grid, spec, perturbation,
+                                                                  state, Ts):
+    psi = gaussian(grid, **state)
+    outs = _wave_operators(psi, Ts, spec, perturbation)
+    ref = _per_chain_wave_operators(psi, Ts, spec, perturbation)
+    assert sorted(outs) == Ts
+    for T in Ts:
+        assert np.array_equal(outs[T].values, ref[T]), T
+
+
+def test_anchor_guards_every_state_of_the_stack():
+    # a state with most of its mass in the outer tenth of the box crosses the
+    # anchor's 1e-2 edge tolerance; contained states beside it do not excuse it
+    grid = make_grid(1, 512, 12.0)
+    anchor = _anchor_configs(grid, HYPER, LOGW)
+    inside, edge = gaussian(grid).values, gaussian(grid, center=11.0).values
+    contained = _wave_operator_direct(np.stack([inside, inside]), 0.0572, anchor)
+    assert np.array_equal(contained[0], contained[1])
+    for rows in ([edge, inside, inside], [inside, inside, edge]):
+        with pytest.raises(DomainEscapeError, match="1.0e-02"):
+            _wave_operator_direct(np.stack(rows), 0.0572, anchor)
+
+
+def test_wave_operators_refuse_zero_and_non_finite_states():
+    grid = make_grid(1, 256, 12.0)
+    for T in (0.03, 3.0):  # the anchor alone, and a chain
+        with pytest.raises(NumericalStateError):
+            _wave_operators(WaveFunction(grid, np.zeros(256)), [T], HYPER, LOGW)
+    # a slice that overflowed leaves NaN in its chain: the anchor refuses it
+    stack = np.stack([gaussian(grid).values] * 2)
+    stack[1, 7] = np.nan
+    with pytest.raises(NumericalStateError):
+        _wave_operator_direct(stack, 0.0572, _anchor_configs(grid, HYPER, LOGW))
 
 
 def test_slice_lattice_has_no_slivers():
@@ -676,6 +747,31 @@ CELL_FNS = {
     "p_alpha-1": lambda y: p_alpha(y, 1.0),
     "ln-bracket": lambda y: np.log(bracket_x(y)),
 }
+
+
+def _cell_average_formula(fn, scale, nodes, spacing):
+    """_cell_average with its mask and node tables rebuilt on every call."""
+    near = np.abs(nodes) < 32 * spacing
+    out = np.empty(nodes.shape)
+    for mask, x, w in ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS)):
+        if np.any(mask):
+            out[mask] = fn(scale * np.add.outer(nodes[mask], (spacing / 2.0) * x)) @ w / 2.0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CELL_FNS))
+def test_cached_cell_tables_give_the_formula_bits(name):
+    fn = CELL_FNS[name]
+    _cell_tiers.cache_clear()
+    for grid in CELL_GRIDS[:2]:
+        h = grid.freq_spacing
+        # FFT-ordered dual nodes, a snapshot's sorted ones, and spatial nodes
+        for nodes in (grid.freq_nodes, np.sort(grid.freq_nodes), grid.nodes):
+            for scale in (1e-3, 1.0, 37.5, 1e9):
+                expected = _cell_average_formula(fn, scale, nodes, h)
+                for _ in range(2):  # the table built, then the table cached
+                    assert np.array_equal(_cell_average(fn, scale, nodes, h), expected)
+    assert _cell_tiers.cache_info().misses == 6
 
 
 @pytest.mark.parametrize("name", sorted(CELL_FNS))

@@ -28,7 +28,12 @@ from repscat import grids
 from repscat.errors import DomainEscapeError
 from repscat.grids import POSITION, _guard_edge
 from repscat.potentials import preset_compact_bump
-from repscat.splitstep import _strang_steps, energy_expectation, hamiltonian_matrix
+from repscat.splitstep import (
+    _evolve,
+    _strang_steps,
+    energy_expectation,
+    hamiltonian_matrix,
+)
 
 
 def _reference_strang_step(vals, cfg, dt):
@@ -456,6 +461,31 @@ def test_propagate_is_bit_identical_to_the_spectrum_buffer_loop(steps):
     assert np.array_equal(out.values, expected)
     single = strang_step(psi, cfg)
     assert np.array_equal(single.values, _spectrum_buffer_loop(psi.values, cfg, [(cfg.dt, 1)]))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("steps", [5.0, 5.5, -5.5, 1e-14])
+def test_propagate_is_a_stack_of_one(dims, steps):
+    # a stack steps every state as propagate steps it alone, bit for bit, and
+    # reports the step count and the largest edge mass of its states
+    cfg, psi = _strang_case(dims)
+    other = gaussian(cfg.grid, center=-0.5, momentum=-0.3, width=0.9)
+    t = steps * cfg.dt
+    out, tel = propagate(psi, t, cfg)
+    out_other, tel_other = propagate(other, t, cfg)
+    one, n_one, edge_one = _evolve(psi.values[None], t, cfg, "test")
+    assert np.array_equal(one[0], out.values)
+    assert (n_one, edge_one) == (tel["steps"], tel["max_edge_mass"])
+    stack = np.stack([psi.values, other.values, psi.values])
+    got, n, edge = _evolve(stack, t, cfg, "test")
+    for row, ref in zip(got, (out, out_other, out)):
+        assert np.array_equal(row, ref.values)
+    # in place, as the wave-operator anchor steps its stack
+    buf = stack.copy()
+    in_place, _, _ = _evolve(buf, t, cfg, "test", out=buf)
+    assert in_place is buf and np.array_equal(buf, got)
+    assert n == tel["steps"]
+    assert edge == max(tel["max_edge_mass"], tel_other["max_edge_mass"])
 
 
 def test_propagate_memory_budget():
