@@ -10,11 +10,10 @@ then converge with Cauchy increments controlled by the integrand's tail.
 """
 
 import numpy as np
-from scipy.integrate import simpson
 
 import repscat as rs
 from repscat.potentials import bracket_x, preset_compact_bump, preset_log_power
-from repscat.scattering import cauchy_differences
+from repscat.scattering import _simpson, cauchy_differences
 
 HYPER = rs.QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
 
@@ -48,7 +47,7 @@ def main():
     for (t1, t2), d in zip(zip(Ts, Ts[1:]), diffs):
         fine = rs.cook_scan(phi, HYPER, preset_log_power(1.0, 2.0),
                             np.linspace(t1, t2, 65))
-        bound = simpson(fine.integrand, x=fine.times)
+        bound = _simpson(fine.integrand, fine.times)
         print(f"   ||Omega_{t2:g} - Omega_{t1:g}|| = {d:.4e}  <=  "
               f"integral bound {bound:.4e}")
 

@@ -25,6 +25,7 @@ from .classical import PhasePoint, check_fit_window
 from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
 from .mehler import trajectory_factors
+from .phasespace import check_shell
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
@@ -97,6 +98,9 @@ def read_config(raw: dict) -> dict:
     if kind == "classical":
         _built(check_fit_window, "t_final", t_final=values["t_final"], dt=values["dt"],
                record_every=values["record_every"])
+    if kind == "mourre-scan":
+        _built(check_shell, "radius_range", alpha=values["alpha"], E=values["E"],
+               radius_range=values["radius_range"])
     return values
 
 

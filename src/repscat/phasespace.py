@@ -168,6 +168,37 @@ def symbol_accel_alpha(x, xi, alpha):
 # Mourre shell scans.
 # ---------------------------------------------------------------------------
 
+def _shell_brackets(alpha: float, E: float, radii: np.ndarray):
+    """{h, a} on the energy shell xi^2 = <x>^alpha + E at those of the
+    increasing `radii` where the shell is real: (those radii, x, xi, bracket),
+    the points (+-|x|, +-sqrt(<x>^alpha + E)) in four sign blocks of the
+    radii each."""
+    h = hamiltonian_symbol(alpha)
+    a = a2_symbol() if alpha == 2.0 else a_alpha_symbol(alpha)
+    wx = bracket_x(radii) ** alpha
+    feasible = wx + E >= 0.0
+    radii = radii[feasible]
+    xi_mag = np.sqrt(wx[feasible] + E)
+    xs = np.concatenate([radii, radii, -radii, -radii])
+    xis = np.concatenate([xi_mag, -xi_mag, xi_mag, -xi_mag])
+    return radii, xs, xis, poisson_bracket(h, a, xs, xis)
+
+
+def check_shell(alpha: float, E: float, radius_range):
+    """Refuse a scan whose bracket overflows a float.  {h, a} is evaluated at
+    the outermost shell points, both signs of x and xi, where <x>^alpha, xi^2
+    and the bracket's denominators are largest; an overflow or invalid
+    operation there is refused.  Past that point the scan publishes NaN, or
+    violations made by overflow alone."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _shell_brackets(alpha, E, np.array([float(radius_range[1])]))
+    except FloatingPointError as exc:
+        raise ConfigurationError(
+            f"the Poisson bracket overflows a float on the energy shell at |x| = "
+            f"{radius_range[1]:.4g} with E = {E:.4g}; shrink radius_range or |E|") from exc
+
+
 def mourre_shell_scan(alpha: float, E: float, eta: float,
                       radius_range=(0.5, 50.0), samples: int = 10_000) -> dict:
     """Scan {h, a} over the energy shell xi^2 = <x>^alpha + E.
@@ -181,20 +212,11 @@ def mourre_shell_scan(alpha: float, E: float, eta: float,
     if eta <= 0:
         raise ConfigurationError("eta must be positive")
     _check_alpha(alpha)
-    h = hamiltonian_symbol(alpha)
-    a = a2_symbol() if alpha == 2.0 else a_alpha_symbol(alpha)
     n_radii = max(samples // 4, 2)
-    radii = np.geomspace(max(radius_range[0], 1e-6), radius_range[1], n_radii)
-    # shell constraint: xi^2 = <x>^alpha + E >= 0
-    wx = bracket_x(radii) ** alpha
-    feasible = wx + E >= 0.0
-    restricted = not bool(np.all(feasible))
-    radii = radii[feasible]
+    sampled = np.geomspace(max(radius_range[0], 1e-6), radius_range[1], n_radii)
+    radii, xs, xis, br = _shell_brackets(alpha, E, sampled)
+    restricted = radii.size < sampled.size
     target = sigma_alpha(alpha) - eta
-    xi_mag = np.sqrt(wx[feasible] + E)
-    xs = np.concatenate([radii, radii, -radii, -radii])
-    xis = np.concatenate([xi_mag, -xi_mag, xi_mag, -xi_mag])
-    br = poisson_bracket(h, a, xs, xis)
     bad = br < target
     pts = np.column_stack([xs, xis, br])
     # smallest sampled radius R with no violation at any sampled |x| >= R;

@@ -2,13 +2,14 @@
 local-velocity operator, and asymptotic-velocity traces.
 
 Cook integrands and velocity traces are functionals of one density series,
-the cell masses of |exp(-i t H0) psi0|^2 at each time.  On the factorized
-route they sit on the fixed dual lattice with coordinates scaled by g_k(2t),
-so large-time observables never propagate on an enlarged grid; on the
-split-step route they sit on the spatial grid.  One rule, _lattice_values,
-gives a function at those lattice points: cell averages on a 1-D dual
-lattice, where fn(g*u) varies below the lattice resolution near u = 0, and
-point samples otherwise (too coarse on an n-D dual lattice, ROADMAP item 2).
+the cell masses of |exp(-i t H0) psi0|^2 at each time, on a _Lattice: the
+fixed dual lattice with coordinates scaled by g_k(2t) on the factorized
+route, so large times never need a larger grid, or the spatial grid on the
+split-step route.  Every such functional is one weighted sum, _lattice_sum,
+of one rule, _lattice_values: cell averages of fn(g*u) on a 1-D dual lattice
+(one Gauss table per lattice), point samples otherwise (too coarse on an n-D
+dual lattice, ROADMAP item 2, whose one other target is _radial_mean_nd's
+origin-cell term).
 """
 
 from __future__ import annotations
@@ -123,34 +124,44 @@ def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float)
 
 
 class _Lattice(NamedTuple):
-    """The points x_k = g_k u_k that carry a density series' cell masses: u on
-    the dual lattice of `grid` (dual, the factorized route) or on its spatial
-    nodes (g = 1, the split-step route)."""
+    """Where a density's cell masses sit: the cells of axis k are `spacing`
+    wide in u and centred on the points x_k = g[k] u for u in nodes[k], in
+    the nodes' own order (FFT order on a dual lattice), so masses and values
+    pair index by index.  `averaged` marks a dual lattice, where fn(g u)
+    varies inside the cells near u = 0: there a 1-D lattice takes cell
+    averages, while an n-D one still takes point samples (ROADMAP item 2)."""
 
-    grid: Grid
-    g: np.ndarray
-    dual: bool
+    nodes: tuple
+    spacing: float
+    g: Sequence[float]
+    averaged: bool
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """Per-axis nodes u (FFT-ordered on the dual lattice)."""
-        return self.grid.freq_nodes if self.dual else self.grid.nodes
+    def axis(self, k: int) -> "_Lattice":
+        """The 1-D lattice of axis k, which carries that axis's marginal."""
+        return _Lattice(self.nodes[k:k + 1], self.spacing, self.g[k:k + 1], self.averaged)
 
-    @property
-    def spacing(self) -> float:
-        return self.grid.freq_spacing if self.dual else self.grid.spacing
+
+def _dual_lattice(grid: Grid, g) -> _Lattice:
+    """The dual lattice of `grid` with axis k dilated by g[k]."""
+    return _Lattice((grid.freq_nodes,) * grid.dims, grid.freq_spacing, g, True)
 
 
 def _lattice_values(fn: Callable, lattice: _Lattice) -> np.ndarray:
-    """fn at the points of `lattice`: cell averages of fn(g u) on a 1-D dual
-    lattice, point samples on an n-D one (which miss the sub-cell structure
-    near u = 0, ROADMAP item 2) and on the spatial grid."""
-    grid, g = lattice.grid, lattice.g
-    if not lattice.dual:
-        return fn(*grid.meshgrid())
-    if grid.dims == 1:
-        return _cell_average(fn, float(g[0]), grid.freq_nodes, grid.freq_spacing)
-    return fn(*(gk * grid.axis_freqs(k) for k, gk in enumerate(g)))
+    """fn at the cells of `lattice`, broadcast to its shape: cell averages of
+    fn(g u) on a 1-D averaged lattice, point samples fn(g u) otherwise (which
+    miss the sub-cell structure near u = 0 of an n-D dual lattice, item 2)."""
+    nodes, spacing, g, averaged = lattice
+    dims = len(nodes)
+    if averaged and dims == 1:
+        return _cell_average(fn, float(g[0]), nodes[0], spacing)
+    shapes = ([-1 if j == k else 1 for j in range(dims)] for k in range(dims))
+    return fn(*(gk * u.reshape(shape) for gk, u, shape in zip(g, nodes, shapes)))
+
+
+def _lattice_sum(fn: Callable, lattice: _Lattice, masses: np.ndarray) -> float:
+    """Sum over the cells of `lattice` of masses * fn: the one weighted sum
+    behind every density functional here (a mean when the masses sum to 1)."""
+    return float(np.sum(_lattice_values(fn, lattice) * masses))
 
 
 def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
@@ -159,16 +170,17 @@ def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
 
     A QuadraticSpec takes the factorization identity, rho = |F(M_t psi0)|^2
     on the dual lattice scaled by g_k(2t), so any t is reachable with no grid
-    growth; an EvolutionConfig propagates in sequence on the spatial grid.  A
-    DomainEscapeError passes through to the consumer.
+    growth; an EvolutionConfig propagates in sequence on the spatial grid
+    (g = 1).  A DomainEscapeError passes through to the consumer.
     """
     if isinstance(hamiltonian, QuadraticSpec):
         for t in times:
             hat, g = chirped_spectrum(psi0, t, hamiltonian)
-            yield t, hat.density() * hat.measure, _Lattice(hat.grid, g, True)
+            yield t, hat.density() * hat.measure, _dual_lattice(hat.grid, g)
     elif isinstance(hamiltonian, EvolutionConfig):
         psi, prev = to_position(psi0), 0.0
-        lattice = _Lattice(psi.grid, np.ones(psi.grid.dims), False)
+        grid = psi.grid
+        lattice = _Lattice((grid.nodes,) * grid.dims, grid.spacing, np.ones(grid.dims), False)
         for t in times:
             psi, _ = propagate(psi, t - prev, hamiltonian)
             prev = t
@@ -179,12 +191,10 @@ def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
 
 @dataclass(frozen=True)
 class DensitySnapshot:
-    """Weighted point masses representing |psi(t, x)|^2 with x = scale * node.
-
-    For the factorization route the nodes are dual-lattice points and scale
-    is g(2t); for direct grid densities the nodes are spatial points with
-    scale 1.  Weights sum to 1.
-    """
+    """Weighted point masses representing |psi(t, x)|^2 on a 1-D lattice,
+    x = scale * node: for the factorization route the nodes are dual-lattice
+    points in FFT order and scale is g(2t); for direct grid densities the
+    nodes are spatial points with scale 1.  Weights sum to 1."""
 
     t: float
     nodes: np.ndarray
@@ -192,23 +202,10 @@ class DensitySnapshot:
     scale: float
     spacing: float
 
-    @classmethod
-    def from_density(cls, rho: np.ndarray, nodes: np.ndarray, spacing: float, t: float,
-                     scale: float = 1.0, axis: int = 0) -> "DensitySnapshot":
-        """Snapshot of the `axis` marginal of the cell masses rho, sampled on
-        the per-axis lattice `nodes`; normalised, then ordered by node."""
-        axes = tuple(k for k in range(rho.ndim) if k != axis)
-        marg = rho.sum(axis=axes) if axes else rho
-        order = np.argsort(nodes)
-        return cls(t=t, nodes=nodes[order], weights=(marg / marg.sum())[order],
-                   scale=scale, spacing=spacing)
-
     def mean_of(self, fn: Callable, cell_averaged: bool = True) -> float:
-        if cell_averaged:
-            vals = _cell_average(fn, self.scale, self.nodes, self.spacing)
-        else:
-            vals = fn(self.scale * self.nodes)
-        return float(np.sum(vals * self.weights))
+        """The mean of fn(scale * v), cell-averaged or point-sampled."""
+        lattice = _Lattice((self.nodes,), self.spacing, (self.scale,), cell_averaged)
+        return _lattice_sum(fn, lattice, self.weights)
 
     def velocity_mass(self, alpha: float, thetas) -> np.ndarray:
         """P[p_alpha(x)/t <= theta] for each theta of the 1-D `thetas`: the
@@ -327,7 +324,7 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
     truncated = False
     try:
         for _, rho, lattice in _density_series(phi, hamiltonian, times):
-            vals.append(float(np.sqrt(np.sum(_lattice_values(v2, lattice) * rho))))
+            vals.append(float(np.sqrt(_lattice_sum(v2, lattice, rho))))
     except DomainEscapeError:
         if not vals:  # nothing to fit or integrate
             raise
@@ -410,7 +407,7 @@ def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: f
     dual-lattice multiplier exp(i delta V(g(2s) .))."""
     fac = trajectory_factors(s, spec)
     factors = _chirp_factors(grid, spec, fac)
-    vbar = _lattice_values(perturbation, _Lattice(grid, fac.g, True))
+    vbar = _lattice_values(perturbation, _dual_lattice(grid, fac.g))
     return factors, np.exp(1j * delta * vbar)
 
 
@@ -592,18 +589,17 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
     per_dir = {ax: [] for ax in range(dims)} if per_direction else {}
     for t, rho, lat in _density_series(psi0, hamiltonian, times):
         # one density per time serves the radial mean and every marginal
-        margs = [DensitySnapshot.from_density(rho, lat.nodes, lat.spacing, t,
-                                              scale=float(abs(lat.g[ax])), axis=ax)
-                 for ax in range(dims)] if dims == 1 or per_direction else []
         if dims == 1:
-            snap = margs[0]
-            means.append(snap.mean_of(lambda y: p_alpha(y, alpha), cell_averaged=lat.dual) / t)
-            snaps.append(snap)
+            weights = rho / rho.sum()
+            means.append(_lattice_sum(lambda y: p_alpha(y, alpha), lat, weights) / t)
+            snaps.append(DensitySnapshot(t=t, nodes=lat.nodes[0], weights=weights,
+                                         scale=float(lat.g[0]), spacing=lat.spacing))
         else:
-            means.append(_radial_mean_nd(rho, lat.grid, lat.g, alpha) / t)
+            means.append(_radial_mean_nd(rho, lat, alpha) / t)
         for ax in per_dir:
-            per_dir[ax].append(margs[ax].mean_of(lambda y: p_alpha(y, 2.0),
-                                                 cell_averaged=lat.dual) / t)
+            marg = rho.sum(axis=tuple(k for k in range(dims) if k != ax))
+            per_dir[ax].append(_lattice_sum(lambda y: p_alpha(y, 2.0), lat.axis(ax),
+                                            marg / marg.sum()) / t)
     return VelocityTrace(
         alpha=alpha,
         times=times,
@@ -613,22 +609,20 @@ def velocity_trace(psi0: WaveFunction, hamiltonian, alpha: float,
     )
 
 
-def _radial_mean_nd(rho: np.ndarray, grid: Grid, g: np.ndarray, alpha: float) -> float:
-    """<p_alpha(|x|)> for the scaled n-D density (cell masses rho on the dual
-    lattice of grid), with a Gauss-refined origin cell (the only cell where
-    p_alpha(g.u) varies below lattice resolution)."""
+def _radial_mean_nd(rho: np.ndarray, lattice: _Lattice, alpha: float) -> float:
+    """<p_alpha(|x|)> for the n-D cell masses rho on the dual `lattice`: the
+    lattice sum, plus a tensor-Gauss rule on the origin cell (index 0), where
+    p_alpha(|g u|) varies below the lattice resolution.  That term is the one
+    rule outside _lattice_values, and ROADMAP item 2 deletes it."""
     rho = rho / rho.sum()
-    vals = p_alpha(np.sqrt(radius_sq(*(gk * grid.axis_freqs(k) for k, gk in enumerate(g)))), alpha)
-    total = float(np.sum(vals * rho))
-    # refine the origin cell by a tensor Gauss rule (np.ix_ lays rule k along axis k)
-    idx = tuple([0] * grid.dims)
-    w0 = float(rho[idx])
-    if w0 > 0:
-        pts = np.ix_(*[(grid.freq_spacing / 2.0) * _GAUSS_NODES] * grid.dims)
-        rr = radius_sq(*(gk * p for gk, p in zip(g, pts)))
-        weights = math.prod(np.ix_(*[_GAUSS_WEIGHTS / 2.0] * grid.dims))
-        refined = float(np.sum(p_alpha(np.sqrt(rr), alpha) * weights))
-        total += w0 * (refined - float(vals[idx]))
+    radial = lambda *x: p_alpha(np.sqrt(radius_sq(*x)), alpha)
+    total = _lattice_sum(radial, lattice, rho)
+    w0 = float(rho.flat[0])
+    if w0 > 0:  # np.ix_ lays rule k along axis k
+        pts = np.ix_(*[(lattice.spacing / 2.0) * _GAUSS_NODES] * rho.ndim)
+        weights = math.prod(np.ix_(*[_GAUSS_WEIGHTS / 2.0] * rho.ndim))
+        refined = float(np.sum(radial(*(gk * p for gk, p in zip(lattice.g, pts))) * weights))
+        total += w0 * (refined - float(p_alpha(0.0, alpha)))
     return total
 
 

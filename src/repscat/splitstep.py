@@ -184,11 +184,11 @@ def _evolve(vals: np.ndarray, t: float, cfg: EvolutionConfig, context: str, out=
     return vals, n_full + (1 if rem else 0), max_edge
 
 
-def strang_step(psi: WaveFunction, cfg: EvolutionConfig, dt: Optional[float] = None) -> WaveFunction:
-    """One Strang step exp(-i dt V/2) F^-1 exp(-i dt xi^2) F exp(-i dt V/2)."""
+def strang_step(psi: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
+    """One Strang step exp(-i dt V/2) F^-1 exp(-i dt xi^2) F exp(-i dt V/2),
+    dt = cfg.dt."""
     psi = to_position(psi)
-    vals, _ = _strang_steps(psi.values, cfg, [(cfg.dt if dt is None else dt, 1)],
-                            "strang_step")
+    vals, _ = _strang_steps(psi.values, cfg, [(cfg.dt, 1)], "strang_step")
     return WaveFunction(psi.grid, vals, POSITION)
 
 

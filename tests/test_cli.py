@@ -422,6 +422,15 @@ GATE = [
                  "schedule", id="cook-lattice-overflow"),
     pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, 354.0]", "horizons",
                  id="wave-lattice-overflow"),
+    # the scan's outermost shell points overflow a float: at alpha = 1 the
+    # run published min_bracket NaN, at alpha = 2 violations made by
+    # overflow alone, and with a huge E xi^2 squared overflows at radius 40
+    pytest.param(MOURRE_CFG, "radius_range: [1.0, 40.0]", "radius_range: [0.5, 1.0e+200]",
+                 "radius_range", id="mourre-shell-overflow-nan"),
+    pytest.param(MOURRE_CFG, "alpha: 1.0\nE: 0.0\neta: 0.1\nradius_range: [1.0, 40.0]",
+                 "alpha: 2.0\nE: 0.0\neta: 0.1\nradius_range: [0.5, 1.0e+154]",
+                 "radius_range", id="mourre-shell-overflow-violations"),
+    pytest.param(MOURRE_CFG, "E: 0.0", "E: 1.0e+160", "radius_range", id="mourre-shell-huge-E"),
     # a bump of zero width divides by zero
     pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
                  "{preset: compact-bump, args: {height: 1.0, radius: 0}}",
@@ -496,20 +505,36 @@ def test_experiment_config_with_a_seed_is_not_read_when_built(monkeypatch, name)
     assert reads == [] and cfg.seed == 7
 
 
-def test_every_benchmark_span_names_a_callable_of_repscat():
-    import importlib
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path (perfbench is not a package)."""
     import importlib.util
 
-    path = os.path.join(os.path.dirname(CONFIG_DIR), "perfbench", "layers.py")
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    path = os.path.join(os.path.dirname(CONFIG_DIR), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_span_names_a_callable_of_repscat():
+    import importlib
+
+    layers = _perfbench_module("layers")
     assert layers.SPANS
     for module, attr, _ in layers.SPANS:
         owner = importlib.import_module(f"repscat.{module}")
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"repscat.{module}.{attr}"
+
+
+def test_benchmark_probes_run_on_the_package(tmp_path):
+    # the probes build DensitySnapshot from its five fields and call
+    # mean_of(fn, cell_averaged=...) and strang_step(psi, cfg) directly
+    out = _perfbench_module("probes").run_probes(str(tmp_path))
+    assert out
+    for name, value in out.items():
+        assert np.isfinite(value) and value > 0, name
 
 
 def test_nd_velocity_histogram_rejected(tmp_path, capsys):
@@ -562,6 +587,20 @@ def test_sample_mourre_scan_numbers_pinned(tmp_path):
     metrics = run_experiment(cfg, str(tmp_path))["metrics"]
     assert metrics["min_bracket"] == pytest.approx(1.0002777006387116, rel=1e-12)
     assert metrics["R_threshold"] == 0.2
+
+
+def test_mourre_scan_just_inside_the_float_range_runs_clean(tmp_path):
+    # at alpha = 2 the shell's (xi + x)^2 stays finite out to |x| = 1e150
+    import warnings
+
+    text = (MOURRE_CFG.replace("alpha: 1.0", "alpha: 2.0")
+            .replace("radius_range: [1.0, 40.0]", "radius_range: [0.5, 1.0e+150]"))
+    cfg = _write(tmp_path, "mou.yaml", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "mou.summary.json").read_text())["metrics"]
+    assert np.isfinite(metrics["min_bracket"]) and metrics["n_violations"] == 0
 
 
 def test_cook_zero_potential_writes_zero_column(tmp_path):

@@ -24,7 +24,7 @@ from repscat import (
 )
 from repscat.errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from repscat.grids import MOMENTUM, POSITION
-from repscat.mehler import _chirp_factors, _times_chirp, trajectory_factors
+from repscat.mehler import _chirp_factors, _times_chirp, chirped_spectrum, trajectory_factors
 from repscat.potentials import (
     PRESETS,
     bracket_x,
@@ -44,7 +44,9 @@ from repscat.scattering import (
     _cell_average,
     _cell_tiers,
     _chirp_resolution_floor,
+    _dual_lattice,
     _interaction_phase_slice,
+    _lattice_values,
     _slice_edges,
     _wave_operator_direct,
     _wave_operators,
@@ -688,17 +690,144 @@ def test_chirp_resolution_floor_pinned():
 
 
 def test_snapshot_from_density_normalises_then_orders(rng):
-    g = make_grid(2, 64, 8.0)
-    hat = to_momentum(random_state(g, rng))
+    # a 1-D trace's snapshot: the density normalised, then kept in the dual
+    # lattice's own (FFT) order
+    g = make_grid(1, 64, 8.0)
+    psi = random_state(g, rng)
+    snap = velocity_trace(psi, HYPER, 2.0, [3.0]).snapshots[0]
+    hat, scales = chirped_spectrum(psi, 3.0, HYPER)
     rho = hat.density() * hat.measure
-    snap = DensitySnapshot.from_density(rho, g.freq_nodes, g.freq_spacing, 3.0, scale=2.0,
-                                        axis=1)
-    order = np.argsort(g.freq_nodes)
-    marg = rho.sum(axis=0)
-    assert np.array_equal(snap.nodes, g.freq_nodes[order])
-    assert np.allclose(snap.weights, (marg / marg.sum())[order], rtol=1e-14, atol=0.0)
+    assert np.array_equal(snap.nodes, g.freq_nodes)
+    assert np.allclose(snap.weights, rho / rho.sum(), rtol=1e-14, atol=0.0)
     assert snap.weights.sum() == pytest.approx(1.0, rel=1e-14)
-    assert (snap.t, snap.scale, snap.spacing) == (3.0, 2.0, g.freq_spacing)
+    assert (snap.t, snap.scale, snap.spacing) == (3.0, scales[0], g.freq_spacing)
+
+
+def _ulps(got, want):
+    """|got - want| in units in the last place of want."""
+    return np.max(np.abs(np.asarray(got) - want) / np.spacing(np.abs(want)))
+
+
+def _sorted_snapshot(rho, grid, g, axis, t, cell_values=None):
+    """The `axis` marginal of the cell masses rho as a snapshot ordered by
+    node, with its weights normalised before ordering.  With cell_values,
+    a callable fn -> cell averages in the lattice's own order, its mean_of
+    reorders those instead of averaging on the sorted nodes."""
+    marg = rho.sum(axis=tuple(k for k in range(rho.ndim) if k != axis))
+    order = np.argsort(grid.freq_nodes)
+    snap = DensitySnapshot(t=t, nodes=grid.freq_nodes[order], weights=(marg / marg.sum())[order],
+                           scale=float(abs(g[axis])), spacing=grid.freq_spacing)
+    if cell_values is None:
+        return snap.mean_of, snap
+    return lambda fn: float(np.sum(cell_values(fn)[order] * snap.weights)), snap
+
+
+# 1-D lattices either side of numpy's 128-entry pairwise-sum block, a 2-D
+# one whose marginals are 256 points and a 3-D one whose are 32
+SINGLE_RULE_CASES = [(1, 64, 12.0), (1, 128, 12.0), (1, 256, 12.0), (1, 512, 12.0),
+                     (1, 2048, 12.0), (2, 256, 10.0), (3, 32, 6.0)]
+
+
+@pytest.mark.parametrize("dims, points, half_width", SINGLE_RULE_CASES,
+                         ids=lambda v: str(v))
+def test_velocity_means_on_the_lattice_match_sorted_snapshots(rng, dims, points, half_width):
+    # Velocity means, per-direction means and velocity masses, now read in
+    # the lattice's FFT order, against snapshots ordered by node.  With the
+    # cell values taken in lattice order the sums agree exactly above 128
+    # points, where numpy's pairwise sum splits into the same two halves in
+    # either order; at 128 points and below it reorders inside its 8-lane
+    # block.  Cell averages taken on the sorted nodes may also differ by an
+    # ulp per cell: BLAS's matrix-vector product can round a cell by its
+    # row in the tier table.
+    g = make_grid(dims, points, half_width)
+    psi = (random_state(g, rng, extent=0.1) if dims == 1 else
+           gaussian(g, center=(0.3, -0.2, 0.1)[:dims], momentum=(0.2, 0.1, -0.3)[:dims]))
+    spec = QuadraticSpec(dims=dims, n_minus=dims, omegas=(1.0, 1.5, 0.5)[:dims])
+    times = [1.0, 2.0, 3.0]
+    exact = points > 128
+    for alpha in (1.0, 2.0):
+        trace = velocity_trace(psi, spec, alpha, times, per_direction=True)
+        for k, t in enumerate(times):
+            hat, scales = chirped_spectrum(psi, t, spec)
+            rho = hat.density() * hat.measure
+            for ax in range(dims):
+                lattice = _dual_lattice(g, scales).axis(ax)
+                mean_lattice, snap = _sorted_snapshot(
+                    rho, g, scales, ax, t, lambda fn: _lattice_values(fn, lattice))
+                mean_sorted, _ = _sorted_snapshot(rho, g, scales, ax, t)
+                fns = [lambda y: p_alpha(y, 2.0)] + ([lambda y: p_alpha(y, alpha)]
+                                                     if dims == 1 else [])
+                got = [trace.per_direction[ax][k]] + ([trace.means[k]] if dims == 1 else [])
+                for fn, value in zip(fns, got):
+                    want = mean_lattice(fn) / t
+                    assert value == want if exact else _ulps(value, want) <= 2
+                    assert _ulps(value, mean_sorted(fn) / t) <= 4
+                if dims == 1:
+                    thetas = np.linspace(0.0, 2.0 * sigma_alpha(alpha) + 1.0, 121)
+                    mass = trace.snapshots[k].velocity_mass(alpha, thetas)
+                    want = snap.velocity_mass(alpha, thetas)
+                    if exact:
+                        assert np.array_equal(mass, want)
+                    else:
+                        np.testing.assert_allclose(mass, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims, points, half_width", [(1, 512, 12.0), (2, 64, 8.0)])
+def test_cook_integrands_and_slice_multipliers_follow_the_written_rule(dims, points,
+                                                                      half_width):
+    # cell averages on a 1-D dual lattice and point samples on an n-D one,
+    # in the lattice's own order, for Cook integrands and slice multipliers
+    g = make_grid(dims, points, half_width)
+    psi = gaussian(g, center=0.3, momentum=0.2)
+    spec = QuadraticSpec(dims=dims, n_minus=dims, omegas=(1.0, 0.5)[:dims])
+    V = preset_log_power(1.0, 2.0)
+    v2 = lambda *x: V(*x) ** 2
+
+    def values(fn, scales):
+        if dims == 1:
+            return _cell_average(fn, float(scales[0]), g.freq_nodes, g.freq_spacing)
+        return fn(*(scales[k] * g.axis_freqs(k) for k in range(dims)))
+
+    times = [0.2, 0.3, 0.4, 0.5]
+    record = cook_scan(psi, spec, V, times)
+    for t, value in zip(times, record.integrand):
+        hat, scales = chirped_spectrum(psi, t, spec)
+        assert value == float(np.sqrt(np.sum(values(v2, scales) * (hat.density() * hat.measure))))
+    fac = trajectory_factors(0.7, spec)
+    _, multiplier = _interaction_phase_slice(g, spec, 0.7, 0.025, V)
+    assert np.array_equal(multiplier, np.exp(1j * 0.025 * values(V, fac.g)))
+
+
+def test_split_step_cook_integrand_is_point_sampled_on_the_grid():
+    g = make_grid(2, 64, 12.0)
+    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
+    V = preset_power(1.0, 2.0)
+    times = [0.1, 0.2, 0.3, 0.4]
+    record = cook_scan(gaussian(g), cfg, V, times)
+    psi, prev = gaussian(g), 0.0
+    for t, value in zip(times, record.integrand):
+        psi, _ = propagate(psi, t - prev, cfg)
+        prev = t
+        rho = psi.density() * psi.measure
+        assert value == float(np.sqrt(np.sum(V(*g.meshgrid()) ** 2 * rho)))
+
+
+def test_snapshot_mean_of_is_the_lattice_sum(rng):
+    # on a trace's own snapshot mean_of gives the trace's mean; on any
+    # snapshot it is the written cell-average or point-sample sum
+    g = make_grid(1, 256, 12.0)
+    trace = velocity_trace(random_state(g, rng), HYPER, 1.0, [1.0, 2.5])
+    fn = lambda y: p_alpha(y, 1.0)
+    for t, mean, snap in zip(trace.times, trace.means, trace.snapshots):
+        assert snap.mean_of(fn) / t == mean
+        for nodes, weights in ((snap.nodes, snap.weights),
+                               (np.sort(snap.nodes), snap.weights[np.argsort(snap.nodes)])):
+            other = DensitySnapshot(t=snap.t, nodes=nodes, weights=weights, scale=snap.scale,
+                                    spacing=snap.spacing)
+            cells = _cell_average(LOGW, snap.scale, nodes, snap.spacing)
+            assert other.mean_of(LOGW) == float(np.sum(cells * weights))
+            assert other.mean_of(LOGW, cell_averaged=False) == float(
+                np.sum(LOGW(snap.scale * nodes) * weights))
 
 
 # from 512 points up: log(sqrt(1+y^2)) rounds 1+y^2 first, and on coarser
@@ -855,8 +984,8 @@ def test_radial_mean_nd_is_bit_identical_to_the_meshgrid_rule(dims, points, rng)
     for scales in ([3.0, 0.5, 7.0], [40.0, 1.0, 0.2]):
         scales = np.array(scales[:dims])
         for alpha in (0.5, 1.0, 2.0):
-            assert _radial_mean_nd(rho, g, scales, alpha) == _radial_mean_meshgrid(
-                rho, g, scales, alpha)
+            assert _radial_mean_nd(rho, _dual_lattice(g, scales), alpha) == (
+                _radial_mean_meshgrid(rho, g, scales, alpha))
 
 
 def test_tail_exponent_full_is_a_power_law_on_an_exponential_tail():

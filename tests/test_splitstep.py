@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,23 +97,19 @@ def _reference_forward(psi0, t, cfg, remainder_first):
                                                 "max_edge_mass": max_edge}
 
 
-def test_strang_zero_dt_is_identity(l2):
-    g = make_grid(1, 64, 8.0)
-    cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.0))
-    psi = gaussian(g)
-    assert l2(strang_step(psi, cfg, dt=0.0), psi) < 1e-14
-
-
 @pytest.mark.parametrize("dims, points, half_width", [(1, 256, 10.0), (2, 64, 10.0),
                                                       (3, 16, 8.0)])
-@pytest.mark.parametrize("dt", [None, 3e-3, -2e-3])
+@pytest.mark.parametrize("dt", [None, 3e-3])
 def test_strang_step_matches_allocating_formula(dims, points, half_width, dt):
+    # the step length is cfg.dt; None keeps the config's own
     g = make_grid(dims, points, half_width)
     cfg = evolution_config(g, 1e-2, repulsive=RepulsiveSpec(1.5),
                            perturbation=preset_compact_bump(0.5, 1.0))
+    if dt is not None:
+        cfg = replace(cfg, dt=dt)
     psi = gaussian(g, center=0.5, momentum=0.7)
-    out = strang_step(psi, cfg, dt=dt)
-    ref = _reference_strang_step(psi.values, cfg, cfg.dt if dt is None else dt)
+    out = strang_step(psi, cfg)
+    ref = _reference_strang_step(psi.values, cfg, cfg.dt)
     np.testing.assert_allclose(out.values, ref, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(ref)))
     assert not np.shares_memory(out.values, psi.values)
