@@ -396,10 +396,13 @@ def _guard_edge(values: np.ndarray, grid: Grid, representation: str, tol: float,
                 context: str) -> float:
     """Edge mass of raw samples, raising DomainEscapeError at or above tol.
 
+    values holds one state on grid or a stack of them along leading axes;
+    each state is guarded on its own and the largest edge mass is returned.
     Hot loops pass their arrays here directly, so no WaveFunction is built
     per step.  Mass at the edge of the position lattice has outrun the box;
     at the edge of the dual lattice it has outrun the grid's resolution."""
-    frac = _edge_mass(values, grid, representation)
+    states = values.reshape((-1,) + grid.shape)
+    frac = max(_edge_mass(state, grid, representation) for state in states)
     if frac >= tol:
         where = f" ({context})" if context else ""
         advice = "enlarge the box" if representation == POSITION else "refine the grid"

@@ -385,8 +385,13 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
     so position-density functionals at time t reduce to fixed-lattice sums
     against |F(M_t psi0)|^2 with coordinates scaled by g_k(2t).  No large
     grid is ever built.  Raises a domain-escape error when the chirped
-    spectrum leaks to the edge of the dual lattice.
+    spectrum leaks to the edge of the dual lattice.  t = 0 is refused: there
+    g_k(0) = 0, so neither M_t nor the dilation D_t exists.
     """
+    if t == 0.0:
+        raise ConfigurationError(
+            "chirped_spectrum is singular at t = 0: the factorization M_t D_t F M_t "
+            "divides by g_k(2t) = 0")
     psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
     _check_guard_time(spec, t)

@@ -24,12 +24,14 @@ import numpy as np
 from .csvout import write_rows
 from .errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from .grids import (
+    EDGE_FRACTION,
     MOMENTUM,
     POSITION,
     Grid,
     WaveFunction,
     _check_finite,
     _checked_density,
+    _marginal,
     l2_distance,
     l2_norm,
     tail_radii,
@@ -114,12 +116,15 @@ def _cell_average(fn: Callable, scale: float, nodes: np.ndarray, spacing: float)
     ~1 near y = 0 (the <y> branch points at +-i, the log-power poles at
     |y| ~ 1.3) lie outside a Bernstein ellipse rho >~ 4k of a cell k cells
     out, so the 8-point error there is ~rho^-16, below roundoff.  fn is
-    called once per tier, on that tier's (cells, rule points) array.
+    called once per tier, on that tier's (cells, rule points) array.  The
+    rule sums run through einsum rather than a matrix-vector product, whose
+    BLAS kernel rounds a row by its position in the table, so a cell's
+    average does not depend on the order of the nodes.
     """
     nodes = np.ascontiguousarray(nodes, dtype=float)
     out = np.empty(nodes.shape)
     for mask, table, w in _cell_tiers(nodes.tobytes(), spacing):
-        out[mask] = fn(scale * table) @ w / 2.0
+        out[mask] = np.einsum("ij,j->i", fn(scale * table), w) / 2.0
     return out
 
 
@@ -172,9 +177,29 @@ def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
     on the dual lattice scaled by g_k(2t), so any t is reachable with no grid
     growth; an EvolutionConfig propagates in sequence on the spatial grid
     (g = 1).  A DomainEscapeError passes through to the consumer.
+
+    A field E_k drags F(M_t psi0) to centre u = p_k - E_k t/2 (p_k: psi0's
+    mean momentum on axis k); past the dual lattice's edge band it wraps
+    around, unseen by an edge guard the schedule can step over, so such a
+    t raises a DomainEscapeError before its spectrum is taken.
     """
     if isinstance(hamiltonian, QuadraticSpec):
+        psi0 = _on_spec_grid(psi0, hamiltonian)
+        nodes = psi0.grid.freq_nodes
+        band = (1.0 - EDGE_FRACTION) * float(np.max(np.abs(nodes)))
+        drift = []  # (axis, field, mean momentum) of each axis with a field
+        for k, field_k in enumerate(hamiltonian.axis_fields):
+            if field_k:
+                marg = _marginal(psi0.values, k, spectral=True)
+                drift.append((k, field_k, float(np.dot(marg, nodes) / marg.sum())))
         for t in times:
+            for k, field_k, p in drift:
+                centre = p - field_k * t / 2.0
+                if abs(centre) >= band:
+                    raise DomainEscapeError(
+                        f"Stark drift carries the chirped spectrum of axis {k} to u = "
+                        f"{centre:.3g} at t={t}, into the edge band of the dual lattice; "
+                        "refine the grid")
             hat, g = chirped_spectrum(psi0, t, hamiltonian)
             yield t, hat.density() * hat.measure, _dual_lattice(hat.grid, g)
     elif isinstance(hamiltonian, EvolutionConfig):
@@ -411,10 +436,14 @@ def _interaction_phase_slice(grid: Grid, spec: QuadraticSpec, s: float, delta: f
     return factors, np.exp(1j * delta * vbar)
 
 
-def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
-    """Smallest s at which M_s is resolved: the chirp's instantaneous
-    frequency max|x| h(2s)/g(2s) plus the bandwidth of phi (its widest axis
-    marginal, cut at a 1e-10 tail) must stay below 80% of Nyquist."""
+def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec):
+    """(floor, ceiling): the smallest s at which M_s is resolved, and the
+    largest.  The chirp's instantaneous frequency max|x| h(2s)/g(2s) plus
+    the bandwidth of phi (its widest axis marginal, cut at a 1e-10 tail)
+    must stay below 80% of Nyquist.  On a Stark axis the field adds |E| s/2,
+    which grows with s, so the slices are resolved only up to the ceiling
+    where L/(2s) + |E| s/2 meets that budget (0 where it never does; inf
+    without Stark fields).  The floor leaves the field term out."""
     grid = phi.grid
     bandwidth = float(np.max(tail_radii(to_position(phi).values, grid.freq_nodes, 1e-10,
                                         spectral=True)))
@@ -423,13 +452,17 @@ def _chirp_resolution_floor(phi: WaveFunction, spec: QuadraticSpec) -> float:
     L = grid.half_width
     if budget <= L:  # coth > 1 always; need budget/L > 1
         raise ConfigurationError("grid cannot resolve the interaction chirp; increase points")
-    s_floor = 0.0
-    for sector, w in zip(spec.sectors, spec.axis_omegas):
+    s_floor, ceiling = 0.0, math.inf
+    for sector, w, field_k in zip(spec.sectors, spec.axis_omegas, spec.axis_fields):
         if sector == "hyperbolic":
             s_floor = max(s_floor, float(np.arctanh(w * L / budget) / (2.0 * w)))
         else:  # stark or free; the caller rejects trigonometric axes
             s_floor = max(s_floor, L / (2.0 * budget))
-    return s_floor
+        if field_k:
+            disc = budget**2 - abs(field_k) * L
+            top = (budget + math.sqrt(disc)) / abs(field_k) if disc >= 0 else 0.0
+            ceiling = min(ceiling, top)
+    return s_floor, ceiling
 
 
 def _slice_edges(s0: float, horizons) -> np.ndarray:
@@ -472,7 +505,8 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
             "confining axes; use split-step configs for n_plus > 0"
         )
     grid = phi.grid
-    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    s_floor, ceiling = _chirp_resolution_floor(phi, spec)
+    s0 = max(2.0 * s_floor, 0.05)
     anchor = _anchor_configs(grid, spec, perturbation)
     if not l2_norm(phi) > 0.0:
         raise NumericalStateError("wave operators require a state with positive norm")
@@ -483,6 +517,10 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     horizons = sorted({T for T in nonzero if T > s0}, reverse=True)
     if not horizons:
         return out
+    if horizons[0] > ceiling:
+        raise ConfigurationError(
+            f"horizon T={horizons[0]} passes s = {ceiling:.3g}, beyond which the Stark "
+            "field leaves the interaction chirp unresolved; refine the grid or lower T")
     edges = _slice_edges(s0, horizons)
     stack = np.empty((len(horizons),) + grid.shape, dtype=complex)
     live = 0
@@ -515,8 +553,8 @@ def _anchor_configs(grid: Grid, spec: QuadraticSpec, perturbation: Callable):
 def _wave_operator_direct(vals: np.ndarray, T: float, anchor) -> np.ndarray:
     """exp(i T H) exp(-i T H0) by split-step on both halves (small T > 0),
     in place on the position samples vals, which are returned: one state, or
-    a stack of them along a leading axis that steps as one
-    (splitstep._strang_steps).  `anchor` holds the (free, perturbed) configs
+    a stack of them along a leading axis that steps as one in the Strang
+    loop (splitstep._evolve).  `anchor` holds the (free, perturbed) configs
     of _anchor_configs.
 
     Matching discretizations make the V = 0 case an exact identity, and the

@@ -1,6 +1,7 @@
 """Strang split-step spectral propagator for H = -Laplacian + V_total(x),
 with V_total = -<x>^alpha + V or a quadratic saddle plus perturbation, and a
-small dense matrix-exponential oracle."""
+small dense matrix-exponential oracle.  Every split-step evolution, of one
+state or a stack, runs through the one Strang loop, _evolve."""
 
 from __future__ import annotations
 
@@ -110,36 +111,46 @@ def _phase(coeff: complex, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _guard_states(states: np.ndarray, cfg: EvolutionConfig, context: str) -> float:
-    """The largest edge mass of the states along the first axis of `states`,
-    each guarded by _guard_edge against cfg's tolerance."""
-    return max(_guard_edge(state, cfg.grid, POSITION, cfg.edge_mass_tol, context)
-               for state in states)
+def _evolve(vals: np.ndarray, t: float, cfg: EvolutionConfig, context: str, out=None):
+    """exp(-i t H) on the position samples vals by Strang steps: the one
+    split-step loop, behind propagate, strang_step and the wave-operator
+    anchor.  |t| splits into whole steps of cfg.dt and a fractional
+    remainder (none within 1e-12 dt of a whole step).  Backward (t < 0) the
+    conjugate states step forward, the exact time-reversal for real
+    potentials, with the remainder first, so that a backward run undoes a
+    forward one step for step, since S(-h) is the exact inverse of S(h).  A
+    t below the step resolution, t = 0 included, runs no step, guards vals
+    as given and returns them.
 
-
-def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str,
-                  conjugate: bool = False, out=None):
-    """Strang steps from the position samples vals: n steps of length dt for
-    each (dt, n) of segments in turn.  vals is one state on cfg's grid or a
-    stack of states along a leading axis (the wave-operator chains), which
-    then step together: every multiply broadcasts over the stack and every
-    transform runs over the grid axes alone, so each state takes the
-    operations of a run of its own, and each is guarded once per step.  The
-    states step in `out`, a C-contiguous buffer of vals' shape that may be
-    vals itself; by default one is allocated here, so the result never
-    aliases vals.  Two grid-shaped phase arrays serve a segment and every
-    state: `kin` holds the kinetic phase, and `pot` the half potential phase
-    of the opening half step, squared in place into the full phase when
-    n > 1; the closing half phase is then rebuilt in `kin` after the last
-    Fourier step.  With conjugate, the run starts from conj(vals) and the
-    result is conjugated in place.  Returns (samples, max edge mass).
-    """
+    vals is one state on cfg's grid or a stack of states along a leading
+    axis (the wave-operator chains), which then step together: every
+    multiply broadcasts over the stack and every transform runs over the
+    grid axes alone, so each state takes the operations of a run of its
+    own, and each is guarded on its own once per step.  The states step in
+    `out`, a C-contiguous buffer of vals' shape that may be vals itself; by
+    default one is allocated here, so a stepped result never aliases vals.
+    Two grid-shaped phase arrays serve a segment (the whole steps, or the
+    remainder) and every state: `kin` holds the kinetic phase, and `pot`
+    the half potential phase of the opening half step, squared in place into
+    the full phase when the segment has more than one step; the closing
+    half phase is then rebuilt in `kin` after the last Fourier step.
+    Returns (samples, steps, max edge mass)."""
     grid = cfg.grid
+    n_full, rem = divmod(abs(t), cfg.dt)
+    n_full = int(round(n_full))
+    if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+        if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
+            n_full += 1
+        rem = 0.0
+    order = ((rem, 1), (cfg.dt, n_full)) if t < 0 else ((cfg.dt, n_full), (rem, 1))
+    segments = [(d, n) for d, n in order if d and n]
+    guard = (grid, POSITION, cfg.edge_mass_tol, context)
+    if not segments:
+        return vals, 0, _guard_edge(vals, *guard)
     buf = np.empty(vals.shape, dtype=complex) if out is None else out
-    states = buf.reshape((-1,) + grid.shape)
     kin = np.empty(grid.shape, dtype=complex)
     pot = np.empty_like(kin)
-    if conjugate:
+    if t < 0:
         vals = np.conjugate(vals, out=buf)
     max_edge = 0.0
     for dt, n in segments:
@@ -154,58 +165,32 @@ def _strang_steps(vals: np.ndarray, cfg: EvolutionConfig, segments, context: str
             if k == n - 1 and n > 1:
                 phase = _phase(-0.5j * dt, cfg.potential, kin)
             np.multiply(phase, buf, out=buf)
-            max_edge = max(max_edge, _guard_states(states, cfg, context))
+            max_edge = max(max_edge, _guard_edge(buf, *guard))
         vals = buf
-    if conjugate:
+    if t < 0:
         np.conjugate(buf, out=buf)
-    return buf, max_edge
-
-
-def _evolve(vals: np.ndarray, t: float, cfg: EvolutionConfig, context: str, out=None):
-    """exp(-i t H) on the position samples vals (one state or a stack, in the
-    buffer `out`, as in _strang_steps): whole steps of cfg.dt and a
-    fractional remainder (none within 1e-12 dt of a whole step).  Backward
-    (t < 0) the conjugate states step forward, the exact time-reversal for
-    real potentials, with the remainder first, so that a backward run undoes
-    a forward one step for step, since S(-h) is the exact inverse of S(h).
-    A t below the step resolution runs no step and guards vals as given.
-    Returns (samples, steps, max edge mass)."""
-    n_full, rem = divmod(abs(t), cfg.dt)
-    n_full = int(round(n_full))
-    if rem < 1e-12 * cfg.dt or abs(rem - cfg.dt) < 1e-12 * cfg.dt:
-        if abs(rem - cfg.dt) < 1e-12 * cfg.dt:
-            n_full += 1
-        rem = 0.0
-    order = ((rem, 1), (cfg.dt, n_full)) if t < 0 else ((cfg.dt, n_full), (rem, 1))
-    segments = [(d, n) for d, n in order if d and n]
-    if not segments:
-        return vals, 0, _guard_states(vals.reshape((-1,) + cfg.grid.shape), cfg, context)
-    vals, max_edge = _strang_steps(vals, cfg, segments, context, conjugate=t < 0, out=out)
-    return vals, n_full + (1 if rem else 0), max_edge
+    return buf, n_full + (1 if rem else 0), max_edge
 
 
 def strang_step(psi: WaveFunction, cfg: EvolutionConfig) -> WaveFunction:
     """One Strang step exp(-i dt V/2) F^-1 exp(-i dt xi^2) F exp(-i dt V/2),
     dt = cfg.dt."""
     psi = to_position(psi)
-    vals, _ = _strang_steps(psi.values, cfg, [(cfg.dt, 1)], "strang_step")
+    vals, _, _ = _evolve(psi.values, cfg.dt, cfg, "strang_step")
     return WaveFunction(psi.grid, vals, POSITION)
 
 
 def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
-    """Repeated Strang steps with a final fractional step.
-
-    Backward evolution (t < 0) runs the conjugate state forward, which is the
-    exact time-reversal for real potentials, with the fractional step first,
-    so that propagate(propagate(psi, t)[0], -t) returns psi to rounding; the
-    conjugations run in the Strang loop's own buffer.  Returns (psi_t,
-    telemetry).
+    """exp(-i t H) psi0 by repeated Strang steps with a final fractional
+    step (_evolve).  Backward evolution (t < 0) runs the conjugate state
+    forward with the fractional step first, so that
+    propagate(propagate(psi, t)[0], -t) returns psi to rounding.  t = 0, or
+    any |t| below 1e-12 dt, runs no step but still guards psi0 and reports
+    its edge mass.  Returns (psi_t, {"steps", "max_edge_mass"}).
     """
     psi0 = to_position(psi0)
     if not l2_norm(psi0) > 0.0:
         raise NumericalStateError("propagate requires a state with positive norm")
-    if t == 0.0:
-        return psi0, {"steps": 0, "max_edge_mass": 0.0}
     vals, steps, max_edge = _evolve(psi0.values, t, cfg, "propagate")
     out = WaveFunction(cfg.grid, vals, POSITION)
     return out, {"steps": steps, "max_edge_mass": max_edge}

@@ -654,6 +654,49 @@ def test_quadratic_plus_table_exits_2_where_v_is_dilated(tmp_path, capsys, text)
     assert "need a symbolic perturbation preset" in err and "Traceback" not in err
 
 
+# A unit Gaussian under a field E = 10 on a 256-point grid: on the dual
+# lattice its chirped spectrum sits at u = -E t/2, which reaches the edge band
+# (|u| >= 0.9 max|xi| = 30.2) after t = 6 and wraps around the lattice.
+STARK_LINES = ("grid: {dims: 1, points: 256, half_width: 12.0}\nhamiltonian:\n"
+               "  quadratic: {n_E: 1, fields: [10.0]}\n")
+STARK_POWER_LINE = "  perturbation: {preset: power, args: {height: 1.0, exponent: 1.0}}\n"
+
+
+def test_cook_truncates_where_the_stark_drift_leaves_the_dual_lattice(tmp_path):
+    # t = 12 published 8.7 times the exact integrand; the run now stops at 4
+    from scipy.integrate import quad
+
+    cfg = _write(tmp_path, "cook.yaml", "experiment: cook\n" + STARK_LINES + STARK_POWER_LINE
+                 + "schedule: {times: [2.0, 3.0, 4.0, 12.0]}\ncsv: cook.csv\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert json.loads((tmp_path / "out" / "cook.summary.json").read_text())["metrics"][
+        "truncated"] is True
+    rows = [r.split(",") for r in (tmp_path / "out" / "cook.csv").read_text().splitlines()[1:]]
+    assert [float(t) for t, _ in rows] == [2.0, 3.0, 4.0]
+    for t, value in rows:
+        # |psi_t|^2 is the Gaussian of mean -E t^2 and variance (1 + 4 t^2)/2
+        t = float(t)
+        mean, var = -10.0 * t * t, (1.0 + 4.0 * t * t) / 2.0
+        dens = lambda x: np.exp(-(x - mean) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        exact, _ = quad(lambda x: dens(x) / (1.0 + x * x), mean - 40 * np.sqrt(var),
+                        mean + 40 * np.sqrt(var), points=[0.0], limit=200, epsabs=1e-14)
+        assert float(value) == pytest.approx(np.sqrt(exact), rel=2e-4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment: velocity\nalpha: 2.0\n" + STARK_LINES
+     + "state: {width: 1.0}\nschedule: {times: [2.0, 12.0]}\n", "Stark drift"),
+    ("experiment: wave-operator\n" + STARK_LINES + STARK_POWER_LINE
+     + "horizons: [2.0, 4.0, 8.0, 12.0]\n", "Stark field"),
+], ids=["velocity", "wave-operator"])
+def test_stark_drift_past_the_dual_lattice_exits_2(tmp_path, capsys, text, message):
+    # both runs used to alias and fail their checks (exit 1)
+    cfg = _write(tmp_path, "stark.yaml", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_oversized_grid_exits_2_before_any_allocation(tmp_path, capsys):
     import tracemalloc
 

@@ -21,8 +21,12 @@ from repscat import (
     to_position,
 )
 from repscat.grids import (
+    EDGE_MASS_TOL,
+    MOMENTUM,
+    POSITION,
     _axis_phases,
     _band_slabs,
+    _guard_edge,
     _sum_sq,
     assert_contained,
     inner,
@@ -220,6 +224,30 @@ def test_boundary_guard_triggers():
 def test_boundary_guard_passes_centered():
     g = make_grid(1, 64, 8.0)
     assert_contained(gaussian(g))
+
+
+@pytest.mark.parametrize("representation", [POSITION, MOMENTUM])
+def test_guard_edge_on_a_stack_returns_the_largest_edge_mass(rng, representation):
+    # each state of a stack along leading axes is guarded on its own, and the
+    # largest of their edge masses comes back bit for bit
+    g = make_grid(2, 32, 8.0)
+    states = [random_state(g, rng, bandwidth=0.6, extent=0.6) for _ in range(4)]
+    states = [state if representation == POSITION else to_momentum(state) for state in states]
+    masses = [boundary_mass_fraction(state) for state in states]
+    assert len(set(masses)) == 4 and masses.index(max(masses)) > 0
+    stack = np.stack([state.values for state in states])
+    assert _guard_edge(stack, g, representation, 1.0, "") == max(masses)
+    assert _guard_edge(stack.reshape((2, 2) + g.shape), g, representation, 1.0, "") == max(masses)
+    assert _guard_edge(stack[1], g, representation, 1.0, "") == masses[1]
+
+
+def test_guard_edge_on_a_stack_raises_when_any_state_escapes():
+    g = make_grid(1, 64, 8.0)
+    inside, escaped = gaussian(g).values, gaussian(g, center=7.5, width=0.3).values
+    assert _guard_edge(np.stack([inside, inside]), g, POSITION, EDGE_MASS_TOL, "") < EDGE_MASS_TOL
+    for stack in ([escaped, inside, inside], [inside, escaped, inside], [inside, inside, escaped]):
+        with pytest.raises(DomainEscapeError, match=r"\(stacked chains\); enlarge the box"):
+            _guard_edge(np.stack(stack), g, POSITION, EDGE_MASS_TOL, "stacked chains")
 
 
 def _band_mask(grid, representation):

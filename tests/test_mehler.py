@@ -264,6 +264,16 @@ def test_edge_guard_advice_follows_the_lattice():
         chirped_spectrum(gaussian(g, momentum=6.0), 1.0, HYPER)
 
 
+def test_chirped_spectrum_refuses_t_zero():
+    # g_k(0) = 0: the chirp divides by zero, and the all-NaN spectrum passed
+    # the edge guard (NaN >= tol is False)
+    psi = gaussian(make_grid(1, 64, 8.0))
+    for spec in (HYPER, QuadraticSpec(dims=1, n_E=1, fields=(1.0,)),
+                 QuadraticSpec(dims=1, n_plus=1, omegas=(1.0,))):
+        with pytest.raises(ConfigurationError, match=r"singular at t = 0.*M_t D_t F M_t"):
+            chirped_spectrum(psi, 0.0, spec)
+
+
 def test_observable_without_grid_matches_direct():
     # factorization-identity expectations vs direct factored propagation
     g = make_grid(1, 1024, 20.0)

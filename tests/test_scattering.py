@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 
 import numpy as np
@@ -301,7 +302,7 @@ def _reference_wave_operator(phi, T, spec, perturbation, horizons):
     then the split-step anchor on [0, s0] with freshly built configs (the
     anchor alone for T <= s0)."""
     grid = phi.grid
-    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec)[0], 0.05)
     if T > s0:
         edges = [e for e in _reference_edges(s0, horizons) if e <= T]
         phi, T = WaveFunction(grid, _reference_slices(phi.values, grid, spec, perturbation,
@@ -339,7 +340,7 @@ def test_2d_slices_are_bit_identical_to_the_full_grid_chirp_product():
     pert = preset_power(1.0, 1.0)
     psi = gaussian(grid, width=0.7, momentum=0.3)
     T = 1.0
-    s0 = max(2.0 * _chirp_resolution_floor(psi, spec), 0.05)
+    s0 = max(2.0 * _chirp_resolution_floor(psi, spec)[0], 0.05)
     edges = _slice_edges(s0, [T])
     assert len(edges) > 2
     u = psi.values.copy()
@@ -375,7 +376,7 @@ def _per_chain_wave_operators(phi, Ts, spec, perturbation):
     slices below T on the shared lattice of all horizons, then propagate
     forward and back on [0, s0] (on [0, T] alone for T <= s0)."""
     grid = phi.grid
-    s0 = max(2.0 * _chirp_resolution_floor(phi, spec), 0.05)
+    s0 = max(2.0 * _chirp_resolution_floor(phi, spec)[0], 0.05)
     free, full = _anchor_configs(grid, spec, perturbation)
     edges = _slice_edges(s0, [T for T in Ts if T > s0]) if max(Ts) > s0 else []
     out = {}
@@ -456,7 +457,7 @@ def test_cauchy_difference_is_the_upper_slice_product():
     psi = gaussian(grid)
     Ts = [0.03, 2.01, 3.3]
     diffs, _ = cauchy_differences(psi, Ts, HYPER, LOGW)
-    s0 = max(2.0 * _chirp_resolution_floor(psi, HYPER), 0.05)
+    s0 = max(2.0 * _chirp_resolution_floor(psi, HYPER)[0], 0.05)
     edges = _reference_edges(s0, Ts)
     upper = [e for e in edges if e >= 2.01]
     step = _reference_slices(psi.values, grid, HYPER, LOGW, upper) - psi.values
@@ -683,10 +684,26 @@ def test_chirp_resolution_floor_pinned():
     # pinned bit for bit: the bandwidth comes from grids.tail_radii; a 2-D
     # state needs 256 points per axis before the interaction chirp resolves
     phi = gaussian(make_grid(1, 2048, 12.0), center=1.0, momentum=2.0)
-    assert _chirp_resolution_floor(phi, HYPER) == 0.028889208274454913
+    assert _chirp_resolution_floor(phi, HYPER) == (0.028889208274454913, math.inf)
     saddle = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.0,), fields=(0.5,))
     phi = gaussian(make_grid(2, 256, 12.0), center=(1.0, -2.0), momentum=(0.5, 1.5))
-    assert _chirp_resolution_floor(phi, saddle) == 0.3291923631618562
+    assert _chirp_resolution_floor(phi, saddle)[0] == 0.3291923631618562
+
+
+def test_stark_ceiling_is_where_the_field_term_meets_the_slice_budget():
+    # L/(2s) + |E| s/2 = budget at the ceiling, and budget = L/(2 floor) on a
+    # Stark axis; a slice horizon past the ceiling is refused
+    phi = gaussian(make_grid(1, 256, 12.0))
+    spec = QuadraticSpec(dims=1, n_E=1, fields=(10.0,))
+    floor, ceiling = _chirp_resolution_floor(phi, spec)
+    budget = 12.0 / (2.0 * floor)
+    assert 12.0 / (2.0 * ceiling) + 10.0 * ceiling / 2.0 == pytest.approx(budget, rel=1e-12)
+    assert 4.1 < ceiling < 4.2
+    with pytest.raises(ConfigurationError, match=r"T=4.3 passes s = 4.18"):
+        _wave_operators(phi, [1.0, 4.3], spec, preset_power(1.0, 1.0))
+    # a field whose term alone exceeds the budget leaves no slice resolved
+    strong = QuadraticSpec(dims=1, n_E=1, fields=(100.0,))
+    assert _chirp_resolution_floor(phi, strong) == (floor, 0.0)
 
 
 def test_snapshot_from_density_normalises_then_orders(rng):
@@ -884,7 +901,8 @@ def _cell_average_formula(fn, scale, nodes, spacing):
     out = np.empty(nodes.shape)
     for mask, x, w in ((near, _GAUSS_NODES, _GAUSS_WEIGHTS), (~near, _FAR_NODES, _FAR_WEIGHTS)):
         if np.any(mask):
-            out[mask] = fn(scale * np.add.outer(nodes[mask], (spacing / 2.0) * x)) @ w / 2.0
+            out[mask] = np.einsum("ij,j->i", fn(scale * np.add.outer(nodes[mask],
+                                                                   (spacing / 2.0) * x)), w) / 2.0
     return out
 
 
@@ -901,6 +919,20 @@ def test_cached_cell_tables_give_the_formula_bits(name):
                 for _ in range(2):  # the table built, then the table cached
                     assert np.array_equal(_cell_average(fn, scale, nodes, h), expected)
     assert _cell_tiers.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("points", [64, 256, 512, 1024, 2048])
+def test_cell_average_does_not_depend_on_the_node_order(points):
+    # permuting the nodes permutes the cell averages bit for bit: a matrix-
+    # vector product would round a cell by its row in the tier's table
+    grid = make_grid(1, points, 12.0)
+    h = grid.freq_spacing
+    perm = np.random.default_rng(points).permutation(points)
+    for name in ("power", "log-power", "p_alpha-1"):
+        for scale in (1e-3, 1.0, 37.5, 1e9):
+            got = _cell_average(CELL_FNS[name], scale, grid.freq_nodes[perm], h)
+            assert np.array_equal(got, _cell_average(CELL_FNS[name], scale,
+                                                     grid.freq_nodes, h)[perm])
 
 
 @pytest.mark.parametrize("name", sorted(CELL_FNS))

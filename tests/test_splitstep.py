@@ -32,7 +32,6 @@ from repscat.grids import POSITION, _guard_edge
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import (
     _evolve,
-    _strang_steps,
     energy_expectation,
     hamiltonian_matrix,
 )
@@ -51,10 +50,9 @@ def _reference_propagate(psi0, t, cfg):
     the same arithmetic on two reused buffers; complex multiply is not
     bitwise commutative, so it matches this reference to rounding.  Backward
     (t < 0) runs the conjugate state forward with the fractional step first,
-    mirroring the forward run step for step."""
+    mirroring the forward run step for step.  t = 0 runs no step and guards
+    psi0 as given."""
     psi0 = to_position(psi0)
-    if t == 0.0:
-        return psi0, {"steps": 0, "max_edge_mass": 0.0}
     if t < 0:
         conj = WaveFunction(psi0.grid, np.conj(psi0.values), POSITION)
         out, tele = _reference_forward(conj, -t, cfg, remainder_first=True)
@@ -330,7 +328,7 @@ def test_propagate_guards_each_state_once(monkeypatch, t, calls):
 @pytest.mark.parametrize("dims, points, half_width", [
     (1, 64, 8.0), (1, 32768, 40.0), (2, 128, 12.0), (3, 16, 8.0),
 ])
-@pytest.mark.parametrize("steps", [1.0, 1.5, 4.0, 4.5, -1.0, -4.5])
+@pytest.mark.parametrize("steps", [0.0, 1.0, 1.5, 4.0, 4.5, -1.0, -4.5])
 def test_propagate_matches_reference_loop(dims, points, half_width, steps):
     g = make_grid(dims, points, half_width)
     dt = 1e-2
@@ -399,13 +397,18 @@ def test_kinetic_symbol_is_bit_identical_to_the_axis_by_axis_sum(dims, points):
     assert np.array_equal(kinetic, expected)
 
 
-def _spectrum_buffer_loop(vals, cfg, segments, conjugate=False):
-    """The Strang loop on separate state, spectrum and phase arrays:
-    buf -> spec by FFT, spec -> buf by inverse FFT, and half_v, full_v and
-    kin built afresh for every segment."""
+def _spectrum_buffer_loop(vals, cfg, t):
+    """The Strang loop on separate state, spectrum and phase arrays, for the
+    segments of t as divmod splits |t| (every t here is clear of the
+    whole-step rounding rule): buf -> spec by FFT, spec -> buf by inverse
+    FFT, and half_v, full_v and kin built afresh for every segment."""
+    n_full, rem = divmod(abs(t), cfg.dt)
+    segments = [(d, n) for d, n in ((cfg.dt, int(n_full)), (rem, 1)) if d and n]
+    if t < 0:
+        segments = segments[::-1]
     buf = np.empty(vals.shape, dtype=complex)
     spec = np.empty_like(buf)
-    if conjugate:
+    if t < 0:
         vals = np.conjugate(vals, out=buf)
     for dt, n in segments:
         half_v = np.exp(-0.5j * dt * cfg.potential)
@@ -418,7 +421,7 @@ def _spectrum_buffer_loop(vals, cfg, segments, conjugate=False):
             np.fft.ifftn(spec, out=buf)
             np.multiply(full_v if k < n - 1 else half_v, buf, out=buf)
         vals = buf
-    if conjugate:
+    if t < 0:
         np.conjugate(buf, out=buf)
     return buf
 
@@ -431,34 +434,24 @@ def _strang_case(dims):
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
-@pytest.mark.parametrize("segments, conjugate", [
-    ([(4e-3, 1)], False),
-    ([(1.3e-3, 1)], True),
-    ([(4e-3, 6)], False),
-    ([(4e-3, 2)], True),
-    ([(4e-3, 5), (1.5e-3, 1), (2e-3, 3)], False),
-    ([(1.5e-3, 1), (4e-3, 5)], True),
-], ids=["one", "one-conjugate", "six", "two-conjugate", "three-segments",
-        "remainder-first-conjugate"])
-def test_strang_loop_is_bit_identical_to_the_spectrum_buffer_loop(dims, segments,
-                                                                  conjugate):
+@pytest.mark.parametrize("t", [4e-3, -1.3e-3, 6 * 4e-3, -2 * 4e-3, 5 * 4e-3 + 1.5e-3,
+                               -(5 * 4e-3 + 1.5e-3)],
+                         ids=["one", "one-conjugate", "six", "two-conjugate",
+                              "remainder-last", "remainder-first-conjugate"])
+def test_strang_loop_is_bit_identical_to_the_spectrum_buffer_loop(dims, t):
     cfg, psi = _strang_case(dims)
-    out, _ = _strang_steps(psi.values, cfg, segments, "test", conjugate=conjugate)
-    assert np.array_equal(out, _spectrum_buffer_loop(psi.values, cfg, segments, conjugate))
+    out, _, _ = _evolve(psi.values, t, cfg, "test")
+    assert np.array_equal(out, _spectrum_buffer_loop(psi.values, cfg, t))
 
 
 @pytest.mark.parametrize("steps", [1.0, 5.0, 5.5, -1.0, -5.0, -5.5])
 def test_propagate_is_bit_identical_to_the_spectrum_buffer_loop(steps):
     cfg, psi = _strang_case(2)
     t = steps * cfg.dt
-    n, rem = divmod(abs(t), cfg.dt)  # as propagate splits t
-    segments = [(cfg.dt, int(n)), (rem, 1)] if steps % 1 else [(cfg.dt, round(abs(steps)))]
     out, _ = propagate(psi, t, cfg)
-    expected = _spectrum_buffer_loop(psi.values, cfg, segments[::-1] if steps < 0 else segments,
-                                     conjugate=steps < 0)
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(out.values, _spectrum_buffer_loop(psi.values, cfg, t))
     single = strang_step(psi, cfg)
-    assert np.array_equal(single.values, _spectrum_buffer_loop(psi.values, cfg, [(cfg.dt, 1)]))
+    assert np.array_equal(single.values, _spectrum_buffer_loop(psi.values, cfg, cfg.dt))
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -484,6 +477,20 @@ def test_propagate_is_a_stack_of_one(dims, steps):
     assert in_place is buf and np.array_equal(buf, got)
     assert n == tel["steps"]
     assert edge == max(tel["max_edge_mass"], tel_other["max_edge_mass"])
+
+
+def test_propagate_at_zero_takes_the_no_step_path():
+    # t = 0 runs no step, as any |t| below 1e-12 dt does: the state comes
+    # back as given with its own edge mass, and a state in the edge band raises
+    cfg, psi = _strang_case(1)
+    zero, tel_zero = propagate(psi, 0.0, cfg)
+    tiny, tel_tiny = propagate(psi, 1e-15, cfg)
+    assert np.array_equal(zero.values, psi.values) and np.array_equal(tiny.values, psi.values)
+    assert tel_zero == tel_tiny == {"steps": 0, "max_edge_mass": boundary_mass_fraction(psi)}
+    edge = gaussian(cfg.grid, center=11.5, width=0.5)
+    for t in (0.0, 1e-15, -1e-15):
+        with pytest.raises(DomainEscapeError, match=r"\(propagate\)"):
+            propagate(edge, t, cfg)
 
 
 def test_propagate_memory_budget():
