@@ -24,7 +24,7 @@ import yaml
 from .classical import PhasePoint, check_fit_window
 from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
-from .mehler import trajectory_factors
+from .mehler import _check_guard_time, trajectory_factors
 from .phasespace import check_shell
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
 
@@ -292,10 +292,13 @@ def _check_on_grid(kind: str, v: dict):
                                   and (ham["repulsive"] is not None or pert is not None))
     if split_step and "dt" in v and v["dt"] is None:
         raise ConfigurationError("dt must be given: the split-step route needs a time step")
-    # the factored route evaluates g_k(2t), h_k(2t) at times up to the latest one
+    # the factored route needs each time off the kernel's singular times, and
+    # evaluates g_k(2t), h_k(2t) at times up to the latest one
     latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
               "wave-operator": "horizons"}.get(kind)
     if not split_step and latest is not None:
+        for t in np.atleast_1d(v[latest]):
+            _built(_check_guard_time, latest, spec=quad, t=float(t))
         t = float(np.max(np.abs(v[latest])))
         fac = _built(trajectory_factors, latest, t=t, spec=quad)
         if kind != "propagate":

@@ -22,7 +22,7 @@ class DomainEscapeError(RepscatError):
     """Probability mass reached the outer region of the periodic box."""
 
 
-class SingularTimeError(RepscatError):
+class SingularTimeError(ConfigurationError):
     """Requested propagation time too close to a kernel singularity."""
 
 

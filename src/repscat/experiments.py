@@ -1,7 +1,7 @@
 """Experiment runners: dispatch a config to the library modules and collect
-metrics, pass/fail checks, and CSV artifacts.  The runners receive the
-values that config.read_config has checked (ExperimentConfig.values, read
-once per config), so they only build the state and run."""
+metrics, pass/fail checks, and CSV tables.  The runners receive the values
+that config.read_config has checked (ExperimentConfig.values, read once per
+config), so they only build the state and run; they write no file."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 from . import classical as cl
 from . import scattering as sc
 from .config import KINDS, ExperimentConfig
+from .errors import ConfigurationError
 from .grids import gaussian, l2_distance, l2_norm
 from .mehler import propagate_factored
 from .phasespace import (
@@ -32,9 +33,23 @@ ROUNDTRIP_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
 
 
+def make_output_dir(path: str):
+    """Create the directory `path` (and its parents) unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot create output directory: {exc.strerror or exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Execute one experiment (CSVs go to the existing out_dir); returns the summary dict."""
-    metrics, checks = _RUNNERS[cfg.kind](cfg.values, out_dir)
+    """Execute one experiment, then write its named (file name, writer, data)
+    tables into out_dir, created only then; returns the summary dict."""
+    metrics, checks, tables = _RUNNERS[cfg.kind](cfg.values)
+    for name, writer, data in tables:
+        if name:
+            make_output_dir(out_dir)
+            writer(data, os.path.join(out_dir, name))
     return {
         "experiment": cfg.kind,
         "inputs_digest": cfg.digest(),
@@ -66,7 +81,7 @@ def _on_grid(v):
     return grid, psi0, ham["quadratic"], ham["repulsive"], ham["perturbation"]
 
 
-def run_propagate(v, out_dir):
+def run_propagate(v):
     grid, psi0, quad, rep, pert = _on_grid(v)
     t = v["t"]
     norm0 = l2_norm(psi0)
@@ -88,10 +103,10 @@ def run_propagate(v, out_dir):
         _bound_check("unitarity", drift, NORM_TOL),
         _bound_check("reversibility", rt, ROUNDTRIP_TOL),
     ]
-    return metrics, checks
+    return metrics, checks, []
 
 
-def run_velocity(v, out_dir):
+def run_velocity(v):
     grid, psi0, quad, rep, pert = _on_grid(v)
     alpha = v["alpha"]
     sigma = sigma_alpha(alpha)
@@ -113,14 +128,11 @@ def run_velocity(v, out_dir):
     for ax, series in sorted(trace.per_direction.items()):
         metrics[f"direction_{ax}_final"] = float(series[-1])
     checks = [_bound_check("velocity_limit", abs(final - sigma), tol)]
-    if v["csv"]:
-        sc.velocity_trace_to_csv(trace, os.path.join(out_dir, v["csv"]))
-    if v["histogram_csv"]:
-        sc.histograms_to_csv(trace, os.path.join(out_dir, v["histogram_csv"]))
-    return metrics, checks
+    return metrics, checks, [(v["csv"], sc.velocity_trace_to_csv, trace),
+                             (v["histogram_csv"], sc.histograms_to_csv, trace)]
 
 
-def run_cook(v, out_dir):
+def run_cook(v):
     grid, psi0, quad, rep, pert = _on_grid(v)
     if pert is None:
         pert = lambda *c: 0.0 * sum(np.asarray(x) for x in c)
@@ -142,12 +154,10 @@ def run_cook(v, out_dir):
     if v["expected_exponent"] is not None:
         checks.append(_check("tail_exponent", v["expected_exponent"], record.tail_exponent,
                              v["tol"]))
-    if v["csv"]:
-        sc.cook_record_to_csv(record, os.path.join(out_dir, v["csv"]))
-    return metrics, checks
+    return metrics, checks, [(v["csv"], sc.cook_record_to_csv, record)]
 
 
-def run_wave_operator(v, out_dir):
+def run_wave_operator(v):
     grid, psi0, quad, rep, pert = _on_grid(v)
     Ts = v["horizons"]
     diffs, omegas = sc.cauchy_differences(psi0, Ts, quad, pert)
@@ -166,10 +176,10 @@ def run_wave_operator(v, out_dir):
         # ||Omega(T2) phi - Omega(T1) phi|| <= int_T1^T2 ||V e^{-itH0} phi|| dt
         _flag_check("cook_inequality", all(d <= b + 1e-8 for d, b in zip(diffs, bounds))),
     ]
-    return metrics, checks
+    return metrics, checks, []
 
 
-def run_classical(v, out_dir):
+def run_classical(v):
     alpha, t_final, start = v["alpha"], v["t_final"], v["start"]
     tol = (0.03 if alpha < 2.0 else 0.02) if v["tol"] is None else v["tol"]
     point = cl.zero_energy_start(alpha) if start is None else start
@@ -188,12 +198,10 @@ def run_classical(v, out_dir):
         rate = cl.log_growth_rate(traj, window)
         metrics["log_growth_rate"] = rate
         checks.append(_check("log_growth_rate", 2.0, rate, tol * 2.0))
-    if v["csv"]:
-        cl.trajectory_to_csv(traj, os.path.join(out_dir, v["csv"]))
-    return metrics, checks
+    return metrics, checks, [(v["csv"], cl.trajectory_to_csv, traj)]
 
 
-def run_mourre_scan(v, out_dir):
+def run_mourre_scan(v):
     alpha, E = v["alpha"], v["E"]
     radius_range = v["radius_range"]
     result = mourre_shell_scan(alpha, E, v["eta"], radius_range, v["samples"])
@@ -213,12 +221,10 @@ def run_mourre_scan(v, out_dir):
         dev = float(np.max(np.abs(br - heuristic_bracket_identity(xs, E, alpha))))
         metrics["heuristic_identity_dev"] = dev
         checks.append(_bound_check("heuristic_identity", dev, 1e-10))
-    if v["csv"]:
-        scan_to_csv(result, os.path.join(out_dir, v["csv"]))
-    return metrics, checks
+    return metrics, checks, [(v["csv"], scan_to_csv, result)]
 
 
-def run_convergence(v, out_dir):
+def run_convergence(v):
     grid, psi0, quad, rep, pert = _on_grid(v)
     dts = v["dt_sequence"]
     cfg = evolution_config(grid, max(dts), repulsive=rep, quadratic=quad, perturbation=pert)
@@ -230,7 +236,7 @@ def run_convergence(v, out_dir):
         "floor_flagged": result["floor_flagged"],
     }
     checks = [_check("strang_order", 2.0, result["slope"], v["tol"])]
-    return metrics, checks
+    return metrics, checks, []
 
 
 #: One runner per kind in config.KINDS, named after it; a missing one fails at import.

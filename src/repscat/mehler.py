@@ -116,8 +116,6 @@ def _branch_amplitude(sector: str, omega: float, t: float, g_val: float) -> comp
 def _check_guard_time(spec: QuadraticSpec, t: float):
     """Refuse t within SINGULAR_GUARD of a singular time m pi/(2 w_k), m >= 1.
     Elsewhere |g_k(2t)| >= sin(2 w_k min(|t|, SINGULAR_GUARD))/w_k."""
-    if t == 0.0:
-        return
     for k, (sector, w) in enumerate(zip(spec.sectors, spec.axis_omegas)):
         if sector != "trigonometric":
             continue
@@ -269,10 +267,10 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
     """
     psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
-    if t == 0.0:
-        return psi0
     _check_guard_time(spec, t)
     assert_contained(psi0, context="propagate_factored input")
+    if t == 0.0:
+        return psi0
     ok, axis, needed, ximax = chirp_resolution_ok(psi0, t, spec)
     if not ok:
         raise ConfigurationError(
@@ -355,6 +353,7 @@ def avron_herbst(psi0: WaveFunction, t: float, E: float) -> WaveFunction:
     if grid.dims != 1:
         raise ConfigurationError("avron_herbst is one-dimensional")
     if t == 0.0:
+        assert_contained(psi0, context="avron_herbst at t=0.0")
         return psi0
     xi = grid.freq_nodes
     hat = to_momentum(psi0).values

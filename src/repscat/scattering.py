@@ -491,14 +491,10 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     The stack then takes the split-step anchor on [0, s0] in place, in one
     Strang loop, and its rows are the results: memory is one state per
     horizon, as for chains run one at a time, plus the anchor's two
-    grid-shaped phase arrays.  Horizons T <= s0 take the anchor alone, one
-    state each, and T = 0 returns phi.
+    grid-shaped phase arrays.  Horizons T <= s0, T = 0 included, take the
+    anchor alone, one state each.
     """
     phi = _on_spec_grid(phi, spec)
-    out = {T: phi for T in Ts if T == 0.0}
-    nonzero = [T for T in Ts if T != 0.0]
-    if not nonzero:
-        return out
     if spec.n_plus > 0:
         raise ConfigurationError(
             "interaction-picture wave operators cross kernel singular times on "
@@ -510,11 +506,12 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
     anchor = _anchor_configs(grid, spec, perturbation)
     if not l2_norm(phi) > 0.0:
         raise NumericalStateError("wave operators require a state with positive norm")
-    for T in nonzero:
+    out = {}
+    for T in Ts:
         if T <= s0:
             vals = _wave_operator_direct(phi.values.copy(), T, anchor)
             out[T] = WaveFunction(grid, vals, POSITION)
-    horizons = sorted({T for T in nonzero if T > s0}, reverse=True)
+    horizons = sorted({T for T in Ts if T > s0}, reverse=True)
     if not horizons:
         return out
     if horizons[0] > ceiling:

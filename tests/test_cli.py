@@ -172,6 +172,7 @@ def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
 
 QUAD_LINE = "  quadratic: {n_minus: 1, omegas: [1.0]}"
 REPULSIVE_LINE = "  repulsive: {alpha: 1.0}"
+N_PLUS_LINE = "  quadratic: {n_plus: 1, omegas: [1.0]}"
 
 
 BAD_INPUTS = [
@@ -412,6 +413,16 @@ GATE = [
     pytest.param(WAVE_CFG, "horizons: [2.0, 4.0, 6.0]", "horizons: [2.0, 400.0]", "horizons",
                  id="wave-factors-overflow"),
     pytest.param(PROPAGATE_CFG, "t: 0.4", "t: -400.0", "t", id="propagate-factors-overflow"),
+    # a time within SINGULAR_GUARD of pi/2, where the kernel of a unit
+    # oscillator focuses; the cook run used to compute two times before it
+    pytest.param(VELOCITY_CFG, QUAD_LINE + "\nstate: {width: 1.0}\nschedule: {times: [2.0, 4.0, "
+                 "6.0, 8.0, 10.0]}", N_PLUS_LINE + "\nschedule: {times: [0.5, 1.5707963]}",
+                 "schedule", id="velocity-singular-time"),
+    pytest.param(COOK_ZERO_CFG, QUAD_LINE + "\nschedule: {start: 1.0, stop: 5.0, count: 9, "
+                 "spacing: linear}", N_PLUS_LINE + "\nschedule: {times: [0.5, 1.0, 1.5707963, "
+                 "2.0]}", "schedule", id="cook-singular-time"),
+    pytest.param(PROPAGATE_CFG, QUAD_LINE + "\nt: 0.4", N_PLUS_LINE + "\nt: -1.5707963", "t",
+                 id="propagate-singular-time"),
     # at t = 354 g(2t) = sinh(708) is finite, but g(2t) (max|xi| + h/2) squared,
     # the largest |x|^2 of the cell rule, is not: the run published NaN means
     pytest.param(VELOCITY_CFG, "times: [2.0, 4.0, 6.0, 8.0, 10.0]", "times: [2.0, 354.0]",
@@ -459,6 +470,42 @@ def test_read_config_refuses_before_output_or_state(tmp_path, monkeypatch, capsy
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, files", [
+    (COOK_ZERO_CFG, ["cook.csv"]),
+    (VELOCITY_CFG + "histogram_csv: hist.csv\n", ["velocity.csv", "hist.csv"]),
+    (CLASSICAL_CFG, ["traj.csv"]),
+    (MOURRE_CFG, ["scan.csv"]),
+], ids=["cook", "velocity", "classical", "mourre-scan"])
+def test_runners_write_nothing_and_return_their_tables(tmp_path, monkeypatch, text, files):
+    from repscat.experiments import _RUNNERS
+
+    cfg = load_config(_write(tmp_path, "c.yaml", text))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    metrics, checks, tables = _RUNNERS[cfg.kind](cfg.values)
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "work"]
+    assert [name for name, writer, data in tables] == files
+
+
+@pytest.mark.parametrize("text, message", [
+    # dt max|V| = 16.0 > pi: PhaseWindingError
+    (PROPAGATE_CFG.replace("points: 512, half_width: 14.0", "points: 256, half_width: 40.0")
+     .replace(QUAD_LINE, "  repulsive: {alpha: 2.0}").replace("t: 0.4", "t: 0.1\ndt: 0.01"),
+     "exceeds pi"),
+    # most of the packet lies in the outer tenth of the box: DomainEscapeError
+    (PROPAGATE_CFG.replace("points: 512, half_width: 14.0", "points: 256, half_width: 12.0")
+     .replace("t: 0.4", "state: {center: 11.5, width: 0.5}\nt: 0.001"), "boundary mass"),
+], ids=["phase-winding", "domain-escape"])
+def test_run_time_refusal_leaves_no_output_dir(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, "c.yaml", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

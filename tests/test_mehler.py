@@ -21,6 +21,7 @@ from repscat import (
     singular_times,
     to_momentum,
     trajectory_factors,
+    wave_operator,
 )
 from repscat.errors import DomainEscapeError
 from repscat.grids import LINE_BLOCK, assert_contained
@@ -33,6 +34,7 @@ from repscat.mehler import (
     chirp_resolution_ok,
     mehler_phase,
 )
+from repscat.potentials import preset_log_power
 
 FREE = QuadraticSpec(dims=1)
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
@@ -226,6 +228,21 @@ def test_avron_herbst_identity_at_t0(l2):
     g = make_grid(1, 256, 16.0)
     psi = gaussian(g)
     assert l2(avron_herbst(psi, 0.0, 1.0), psi) == 0.0
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda psi: propagate_factored(psi, 0.0, HYPER),
+    lambda psi: avron_herbst(psi, 0.0, 1.0),
+    lambda psi: wave_operator(psi, 0.0, HYPER, preset_log_power(1.0, 2.0)),
+], ids=["propagate_factored", "avron_herbst", "wave_operator"])
+def test_t0_is_the_guarded_identity(evolve):
+    # t = 0 returned any state unchecked, one with half its mass in the edge
+    # band included, which the same route refuses at t = 0.001
+    grid = make_grid(1, 512, 12.0)
+    with pytest.raises(DomainEscapeError):
+        evolve(gaussian(grid, center=10.8, width=0.3))
+    psi = gaussian(grid)
+    assert np.array_equal(evolve(psi).values, psi.values)
 
 
 def test_avron_herbst_displacement():
