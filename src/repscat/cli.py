@@ -31,7 +31,6 @@ def write_summary(summary: dict, path: str):
 def _run_one(config_path: str, out_dir: str, seed, quiet: bool):
     cfg = load_config(config_path, seed_override=seed)
     summary = run_experiment(cfg, out_dir)
-    make_output_dir(out_dir)
     name = os.path.splitext(os.path.basename(config_path))[0]
     summary_path = os.path.join(out_dir, f"{name}.summary.json")
     write_summary(summary, summary_path)

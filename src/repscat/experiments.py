@@ -43,12 +43,13 @@ def make_output_dir(path: str):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Execute one experiment, then write its named (file name, writer, data)
-    tables into out_dir, created only then; returns the summary dict."""
+    """Execute one experiment, then create out_dir and write its named
+    (file name, writer, data) tables there; returns the summary dict.  A run
+    refused before it returns leaves no out_dir."""
     metrics, checks, tables = _RUNNERS[cfg.kind](cfg.values)
+    make_output_dir(out_dir)
     for name, writer, data in tables:
         if name:
-            make_output_dir(out_dir)
             writer(data, os.path.join(out_dir, name))
     return {
         "experiment": cfg.kind,

@@ -381,6 +381,9 @@ def _per_chain_wave_operators(phi, Ts, spec, perturbation):
     edges = _slice_edges(s0, [T for T in Ts if T > s0]) if max(Ts) > s0 else []
     out = {}
     for T in Ts:
+        if T == 0.0:
+            out[T] = phi.values
+            continue
         u, t = phi.values.copy(), min(T, s0)
         below = [e for e in edges if e <= T] if T > s0 else []
         for lo, hi in zip(below[-2::-1], below[:0:-1]):
