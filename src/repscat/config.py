@@ -24,7 +24,7 @@ import yaml
 from .classical import PhasePoint, check_fit_window
 from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
-from .mehler import _check_guard_time, trajectory_factors
+from .mehler import _checked_factors
 from .phasespace import check_shell
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
 
@@ -95,7 +95,10 @@ def read_config(raw: dict) -> dict:
     values = _read(KINDS[kind], raw, "", f"a {kind} config")
     if "grid" in values:
         _check_on_grid(kind, values)
+    if kind == "convergence":
+        _check_step_count("dt_sequence", values["t"], min(values["dt_sequence"]))
     if kind == "classical":
+        _check_step_count("dt", values["t_final"], values["dt"])
         _built(check_fit_window, "t_final", t_final=values["t_final"], dt=values["dt"],
                record_every=values["record_every"])
     if kind == "mourre-scan":
@@ -290,19 +293,20 @@ def _check_on_grid(kind: str, v: dict):
                                  "hamiltonian.quadratic with n_plus = 0 (no confining axis)")
     split_step = quad is None or (kind == "propagate"
                                   and (ham["repulsive"] is not None or pert is not None))
-    if split_step and "dt" in v and v["dt"] is None:
-        raise ConfigurationError("dt must be given: the split-step route needs a time step")
-    # the factored route needs each time off the kernel's singular times, and
-    # evaluates g_k(2t), h_k(2t) at times up to the latest one
     latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
               "wave-operator": "horizons"}.get(kind)
+    if split_step and "dt" in v:
+        if v["dt"] is None:
+            raise ConfigurationError("dt must be given: the split-step route needs a time step")
+        _check_step_count("dt", float(np.max(np.abs(v[latest]))), v["dt"])
+    # each factored-route time takes mehler's one time check (off the
+    # kernel's singular times, g_k(2t) and h_k(2t) finite); the times
+    # increase, so the last one's factors decide the dilated lattice
     if not split_step and latest is not None:
         for t in np.atleast_1d(v[latest]):
-            _built(_check_guard_time, latest, spec=quad, t=float(t))
-        t = float(np.max(np.abs(v[latest])))
-        fac = _built(trajectory_factors, latest, t=t, spec=quad)
+            fac = _built(_checked_factors, latest, t=float(t), spec=quad)
         if kind != "propagate":
-            _check_dilated_lattice(latest, t, fac.g, grid)
+            _check_dilated_lattice(latest, float(t), fac.g, grid)
     if pert is not None and not callable(pert):
         if quad is not None and kind in ("cook", "wave-operator"):
             raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
@@ -316,6 +320,14 @@ def _check_on_grid(kind: str, v: dict):
     if kind == "velocity" and grid.dims > 1 and (quad is None or v["histogram_csv"]):
         raise ConfigurationError("an n-D velocity run needs hamiltonian.quadratic and takes no "
                                  "histogram_csv: split-step snapshots and histograms are 1-D")
+
+
+def _check_step_count(key: str, t: float, dt: float):
+    """Refuse a time step `key` that leaves |t|/dt, the step count of a run
+    to time t, past the float range."""
+    if not math.isfinite(abs(t) / dt):
+        raise ConfigurationError(f"{key}: {abs(t)}/{dt} time steps overflow a float; "
+                                 "raise the time step or shorten the time")
 
 
 def _check_dilated_lattice(key: str, t: float, g, grid):
@@ -336,7 +348,8 @@ def _check_dilated_lattice(key: str, t: float, g, grid):
 
 GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),
                "half_width": (_real, REQUIRED)},
-              lambda v, key: make_grid(v["dims"], v["points"], v["half_width"]))
+              lambda v, key: _built(make_grid, key, dims=v["dims"], points_per_dim=v["points"],
+                                    half_width=v["half_width"]))
 STATE = _block({"width": (lambda value, key: check_width(_real(value, key), key), 1.0),
                 "center": (_axis_reals, 0.0), "momentum": (_axis_reals, 0.0)})
 HAMILTONIAN = _block({

@@ -79,6 +79,13 @@ class Grid:
             raise ConfigurationError(f"half_width must be > 0, got {self.half_width}")
         n = self.points_per_dim
         dx = 2.0 * self.half_width / n
+        # |x|^2 on the box and xi^2 on the dual lattice (up to dims (pi/dx)^2)
+        # must be finite floats
+        for reach in (float(self.half_width), math.pi / float(dx) if dx > 0 else math.inf):
+            if not math.isfinite(self.dims * reach * reach):
+                raise ConfigurationError(
+                    f"half_width {self.half_width} on {n} points (spacing {dx}) gives a box "
+                    "or dual lattice whose squared coordinates overflow a float")
         object.__setattr__(self, "spacing", dx)
         object.__setattr__(self, "nodes", -self.half_width + dx * np.arange(n))
         object.__setattr__(self, "freq_nodes", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
@@ -384,10 +391,15 @@ def _band_slabs(dims: int, points_per_dim: int, half_width: float,
 
 
 def _edge_mass(values: np.ndarray, grid: Grid, representation: str) -> float:
+    """Share of the sum of |values|^2 in the edge band.  A state whose sum is
+    zero or not finite (NaN or Inf samples) has no such share and is refused:
+    this is the zero and finiteness check of every guarded state."""
     flat = np.ascontiguousarray(values).view(float)
     total = _sum_sq(flat)
-    if total == 0.0:
-        return 0.0
+    if not 0.0 < total < math.inf:
+        fault = "zero" if total == 0.0 else "not finite (NaN or Inf samples)"
+        raise NumericalStateError(
+            f"the state's total |psi|^2 is {fault}, so its edge mass cannot be measured")
     boxes = _band_slabs(grid.dims, grid.points_per_dim, grid.half_width, representation)
     return float(sum(_sum_sq(flat[box]) for box in boxes) / total)
 
@@ -444,9 +456,17 @@ def _normalised(grid: Grid, vals: np.ndarray) -> WaveFunction:
 def gaussian(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:
     """Normalized Gaussian packet prod_k exp(i k_j x_j) exp(-(x_j-c_j)^2/(2 w^2))."""
     check_width(width, "width")
-    centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dims,))
-    moms = np.broadcast_to(np.asarray(momentum, dtype=float), (grid.dims,))
-    return _normalised(grid, _packet(grid, centers, width, moms))
+    return _normalised(grid, _packet(grid, _per_axis(center, grid, "center"), width,
+                                     _per_axis(momentum, grid, "momentum")))
+
+
+def _per_axis(value, grid: Grid, name: str) -> np.ndarray:
+    """One float per axis of grid from a number or a list of grid.dims numbers."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim and values.shape != (grid.dims,):
+        raise ConfigurationError(f"{name} must be a number or a list of {grid.dims} numbers "
+                                 f"(one per axis), got {value!r}")
+    return np.broadcast_to(values, (grid.dims,))
 
 
 def random_state(grid: Grid, rng: np.random.Generator, bandwidth: float = 0.1,

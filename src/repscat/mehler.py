@@ -97,25 +97,21 @@ def singular_times(spec: QuadraticSpec, horizon_T: float) -> list:
     return sorted(out)
 
 
-def _maslov_count(sector: str, omega: float, t: float) -> int:
-    """Zeros of s -> g(2s) strictly between 0 and t (trigonometric only)."""
-    if sector != "trigonometric":
-        return 0
-    return int(np.floor(2.0 * omega * abs(t) / np.pi + 1e-12))
-
-
 def _branch_amplitude(sector: str, omega: float, t: float, g_val: float) -> complex:
     """(i g_k(2t))^{-1/2} with the branch fixed by continuity from t -> 0,
-    advancing a quarter turn at each sign change of g_k along the path."""
-    m = _maslov_count(sector, omega, t)
+    advancing a quarter turn at each of the m zeros of s -> g_k(2s) strictly
+    between 0 and t (the Maslov count; only a trigonometric axis has any)."""
+    m = int(np.floor(2.0 * omega * abs(t) / np.pi + 1e-12)) if sector == "trigonometric" else 0
     sign = 1.0 if t >= 0 else -1.0
     phase = np.exp(-1j * sign * (np.pi / 4.0 + np.pi * m / 2.0))
     return phase / np.sqrt(abs(g_val))
 
 
-def _check_guard_time(spec: QuadraticSpec, t: float):
-    """Refuse t within SINGULAR_GUARD of a singular time m pi/(2 w_k), m >= 1.
-    Elsewhere |g_k(2t)| >= sin(2 w_k min(|t|, SINGULAR_GUARD))/w_k."""
+def _checked_factors(t: float, spec: QuadraticSpec) -> TrajectoryFactors:
+    """trajectory_factors(t, spec), refusing t within SINGULAR_GUARD of a
+    singular time m pi/(2 w_k), m >= 1: the one time check of every
+    factored-route input.  Elsewhere |g_k(2t)| >= sin(2 w_k min(|t|,
+    SINGULAR_GUARD))/w_k."""
     for k, (sector, w) in enumerate(zip(spec.sectors, spec.axis_omegas)):
         if sector != "trigonometric":
             continue
@@ -125,6 +121,7 @@ def _check_guard_time(spec: QuadraticSpec, t: float):
             raise SingularTimeError(
                 f"t={t} is within {SINGULAR_GUARD} of a singular time of coordinate {k}"
             )
+    return trajectory_factors(t, spec)
 
 
 def _chirp_factors(grid: Grid, spec: QuadraticSpec, fac: TrajectoryFactors) -> list:
@@ -267,7 +264,7 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
     """
     psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
-    _check_guard_time(spec, t)
+    fac = _checked_factors(t, spec)
     assert_contained(psi0, context="propagate_factored input")
     if t == 0.0:
         return psi0
@@ -278,7 +275,6 @@ def propagate_factored(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> Wav
             f"{needed:.1f} vs Nyquist {ximax:.1f}; refine the grid or move t "
             "away from kernel singularities"
         )
-    fac = trajectory_factors(t, spec)
     factors = _chirp_factors(grid, spec, fac)
     vals = _times_chirp(factors, psi0.values, np.empty(grid.shape, dtype=complex))
     amp = 1.0 + 0.0j
@@ -329,8 +325,7 @@ def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveF
         raise OracleScaleError("kernel oracle limited to <= 2 dims and <= 256 points per dim")
     if abs(t) < ORACLE_MIN_TIME:
         raise OracleScaleError(f"kernel oracle domain is |t| >= {ORACLE_MIN_TIME}")
-    _check_guard_time(spec, t)
-    fac = trajectory_factors(t, spec)
+    fac = _checked_factors(t, spec)
     x = grid.nodes
     vals = psi0.values
     for k in range(grid.dims):
@@ -393,8 +388,7 @@ def chirped_spectrum(psi0: WaveFunction, t: float, spec: QuadraticSpec):
             "divides by g_k(2t) = 0")
     psi0 = _on_spec_grid(psi0, spec)
     grid = psi0.grid
-    _check_guard_time(spec, t)
-    fac = trajectory_factors(t, spec)
+    fac = _checked_factors(t, spec)
     vals = _times_chirp(_chirp_factors(grid, spec, fac), psi0.values,
                         np.empty(grid.shape, dtype=complex))
     phi = WaveFunction(grid, _momentum_values(vals, grid, out=vals), MOMENTUM)

@@ -22,18 +22,17 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvout import write_rows
-from .errors import ConfigurationError, DomainEscapeError, NumericalStateError
+from .errors import ConfigurationError, DomainEscapeError
 from .grids import (
     EDGE_FRACTION,
     MOMENTUM,
     POSITION,
     Grid,
     WaveFunction,
-    _check_finite,
     _checked_density,
+    _guard_edge,
     _marginal,
     l2_distance,
-    l2_norm,
     tail_radii,
     to_momentum,
     to_position,
@@ -409,6 +408,10 @@ def cook_record_to_csv(record: CookRecord, path):
 #: Interaction-picture slice width on [s0, T].
 _SLICE = 0.025
 
+#: Edge-mass tolerance of the wave operator's input and split-step anchor:
+#: wave-operator states legitimately carry a small spread scattered component.
+_ANCHOR_EDGE_TOL = 1e-2
+
 
 def wave_operator(phi: WaveFunction, T: float, spec: QuadraticSpec,
                   perturbation: Callable) -> WaveFunction:
@@ -501,11 +504,12 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
             "confining axes; use split-step configs for n_plus > 0"
         )
     grid = phi.grid
+    # before the chirp floor: a state cut off at the box edge is broadband,
+    # and more points could not resolve its chirp
+    _guard_edge(phi.values, grid, POSITION, _ANCHOR_EDGE_TOL, "wave-operator input")
     s_floor, ceiling = _chirp_resolution_floor(phi, spec)
     s0 = max(2.0 * s_floor, 0.05)
     anchor = _anchor_configs(grid, spec, perturbation)
-    if not l2_norm(phi) > 0.0:
-        raise NumericalStateError("wave operators require a state with positive norm")
     out = {}
     for T in Ts:
         if T <= s0:
@@ -542,9 +546,9 @@ def _wave_operators(phi: WaveFunction, Ts: Sequence[float], spec: QuadraticSpec,
 def _anchor_configs(grid: Grid, spec: QuadraticSpec, perturbation: Callable):
     """The free and perturbed split-step configs of _wave_operator_direct,
     built once per _wave_operators call and shared by its chains."""
-    return (evolution_config(grid, 1e-3, quadratic=spec, edge_mass_tol=1e-2),
+    return (evolution_config(grid, 1e-3, quadratic=spec, edge_mass_tol=_ANCHOR_EDGE_TOL),
             evolution_config(grid, 1e-3, quadratic=spec, perturbation=perturbation,
-                             edge_mass_tol=1e-2))
+                             edge_mass_tol=_ANCHOR_EDGE_TOL))
 
 
 def _wave_operator_direct(vals: np.ndarray, T: float, anchor) -> np.ndarray:
@@ -556,11 +560,10 @@ def _wave_operator_direct(vals: np.ndarray, T: float, anchor) -> np.ndarray:
 
     Matching discretizations make the V = 0 case an exact identity, and the
     shared Strang error cancels to first order in the perturbation.  The
-    edge guard is relaxed here: wave-operator states legitimately carry a
-    small spread scattered component.  Every state is guarded on its own,
-    and a non-finite sample (an overflowing slice) is refused.
+    edge guard is relaxed here, to _ANCHOR_EDGE_TOL.  Every state is guarded
+    on its own, and one with a non-finite sample (an overflowing slice) is
+    refused.
     """
-    _check_finite(vals)
     cfg0, cfg = anchor
     _evolve(vals, T, cfg0, "wave-operator anchor", out=vals)
     _evolve(vals, -T, cfg, "wave-operator anchor", out=vals)

@@ -10,12 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    NumericalStateError,
-    OracleScaleError,
-    PhaseWindingError,
-)
+from .errors import ConfigurationError, OracleScaleError, PhaseWindingError
 from .grids import (
     EDGE_MASS_TOL,
     POSITION,
@@ -189,8 +184,6 @@ def propagate(psi0: WaveFunction, t: float, cfg: EvolutionConfig):
     its edge mass.  Returns (psi_t, {"steps", "max_edge_mass"}).
     """
     psi0 = to_position(psi0)
-    if not l2_norm(psi0) > 0.0:
-        raise NumericalStateError("propagate requires a state with positive norm")
     vals, steps, max_edge = _evolve(psi0.values, t, cfg, "propagate")
     out = WaveFunction(cfg.grid, vals, POSITION)
     return out, {"steps": steps, "max_edge_mass": max_edge}

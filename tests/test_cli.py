@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,11 @@ def test_bad_classical_inputs_exit_2(tmp_path, capsys, line, bad_line):
     ("grid: {dims: 1.0, points: 64, half_width: 8.0}", "grid.dims"),
     ("grid: {dims: 1, points: 64, half_width: wide}", "grid.half_width"),
     ("grid: {dims: 1, points: 64, half_width: true}", "grid.half_width"),
+    # a spacing of 0, a dual lattice whose (pi/dx)^2 overflows, and a box
+    # whose L^2 overflows: each used to end in a traceback or a warning
+    ("grid: {dims: 1, points: 64, half_width: 5.0e-324}", "grid: half_width"),
+    ("grid: {dims: 1, points: 64, half_width: 1.0e-310}", "grid: half_width"),
+    ("grid: {dims: 1, points: 64, half_width: 1.0e+300}", "grid: half_width"),
 ])
 def test_bad_grid_block_exits_2(tmp_path, capsys, bad_grid, key):
     text = CONVERGENCE_CFG.replace("grid: {dims: 1, points: 64, half_width: 8.0}", bad_grid)
@@ -442,6 +448,15 @@ GATE = [
                  "alpha: 2.0\nE: 0.0\neta: 0.1\nradius_range: [0.5, 1.0e+154]",
                  "radius_range", id="mourre-shell-overflow-violations"),
     pytest.param(MOURRE_CFG, "E: 0.0", "E: 1.0e+160", "radius_range", id="mourre-shell-huge-E"),
+    # a box whose L^2 overflows, and step counts |t|/dt past the float range
+    pytest.param(VELOCITY_CFG, "half_width: 12.0", "half_width: 1.0e+300", "grid: half_width",
+                 id="grid-box-overflow"),
+    pytest.param(VELOCITY_SPLIT_CFG, "dt: 0.01", "dt: 1.0e-310", "dt", id="velocity-step-count"),
+    pytest.param(VELOCITY_SPLIT_CFG, "dt: 0.01", "dt: 5.0e-324", "dt",
+                 id="velocity-step-count-subnormal"),
+    pytest.param(CONVERGENCE_CFG, "[4.0e-3,", "[4.0e-3, 1.0e-310,", "dt_sequence",
+                 id="convergence-step-count"),
+    pytest.param(CLASSICAL_CFG, "dt: 0.001", "dt: 1.0e-310", "dt", id="classical-step-count"),
     # a bump of zero width divides by zero
     pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
                  "{preset: compact-bump, args: {height: 1.0, radius: 0}}",
@@ -638,8 +653,6 @@ def test_sample_mourre_scan_numbers_pinned(tmp_path):
 
 def test_mourre_scan_just_inside_the_float_range_runs_clean(tmp_path):
     # at alpha = 2 the shell's (xi + x)^2 stays finite out to |x| = 1e150
-    import warnings
-
     text = (MOURRE_CFG.replace("alpha: 1.0", "alpha: 2.0")
             .replace("radius_range: [1.0, 40.0]", "radius_range: [0.5, 1.0e+150]"))
     cfg = _write(tmp_path, "mou.yaml", text)
@@ -1117,6 +1130,21 @@ def test_velocity_time_at_the_lattice_overflow_bound(tmp_path, t, code):
         with open(out / "velocity_alpha2.summary.json") as fh:
             means = json.load(fh)["metrics"]["means"]
         assert all(isinstance(m, float) and np.isfinite(m) for m in means)
+
+
+def test_wave_operator_whose_chirped_spectrum_is_not_finite_exits_2(tmp_path, capsys):
+    # the Cook scan starts at T = 1e-310, where g(2T) ~ 2e-310 and the chirp
+    # phase x^2 h/(2 g) overflows (with a warning): the chirped spectrum is
+    # NaN, which the edge guard refuses.  The run used to pass it, publish
+    # cook_bounds [0.0] and exit 1
+    text = WAVE_CFG.replace("horizons: [2.0, 4.0, 6.0]", "horizons: [1.0e-310, 2.0]")
+    cfg = _write(tmp_path, "wave.yaml", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_state_whose_packet_underflows_exits_2_without_a_warning(tmp_path):

@@ -61,6 +61,12 @@ def test_make_grid_rejects_bad_sizes():
         make_grid(1, 16, -1.0)
     with pytest.raises(ConfigurationError):
         make_grid(0, 16, 1.0)
+    # a spacing of 0, and squares past the float range: dims (pi/dx)^2 on the
+    # dual lattice, dims L^2 on the box, which 1e154 passes in 1-D only
+    for dims, half_width in [(1, 5e-324), (1, 1e-310), (1, 1e300), (2, 1e154)]:
+        with pytest.raises(ConfigurationError, match="half_width"):
+            make_grid(dims, 16, half_width)
+    make_grid(1, 16, 1e154)
 
 
 def test_make_grid_refuses_more_than_max_grid_points():
@@ -211,6 +217,23 @@ def test_expectation_rejects_zero_and_nonfinite_states():
                  np.r_[np.inf, np.ones(15)]):
         with pytest.raises(NumericalStateError):
             expectation(WaveFunction(g, vals), g.nodes)
+
+
+@pytest.mark.parametrize("sample, fault", [(0.0, "zero"), (np.inf, "not finite"),
+                                           (np.nan, "not finite")])
+def test_edge_guard_refuses_a_state_it_cannot_measure(sample, fault):
+    # a zero state, and one Inf or NaN sample at the box centre, off the
+    # edge band: the guard read an edge mass of 0.0 or nan and let each pass
+    g = make_grid(1, 64, 8.0)
+    vals = np.zeros(64, dtype=complex) if sample == 0.0 else gaussian(g).values.copy()
+    vals[32] = sample
+    psi = WaveFunction(g, vals)
+    stack = np.stack([gaussian(g).values, vals])
+    for check in (lambda: _guard_edge(vals, g, POSITION, EDGE_MASS_TOL, ""),
+                  lambda: _guard_edge(stack, g, POSITION, EDGE_MASS_TOL, ""),
+                  lambda: assert_contained(psi), lambda: boundary_mass_fraction(psi)):
+        with pytest.raises(NumericalStateError, match=fault):
+            check()
 
 
 def test_boundary_guard_triggers():
@@ -480,6 +503,16 @@ def test_gaussian_whose_packet_underflows_raises_before_any_nan():
         for g, center in ((make_grid(1, 64, 5.0), 100.0), (make_grid(2, 16, 5.0), (0.0, 100.0))):
             with pytest.raises(NumericalStateError, match="zero norm"):
                 gaussian(g, center=center)
+
+
+def test_gaussian_refuses_a_center_or_momentum_of_another_length():
+    g = make_grid(2, 16, 5.0)
+    for key, value in (("center", [1.0, 2.0, 3.0]), ("momentum", [1.0, 2.0, 3.0]),
+                       ("center", [1.0])):
+        with pytest.raises(ConfigurationError, match=f"{key} must be a number or a list of 2"):
+            gaussian(g, **{key: value})
+    assert np.array_equal(gaussian(g, center=[0.5, 0.5], momentum=(1.0, 1.0)).values,
+                          gaussian(g, center=0.5, momentum=1.0).values)
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, 1.0e-200, 1.0e+154, 1.0e+200, np.float64(1e200)])

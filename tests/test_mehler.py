@@ -23,11 +23,11 @@ from repscat import (
     trajectory_factors,
     wave_operator,
 )
-from repscat.errors import DomainEscapeError
+from repscat.errors import DomainEscapeError, NumericalStateError
 from repscat.grids import LINE_BLOCK, assert_contained
 from repscat.mehler import (
-    _check_guard_time,
     _branch_amplitude,
+    _checked_factors,
     _chirp_factors,
     _czt,
     _semidft_axis,
@@ -187,9 +187,9 @@ def test_singular_time_guard():
                 for offset in (-1.0, 1.0):
                     t = sign * (m * np.pi / (2.0 * w) + offset * 0.999e-3)
                     with pytest.raises(SingularTimeError):
-                        _check_guard_time(spec, t)
+                        _checked_factors(t, spec)
                     t = sign * (m * np.pi / (2.0 * w) + offset * 1.001e-3)
-                    _check_guard_time(spec, t)
+                    _checked_factors(t, spec)
                     assert abs(trajectory_factors(t, spec).g[0]) > 1e-3
 
 
@@ -281,6 +281,15 @@ def test_edge_guard_advice_follows_the_lattice():
     with pytest.raises(DomainEscapeError,
                        match=r"\(chirped spectrum at t=1.0\); refine the grid$"):
         chirped_spectrum(gaussian(g, momentum=6.0), 1.0, HYPER)
+
+
+def test_factored_propagators_refuse_a_zero_state():
+    # both returned the zero state as if it had evolved
+    zero = WaveFunction(make_grid(1, 128, 10.0), np.zeros(128))
+    with pytest.raises(NumericalStateError, match="zero"):
+        propagate_factored(zero, 0.5, HYPER)
+    with pytest.raises(NumericalStateError, match="zero"):
+        avron_herbst(zero, 0.5, 1.0)
 
 
 def test_chirped_spectrum_refuses_t_zero():

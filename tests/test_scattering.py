@@ -440,6 +440,23 @@ def test_wave_operators_refuse_zero_and_non_finite_states():
         _wave_operator_direct(stack, 0.0572, _anchor_configs(grid, HYPER, LOGW))
 
 
+def test_wave_operator_names_an_edge_state_as_such():
+    # the input takes the anchor's edge guard before the chirp floor, which
+    # used to refuse this state as a chirp that needs more points
+    grid = make_grid(1, 256, 12.0)
+    with pytest.raises(DomainEscapeError, match=r"1.0e-02 \(wave-operator input\)"):
+        wave_operator(gaussian(grid, center=11.0), 2.0, HYPER, LOGW)
+
+
+def test_cook_and_velocity_refuse_a_zero_state():
+    # the Cook integrands and velocity means of a zero state came out 0 or NaN
+    zero = WaveFunction(make_grid(1, 256, 12.0), np.zeros(256))
+    with pytest.raises(NumericalStateError, match="zero"):
+        cook_scan(zero, HYPER, LOGW, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NumericalStateError, match="zero"):
+        velocity_trace(zero, HYPER, 2.0, [1.0, 2.0])
+
+
 def test_slice_lattice_has_no_slivers():
     s0 = 0.0578
     for horizons in ([2.0, 4.0, 6.0], [2.01, 3.3], [s0 + 0.01, 1.0]):
