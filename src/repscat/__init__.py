@@ -43,7 +43,6 @@ from .mehler import (
     chirped_spectrum,
     propagate_factored,
     propagate_kernel,
-    singular_times,
     trajectory_factors,
 )
 from .phasespace import (

@@ -98,8 +98,6 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ConfigurationError(f"t_final must be finite and >= 0, got {t_final}")
     n = int(round(t_final / dt))
-    due = iter(sorted(_recorded_steps(n, record_every)))
-    record = next(due, None)
     h = 0.5 * dt
     d2 = dt * 2.0
     expo = alpha / 2.0 - 1.0 if regularized else alpha - 2.0
@@ -114,7 +112,7 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
     c = 0.0
     if n:
         c = alpha * (1.0 + r2) ** expo if regularized else _singular_coefficient(alpha, r2, expo)
-    for k in range(n):
+    for s in range(1, n + 1):
         r2 = 0.0
         for j in dims:
             p = xi[j] + h * (c * x[j])
@@ -130,11 +128,10 @@ def flow(start: PhasePoint, alpha: float, t_final: float, dt: float,
                 truncated = True
         if truncated:
             break
-        if k + 1 == record:
-            times.append(record * dt)
+        if s % record_every == 0 or s == n:  # _recorded_steps, in step order
+            times.append(s * dt)
             xs.append(x[:])
             xis.append(xi[:])
-            record = next(due, None)
     return Trajectory(times=np.array(times), xs=np.array(xs), xis=np.array(xis),
                       energy0=float(_energy(start.x, start.xi, alpha, regularized)),
                       alpha=alpha, regularized=regularized, truncated=truncated)
@@ -209,10 +206,9 @@ def p_alpha_rate(traj: Trajectory, fit_window) -> float:
     return float(np.polyfit(traj.times[mask], p, 1)[0])
 
 
-def zero_energy_start(alpha: float, x0: float = 1.0) -> PhasePoint:
-    """Escaping start with h = 0 exactly: xi0 = <x0>^(alpha/2)."""
-    xi0 = (1.0 + x0**2) ** (alpha / 4.0)
-    return PhasePoint(np.array([x0]), np.array([xi0]))
+def zero_energy_start(alpha: float) -> PhasePoint:
+    """Escaping start x0 = 1 with h = 0 exactly: xi0 = <x0>^(alpha/2) = 2^(alpha/4)."""
+    return PhasePoint(np.array([1.0]), np.array([2.0 ** (alpha / 4.0)]))
 
 
 def trajectory_to_csv(traj: Trajectory, path):

@@ -26,7 +26,7 @@ from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
 from .mehler import _checked_factors
 from .phasespace import check_shell
-from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha
+from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha, p_alpha
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
 # cold start (3.6 MB resident) for one 16-hex-digit digest.
@@ -39,6 +39,14 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 REQUIRED = object()
+
+#: Ceilings of a run's steps, refused before any array exists: Strang steps
+#: times grid points on the split-step route, and leapfrog steps of a
+#: classical flow.  The largest sample configs use under 1% of each:
+#: velocity_alpha1 4000 steps x 4096 points (0.82%), classical_kappa 1.6e5
+#: steps (0.8%).
+MAX_STRANG_POINT_STEPS = 2 * 10**9
+MAX_LEAPFROG_STEPS = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,8 @@ def read_config(raw: dict) -> dict:
     values = _read(KINDS[kind], raw, "", f"a {kind} config")
     if "grid" in values:
         _check_on_grid(kind, values)
-    if kind == "convergence":
-        _check_step_count("dt_sequence", values["t"], min(values["dt_sequence"]))
     if kind == "classical":
-        _check_step_count("dt", values["t_final"], values["dt"])
+        _check_step_count("dt", values["t_final"], values["dt"], 1, MAX_LEAPFROG_STEPS)
         _built(check_fit_window, "t_final", t_final=values["t_final"], dt=values["dt"],
                record_every=values["record_every"])
     if kind == "mourre-scan":
@@ -295,16 +301,26 @@ def _check_on_grid(kind: str, v: dict):
                                   and (ham["repulsive"] is not None or pert is not None))
     latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
               "wave-operator": "horizons"}.get(kind)
+    points = grid.points_per_dim ** grid.dims
     if split_step and "dt" in v:
         if v["dt"] is None:
             raise ConfigurationError("dt must be given: the split-step route needs a time step")
-        _check_step_count("dt", float(np.max(np.abs(v[latest]))), v["dt"])
+        _check_step_count("dt", float(np.max(np.abs(v[latest]))), v["dt"], points,
+                          MAX_STRANG_POINT_STEPS)
+    if kind == "convergence":
+        _check_step_count("dt_sequence", v["t"], min(v["dt_sequence"]), points,
+                          MAX_STRANG_POINT_STEPS)
+    if split_step and kind == "velocity":
+        _check_first_mean(v["schedule"][0], grid,
+                          (v["alpha"], 2.0) if v["per_direction"] else (v["alpha"],))
     # each factored-route time takes mehler's one time check (off the
-    # kernel's singular times, g_k(2t) and h_k(2t) finite); the times
-    # increase, so the last one's factors decide the dilated lattice
+    # kernel's singular times, g_k(2t) and h_k(2t) finite) and a finite
+    # chirp phase; the times increase, so the last one's factors decide the
+    # dilated lattice
     if not split_step and latest is not None:
         for t in np.atleast_1d(v[latest]):
             fac = _built(_checked_factors, latest, t=float(t), spec=quad)
+            _check_chirp_phase(latest, fac, quad, grid)
         if kind != "propagate":
             _check_dilated_lattice(latest, float(t), fac.g, grid)
     if pert is not None and not callable(pert):
@@ -312,22 +328,52 @@ def _check_on_grid(kind: str, v: dict):
             raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
                                      "need a symbolic perturbation preset; a table cannot be "
                                      "evaluated at dilated coordinates")
-        if pert.size != grid.points_per_dim ** grid.dims:
+        if pert.size != points:
             raise ConfigurationError(
                 f"hamiltonian.perturbation.table must hold one value per grid point "
-                f"({grid.points_per_dim ** grid.dims}), got {pert.size}")
+                f"({points}), got {pert.size}")
         ham["perturbation"] = pert.reshape(grid.shape)
     if kind == "velocity" and grid.dims > 1 and (quad is None or v["histogram_csv"]):
         raise ConfigurationError("an n-D velocity run needs hamiltonian.quadratic and takes no "
                                  "histogram_csv: split-step snapshots and histograms are 1-D")
 
 
-def _check_step_count(key: str, t: float, dt: float):
-    """Refuse a time step `key` that leaves |t|/dt, the step count of a run
-    to time t, past the float range."""
-    if not math.isfinite(abs(t) / dt):
-        raise ConfigurationError(f"{key}: {abs(t)}/{dt} time steps overflow a float; "
-                                 "raise the time step or shorten the time")
+def _check_step_count(key: str, t: float, dt: float, points: int, ceiling: int):
+    """Refuse a time step `key` whose run to time t, |t|/dt steps over
+    `points` points each, passes `ceiling` (a count past the float range
+    included)."""
+    work = abs(t) / dt * points
+    if not work <= ceiling:
+        raise ConfigurationError(
+            f"{key}: {abs(t)}/{dt} time steps over {points} point(s) each make {work:.4g}, "
+            f"past the {ceiling:.0e} a run may take; raise the time step or shorten the time")
+
+
+def _check_chirp_phase(key: str, fac, spec, grid):
+    """Refuse a nonzero time whose chirp M_t has a phase past the float range
+    on the box: L^2 max_k |h_k/(2 g_k)| + |t| max_k |E_k| L/2 (g_k(2t) is
+    tiny near t = 0).  At t = 0 the factored route takes no chirp."""
+    if fac.t == 0.0:
+        return
+    L = grid.half_width
+    with np.errstate(over="ignore", divide="ignore"):
+        quad_part = float(np.max(np.abs(fac.h / (2.0 * fac.g))))
+    phase = L * L * quad_part + abs(fac.t) * max(map(abs, spec.axis_fields)) * L / 2.0
+    if not math.isfinite(phase):
+        raise ConfigurationError(
+            f"{key}: at t={fac.t} the chirp phase L^2 max|h_k/(2 g_k)| + |t| max|E_k| L/2 "
+            "is not finite; move the time away from 0")
+
+
+def _check_first_mean(t: float, grid, alphas):
+    """Refuse a split-step velocity schedule whose first time t leaves
+    p_alpha(x)/t, at the box's reach, past the float range for an alpha of
+    `alphas` (the run's, and 2 for its per-direction traces)."""
+    reach = math.sqrt(grid.dims) * grid.half_width
+    if not math.isfinite(max(float(p_alpha(reach, a)) for a in alphas) / float(t)):
+        raise ConfigurationError(
+            f"schedule: at the first time t={t} the mean of p_alpha(x)/t overflows a float "
+            f"at the box's reach {reach:.4g}; move the first time away from 0")
 
 
 def _check_dilated_lattice(key: str, t: float, g, grid):

@@ -152,18 +152,13 @@ class WaveFunction:
         return np.abs(self.values) ** 2
 
 
-def _check_finite(values: np.ndarray):
-    # min and max propagate NaN, so both are finite exactly when every sample
-    # is, and neither forms a grid-sized mask
-    flat = values.view(float)
-    if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
-        raise NumericalStateError("wavefunction contains NaN or Inf samples")
-
-
 def l2_norm(psi: WaveFunction) -> float:
-    """Discrete L2 norm sqrt(sum |psi|^2 * cell measure)."""
-    _check_finite(psi.values)
-    return float(np.sqrt(np.sum(psi.density()) * psi.measure))
+    """Discrete L2 norm sqrt(sum |psi|^2 * cell measure), summed with no
+    temporary: 0 for the zero state; a sum that is not finite is refused."""
+    total = _sum_sq(psi.values.view(float))
+    if total != 0.0:
+        _checked_total(total)
+    return float(np.sqrt(total * psi.measure))
 
 
 def l2_distance(a: WaveFunction, b: WaveFunction) -> float:
@@ -224,7 +219,7 @@ def transform(psi: WaveFunction, target_representation: str) -> WaveFunction:
     Matches the continuum (2 pi)^{-n/2} exp(-i x.xi) convention at lattice
     level; exact Parseval identity between the dx^n and dxi^n measures.
     """
-    _check_finite(psi.values)
+    l2_norm(psi)  # refuses a state whose sum of |psi|^2 is not finite
     if target_representation == psi.representation:
         return psi
     g = psi.grid
@@ -266,17 +261,17 @@ def expectation(psi: WaveFunction, samples) -> float:
         raise ConfigurationError(
             f"samples of shape {np.shape(samples)} do not fit the grid shape "
             f"{psi.grid.shape}") from None
-    rho = _checked_density(psi.values)
-    return float(np.sum(rho * f) / rho.sum())
+    total = _checked_total(_sum_sq(psi.values.view(float)))
+    return float(np.sum(psi.density() * f) / total)
 
 
-def _checked_density(values: np.ndarray) -> np.ndarray:
-    """|values|^2, refusing a non-finite state or one of zero mass."""
-    _check_finite(values)
-    rho = np.abs(values) ** 2
-    if rho.sum() == 0.0:
-        raise NumericalStateError("expectation of the zero state")
-    return rho
+def _checked_total(total) -> float:
+    """total, a state's sum of |psi|^2 (_sum_sq of its float view): the one
+    refusal of a state whose total is zero or not finite."""
+    if not 0.0 < total < math.inf:
+        fault = "zero" if total == 0.0 else "not finite (NaN or Inf samples, or overflow)"
+        raise NumericalStateError(f"the state's total |psi|^2 is {fault}")
+    return total
 
 
 #: Complex entries of one work buffer of the streamed grid passes (256 kB):
@@ -391,15 +386,10 @@ def _band_slabs(dims: int, points_per_dim: int, half_width: float,
 
 
 def _edge_mass(values: np.ndarray, grid: Grid, representation: str) -> float:
-    """Share of the sum of |values|^2 in the edge band.  A state whose sum is
-    zero or not finite (NaN or Inf samples) has no such share and is refused:
-    this is the zero and finiteness check of every guarded state."""
+    """Share of the sum of |values|^2 in the edge band; a state whose sum is
+    zero or not finite is refused (_checked_total)."""
     flat = np.ascontiguousarray(values).view(float)
-    total = _sum_sq(flat)
-    if not 0.0 < total < math.inf:
-        fault = "zero" if total == 0.0 else "not finite (NaN or Inf samples)"
-        raise NumericalStateError(
-            f"the state's total |psi|^2 is {fault}, so its edge mass cannot be measured")
+    total = _checked_total(_sum_sq(flat))
     boxes = _band_slabs(grid.dims, grid.points_per_dim, grid.half_width, representation)
     return float(sum(_sum_sq(flat[box]) for box in boxes) / total)
 

@@ -82,21 +82,6 @@ def trajectory_factors(t: float, spec: QuadraticSpec) -> TrajectoryFactors:
     return TrajectoryFactors(t=t, g=g, h=h)
 
 
-def singular_times(spec: QuadraticSpec, horizon_T: float) -> list:
-    """All t in (0, T] where some trigonometric g_k(2t) vanishes: m pi/(2 w_k)."""
-    if not horizon_T > 0:
-        raise ConfigurationError("horizon_T must be > 0")
-    out = set()
-    for sector, w in zip(spec.sectors, spec.axis_omegas):
-        if sector != "trigonometric":
-            continue
-        m = 1
-        while m * np.pi / (2.0 * w) <= horizon_T + 1e-15:
-            out.add(m * np.pi / (2.0 * w))
-            m += 1
-    return sorted(out)
-
-
 def _branch_amplitude(sector: str, omega: float, t: float, g_val: float) -> complex:
     """(i g_k(2t))^{-1/2} with the branch fixed by continuity from t -> 0,
     advancing a quarter turn at each of the m zeros of s -> g_k(2s) strictly
@@ -298,18 +283,6 @@ def _axis_phase(spec: QuadraticSpec, fac: TrajectoryFactors, k: int, x, y):
     if ek:
         s = s - (ek / 2.0 * (x + y) * fac.t + ek**2 / 12.0 * fac.t**3)
     return s
-
-
-def mehler_phase(t: float, spec: QuadraticSpec):
-    """Closure S(t, x, y) of the kernel exp(i S); x, y are per-axis tuples."""
-    fac = trajectory_factors(t, spec)
-
-    def S(x, y):
-        xs = [np.asarray(c, dtype=float) for c in np.atleast_1d(x)] if np.ndim(x) else [x]
-        ys = [np.asarray(c, dtype=float) for c in np.atleast_1d(y)] if np.ndim(y) else [y]
-        return sum(_axis_phase(spec, fac, k, xs[k], ys[k]) for k in range(spec.dims))
-
-    return S
 
 
 def propagate_kernel(psi0: WaveFunction, t: float, spec: QuadraticSpec) -> WaveFunction:

@@ -199,8 +199,8 @@ def check_shell(alpha: float, E: float, radius_range):
             f"{radius_range[1]:.4g} with E = {E:.4g}; shrink radius_range or |E|") from exc
 
 
-def mourre_shell_scan(alpha: float, E: float, eta: float,
-                      radius_range=(0.5, 50.0), samples: int = 10_000) -> dict:
+def mourre_shell_scan(alpha: float, E: float, eta: float, radius_range,
+                      samples: int) -> dict:
     """Scan {h, a} over the energy shell xi^2 = <x>^alpha + E.
 
     The shell is a graph over x for this h, so points are sampled as

@@ -29,9 +29,10 @@ from .grids import (
     POSITION,
     Grid,
     WaveFunction,
-    _checked_density,
+    _checked_total,
     _guard_edge,
     _marginal,
+    _sum_sq,
     l2_distance,
     tail_radii,
     to_momentum,
@@ -184,6 +185,7 @@ def _density_series(psi0: WaveFunction, hamiltonian, times: np.ndarray):
     """
     if isinstance(hamiltonian, QuadraticSpec):
         psi0 = _on_spec_grid(psi0, hamiltonian)
+        _checked_total(_sum_sq(psi0.values.view(float)))  # before any mean momentum
         nodes = psi0.grid.freq_nodes
         band = (1.0 - EDGE_FRACTION) * float(np.max(np.abs(nodes)))
         drift = []  # (axis, field, mean momentum) of each axis with a field
@@ -259,7 +261,7 @@ def local_velocity_expectation(psi: WaveFunction, alpha: float) -> float:
     and one inverse per axis."""
     pos = to_position(psi)
     grid = pos.grid
-    rho = _checked_density(pos.values)
+    total = _checked_total(_sum_sq(pos.values.view(float)))
     hat = to_momentum(pos).values
     r2 = radius_sq(*(grid.axis_nodes(k) for k in range(grid.dims)))
     decay = sigma_alpha(alpha) * (1.0 + r2) ** (-(1.0 + alpha / 2.0) / 2.0)
@@ -267,7 +269,7 @@ def local_velocity_expectation(psi: WaveFunction, alpha: float) -> float:
     for k in range(grid.dims):
         d_psi = to_position(WaveFunction(grid, hat * grid.axis_freqs(k), MOMENTUM)).values
         num += np.vdot(grid.axis_nodes(k) * decay * pos.values, d_psi).real
-    return float(num / rho.sum())
+    return float(num / total)
 
 
 # ---------------------------------------------------------------------------

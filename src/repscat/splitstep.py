@@ -17,10 +17,8 @@ from .grids import (
     Grid,
     WaveFunction,
     _guard_edge,
-    expectation,
     l2_distance,
     l2_norm,
-    to_momentum,
     to_position,
 )
 from .potentials import (
@@ -235,12 +233,6 @@ def convergence_order(psi0: WaveFunction, t: float, cfg: EvolutionConfig, dt_seq
                 "floor_flagged": True}
     slope = float(np.polyfit(np.log(np.array(dts)[keep]), np.log(errs[keep]), 1)[0])
     return {"slope": slope, "errors": errs, "dts": np.array(dts), "floor_flagged": flagged}
-
-
-def energy_expectation(psi: WaveFunction, cfg: EvolutionConfig) -> float:
-    """<xi^2> + <V_total> for conservation diagnostics."""
-    kin = expectation(to_momentum(psi), cfg.kinetic)
-    return kin + expectation(to_position(psi), cfg.potential)
 
 
 def classical_envelope(alpha: float, t: float, initial_radius: float = 0.0) -> float:

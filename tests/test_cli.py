@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repscat
 from repscat.cli import main
-from repscat.config import load_config
+from repscat.config import load_config, read_config
 from repscat.errors import ConfigurationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -465,6 +465,26 @@ GATE = [
                  "{preset: gaussian-bump, args: {height: 1.0, width: 0}}",
                  "hamiltonian.perturbation.args", id="gaussian-bump-width"),
 ]
+
+
+# Extreme values that passed read_config: a step count that exhausted memory
+# in classical.flow or ran without end, and first times whose chirp phase or
+# mean p_alpha(x)/t overflowed at run time.  Checked through read_config
+# alone, since a run of one that slipped through would not end.
+@pytest.mark.parametrize("name, key, value, message", [
+    ("classical_kappa", "t_final", 1.0e+12, "dt"),
+    ("velocity_alpha1", "dt", 1.0e-12, "dt"),
+    ("wave_operator", "horizons", [1.0e-310, 2.0], "horizons"),
+    ("velocity_alpha1", "schedule", {"times": [1.0e-310, 4.0, 6.0, 8.0]}, "schedule"),
+])
+def test_read_config_refuses_unbounded_and_overflowing_runs(name, key, value, message):
+    with open(os.path.join(CONFIG_DIR, f"{name}.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigurationError, match=message):
+            read_config(raw)
 
 
 @pytest.mark.parametrize("base, line, bad_line, key", GATE)
@@ -1134,9 +1154,8 @@ def test_velocity_time_at_the_lattice_overflow_bound(tmp_path, t, code):
 
 def test_wave_operator_whose_chirped_spectrum_is_not_finite_exits_2(tmp_path, capsys):
     # the Cook scan starts at T = 1e-310, where g(2T) ~ 2e-310 and the chirp
-    # phase x^2 h/(2 g) overflows (with a warning): the chirped spectrum is
-    # NaN, which the edge guard refuses.  The run used to pass it, publish
-    # cook_bounds [0.0] and exit 1
+    # phase x^2 h/(2 g) overflows: read_config refuses the time.  The run
+    # used to pass it, publish cook_bounds [0.0] and exit 1
     text = WAVE_CFG.replace("horizons: [2.0, 4.0, 6.0]", "horizons: [1.0e-310, 2.0]")
     cfg = _write(tmp_path, "wave.yaml", text)
     with warnings.catch_warnings():

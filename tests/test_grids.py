@@ -372,6 +372,30 @@ def test_edge_mass_holds_no_grid_sized_temporary(rng):
         assert peak <= 0.05 * state.values.nbytes
 
 
+def test_l2_norm_holds_no_grid_sized_temporary():
+    # it summed a |psi|^2 temporary of half the state's size (2 MB here)
+    import tracemalloc
+
+    psi = gaussian(make_grid(2, 512, 20.0))
+    tracemalloc.start()
+    try:
+        l2_norm(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * psi.values.nbytes
+
+
+def test_l2_norm_and_transform_refuse_squares_past_the_float_range():
+    # min and max of the samples are finite, but sum |psi|^2 is not: the
+    # norm read inf and the transform passed the state on
+    g = make_grid(1, 16, 4.0)
+    psi = WaveFunction(g, np.full(16, 1e200))
+    for check in (lambda: l2_norm(psi), lambda: transform(psi, MOMENTUM)):
+        with pytest.raises(NumericalStateError, match="not finite"):
+            check()
+
+
 def test_fortran_ordered_samples_are_stored_in_c_order(rng):
     # the finiteness check and the streamed passes read a float view, which
     # needs the last axis contiguous

@@ -18,7 +18,6 @@ from repscat import (
     propagate_factored,
     propagate_kernel,
     random_state,
-    singular_times,
     to_momentum,
     trajectory_factors,
     wave_operator,
@@ -26,13 +25,14 @@ from repscat import (
 from repscat.errors import DomainEscapeError, NumericalStateError
 from repscat.grids import LINE_BLOCK, assert_contained
 from repscat.mehler import (
+    SINGULAR_GUARD,
+    _axis_phase,
     _branch_amplitude,
     _checked_factors,
     _chirp_factors,
     _czt,
     _semidft_axis,
     chirp_resolution_ok,
-    mehler_phase,
 )
 from repscat.potentials import preset_log_power
 
@@ -71,20 +71,22 @@ def test_sector_identities_random(rng):
         assert ff.h[0] == 1.0 and ff.g[0] == 2.0 * t
 
 
-def test_singular_times_empty_without_trig():
-    assert singular_times(HYPER, 10.0) == []
-    assert singular_times(STARK, 10.0) == []
-
-
-def test_singular_times_single_trig():
-    ts = singular_times(TRIG, 4.0)
-    assert np.allclose(ts, [np.pi / 2, np.pi])
-
-
-def test_singular_times_merged():
-    spec = QuadraticSpec(dims=2, n_plus=2, omegas=(1.0, 2.0))
-    assert np.allclose(singular_times(spec, 2.0), [np.pi / 4, np.pi / 2])
-    assert np.allclose(singular_times(spec, 2.5), [np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+def test_checked_factors_refuses_exactly_the_singular_times():
+    # g_k(2t) vanishes at t = m pi/(2 w_k), m >= 1, on trigonometric axes
+    # only: a time within SINGULAR_GUARD of one is refused, either sign
+    two_trig = QuadraticSpec(dims=2, n_plus=2, omegas=(1.0, 2.0))
+    for spec, horizon, singular in ((TRIG, 4.0, [np.pi / 2, np.pi]),
+                                    (two_trig, 2.5, [np.pi / 4, np.pi / 2, 3 * np.pi / 4]),
+                                    (HYPER, 10.0, []), (STARK, 10.0, [])):
+        times = np.concatenate([np.linspace(0.0, horizon, 801), singular])
+        for t in times:
+            near = any(abs(t - s) < SINGULAR_GUARD for s in singular)
+            for signed in (float(t), -float(t)):
+                if near:
+                    with pytest.raises(SingularTimeError):
+                        _checked_factors(signed, spec)
+                else:
+                    assert _checked_factors(signed, spec).t == signed
 
 
 def test_factored_identity_at_t0(l2):
@@ -209,15 +211,17 @@ def test_kernel_oracle_domain_limits():
 
 
 def test_free_phase_closed_form(rng):
-    S = mehler_phase(0.7, FREE)
+    fac = trajectory_factors(0.7, FREE)
     for _ in range(50):
         x, y = rng.uniform(-5, 5, size=2)
-        assert S((x,), (y,)) == pytest.approx((x - y) ** 2 / (4 * 0.7), rel=1e-12)
+        assert _axis_phase(FREE, fac, 0, x, y) == pytest.approx((x - y) ** 2 / (4 * 0.7),
+                                                                rel=1e-12)
 
 
 def test_phase_symmetry_in_x_y(rng):
     spec = QuadraticSpec(dims=2, n_minus=1, n_E=1, omegas=(1.3,), fields=(0.7,))
-    S = mehler_phase(0.4, spec)
+    fac = trajectory_factors(0.4, spec)
+    S = lambda x, y: sum(_axis_phase(spec, fac, k, x[k], y[k]) for k in range(2))
     for _ in range(25):
         x = tuple(rng.uniform(-3, 3, size=2))
         y = tuple(rng.uniform(-3, 3, size=2))

@@ -341,7 +341,7 @@ def test_mourre_scan_reflection_invariance():
 
 def test_mourre_scan_rejects_bad_eta():
     with pytest.raises(ConfigurationError):
-        mourre_shell_scan(1.0, 0.0, -0.1)
+        mourre_shell_scan(1.0, 0.0, -0.1, (0.5, 50.0), 10_000)
 
 
 def test_scan_csv(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,18 @@ def test_cook_and_velocity_refuse_a_zero_state():
         cook_scan(zero, HYPER, LOGW, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NumericalStateError, match="zero"):
         velocity_trace(zero, HYPER, 2.0, [1.0, 2.0])
+
+
+def test_cook_and_velocity_refuse_a_zero_stark_state():
+    # the Stark axis's mean momentum divided 0 by 0, with a RuntimeWarning,
+    # before any guard saw the state
+    zero = WaveFunction(make_grid(1, 256, 12.0), np.zeros(256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalStateError, match="zero"):
+            cook_scan(zero, STARK, LOGW, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(NumericalStateError, match="zero"):
+            velocity_trace(zero, STARK, 2.0, [1.0, 2.0])
 
 
 def test_slice_lattice_has_no_slivers():

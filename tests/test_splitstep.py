@@ -16,6 +16,7 @@ from repscat import (
     convergence_order,
     dense_oracle,
     evolution_config,
+    expectation,
     gaussian,
     l2_norm,
     make_grid,
@@ -32,7 +33,6 @@ from repscat.grids import POSITION, _guard_edge
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import (
     _evolve,
-    energy_expectation,
     hamiltonian_matrix,
 )
 
@@ -200,9 +200,12 @@ def test_energy_conservation_alpha1():
     g = make_grid(1, n, L)
     cfg = evolution_config(g, 1e-3, repulsive=RepulsiveSpec(alpha))
     psi = gaussian(g)
-    e0 = energy_expectation(psi, cfg)
+    # <xi^2> + <V_total>
+    energy = lambda psi: (expectation(to_momentum(psi), cfg.kinetic)
+                          + expectation(psi, cfg.potential))
+    e0 = energy(psi)
     out, _ = propagate(psi, 8.0, cfg)
-    e1 = energy_expectation(out, cfg)
+    e1 = energy(out)
     assert abs(e1 - e0) / (1.0 + abs(e0)) <= 1e-6
 
 
