@@ -71,22 +71,32 @@ def test_sector_identities_random(rng):
         assert ff.h[0] == 1.0 and ff.g[0] == 2.0 * t
 
 
-def test_checked_factors_refuses_exactly_the_singular_times():
+def _assert_refuses_exactly(spec, horizon, singular):
     # g_k(2t) vanishes at t = m pi/(2 w_k), m >= 1, on trigonometric axes
     # only: a time within SINGULAR_GUARD of one is refused, either sign
+    times = np.concatenate([np.linspace(0.0, horizon, 801), singular])
+    for t in times:
+        near = any(abs(t - s) < SINGULAR_GUARD for s in singular)
+        for signed in (float(t), -float(t)):
+            if near:
+                with pytest.raises(SingularTimeError):
+                    _checked_factors(signed, spec)
+            else:
+                assert _checked_factors(signed, spec).t == signed
+
+
+def test_singular_times_single_trig():
+    _assert_refuses_exactly(TRIG, 4.0, [np.pi / 2, np.pi])
+
+
+def test_singular_times_merged():
     two_trig = QuadraticSpec(dims=2, n_plus=2, omegas=(1.0, 2.0))
-    for spec, horizon, singular in ((TRIG, 4.0, [np.pi / 2, np.pi]),
-                                    (two_trig, 2.5, [np.pi / 4, np.pi / 2, 3 * np.pi / 4]),
-                                    (HYPER, 10.0, []), (STARK, 10.0, [])):
-        times = np.concatenate([np.linspace(0.0, horizon, 801), singular])
-        for t in times:
-            near = any(abs(t - s) < SINGULAR_GUARD for s in singular)
-            for signed in (float(t), -float(t)):
-                if near:
-                    with pytest.raises(SingularTimeError):
-                        _checked_factors(signed, spec)
-                else:
-                    assert _checked_factors(signed, spec).t == signed
+    _assert_refuses_exactly(two_trig, 2.5, [np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+
+
+def test_singular_times_empty_without_trig():
+    _assert_refuses_exactly(HYPER, 10.0, [])
+    _assert_refuses_exactly(STARK, 10.0, [])
 
 
 def test_factored_identity_at_t0(l2):
