@@ -216,5 +216,4 @@ def trajectory_to_csv(traj: Trajectory, path):
     dims = traj.xs.shape[1]
     write_rows(path, ["t"] + [f"x{k}" for k in range(dims)]
                + [f"xi{k}" for k in range(dims)] + ["energy"],
-               ((t, *x, *xi, h) for t, x, xi, h
-                in zip(traj.times, traj.xs, traj.xis, traj.energies())))
+               [traj.times, *traj.xs.T, *traj.xis.T, traj.energies()])

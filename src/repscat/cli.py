@@ -4,22 +4,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import yaml
 
-from .config import _file_name, format_float, load_config
+from .config import _file_name, load_config
 from .errors import ConfigurationError, RepscatError
 from .experiments import make_output_dir, run_experiment
 
 
 def _jsonable(obj):
+    """None, bools, ints and strings as they are; any other leaf a float,
+    which json writes as its shortest round-trip text, or "nan", "inf", "-inf"."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in sorted(obj.items())}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return format_float(obj)
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    x = float(obj)
+    return x if math.isfinite(x) else str(x)
 
 
 def write_summary(summary: dict, path: str):

@@ -441,14 +441,3 @@ KINDS = {
                     "tol": (_real, 0.1)},
 }
 
-
-def format_float(x) -> object:
-    """JSON-safe value with shortest round-trip float text (bit-stable)."""
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(repr(x))

@@ -238,4 +238,4 @@ def mourre_shell_scan(alpha: float, E: float, eta: float, radius_range,
 def scan_to_csv(result: dict, path):
     """Columns x, xi, bracket, shell_E."""
     write_rows(path, ["x", "xi", "bracket", "shell_E"],
-               ((x, xi, br, result["shell_E"]) for x, xi, br in result["points"]))
+               [*result["points"].T, np.full(len(result["points"]), result["shell_E"])])

@@ -400,7 +400,7 @@ def cook_scan(phi: WaveFunction, hamiltonian, perturbation: Callable,
 
 
 def cook_record_to_csv(record: CookRecord, path):
-    write_rows(path, ["t", "integrand"], zip(record.times, record.integrand))
+    write_rows(path, ["t", "integrand"], [record.times, record.integrand])
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +690,15 @@ def minimal_maximal_velocity_mass(trace: VelocityTrace, theta_low: float,
 def velocity_trace_to_csv(trace: VelocityTrace, path):
     axes = sorted(trace.per_direction)
     write_rows(path, ["t", "mean"] + [f"ln_x{ax}_over_t" for ax in axes],
-               zip(trace.times, trace.means, *(trace.per_direction[ax] for ax in axes)))
+               [trace.times, trace.means, *(trace.per_direction[ax] for ax in axes)])
 
 
 def histograms_to_csv(trace: VelocityTrace, path):
     """Masses of p_alpha(x)/t in 120 equal bins over [0, 2 sigma_alpha + 1]
     per snapshot time, built here from the snapshots' cumulative masses."""
     edges = np.linspace(0.0, 2.0 * sigma_alpha(trace.alpha) + 1.0, 121)
+    times = [snap.t for snap in trace.snapshots]
+    masses = np.diff([snap.velocity_mass(trace.alpha, edges) for snap in trace.snapshots])
     write_rows(path, ["t", "bin_lo", "bin_hi", "mass"],
-               ((snap.t, lo, hi, m) for snap in trace.snapshots
-                for lo, hi, m in zip(edges[:-1], edges[1:],
-                                     np.diff(snap.velocity_mass(trace.alpha, edges)))))
+               [np.repeat(times, edges.size - 1), np.tile(edges[:-1], len(times)),
+                np.tile(edges[1:], len(times)), masses.ravel()])

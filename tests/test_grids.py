@@ -116,6 +116,18 @@ def test_l2_distance_matches_the_full_grid_difference(dims, points, rng, l2):
     assert l2_distance(a, a) == 0.0
 
 
+@pytest.mark.parametrize("other", [
+    lambda g: gaussian(make_grid(2, 64, 12.0)),             # another dimension
+    lambda g: gaussian(make_grid(1, 64, 20.0)),             # another box
+    lambda g: transform(gaussian(g), MOMENTUM),             # another representation
+], ids=["dims", "box", "representation"])
+@pytest.mark.parametrize("pair_fn", [l2_distance, inner])
+def test_pair_functions_refuse_states_in_different_spaces(other, pair_fn):
+    g = make_grid(1, 64, 12.0)
+    with pytest.raises(ConfigurationError):
+        pair_fn(gaussian(g), other(g))
+
+
 def test_transform_roundtrip(rng, l2):
     g = make_grid(1, 128, 10.0)
     psi = random_state(g, rng)

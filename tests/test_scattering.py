@@ -26,7 +26,15 @@ from repscat import (
 )
 from repscat.errors import ConfigurationError, DomainEscapeError, NumericalStateError
 from repscat.grids import MOMENTUM, POSITION
-from repscat.mehler import _chirp_factors, _times_chirp, chirped_spectrum, trajectory_factors
+from repscat.mehler import (
+    _chirp_factors,
+    _times_chirp,
+    avron_herbst,
+    chirp_resolution_ok,
+    chirped_spectrum,
+    propagate_factored,
+    trajectory_factors,
+)
 from repscat.potentials import (
     PRESETS,
     bracket_x,
@@ -60,7 +68,7 @@ from repscat.scattering import (
     local_velocity_expectation,
     velocity_trace_to_csv,
 )
-from repscat.splitstep import _fourier_step
+from repscat.splitstep import _fourier_step, strang_step
 
 HYPER = QuadraticSpec(dims=1, n_minus=1, omegas=(1.0,))
 STARK = QuadraticSpec(dims=1, n_E=1, fields=(1.0,))
@@ -468,6 +476,33 @@ def test_cook_and_velocity_refuse_a_zero_stark_state():
             cook_scan(zero, STARK, LOGW, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(NumericalStateError, match="zero"):
             velocity_trace(zero, STARK, 2.0, [1.0, 2.0])
+
+
+_SPLIT = evolution_config(make_grid(1, 64, 8.0), 1e-3, repulsive=RepulsiveSpec(1.0))
+_STATE_ENTRIES = {
+    "propagate_factored": lambda psi: propagate_factored(psi, 0.5, HYPER),
+    "chirped_spectrum": lambda psi: chirped_spectrum(psi, 0.5, HYPER),
+    "chirp_resolution_ok": lambda psi: chirp_resolution_ok(psi, 0.5, HYPER),
+    "avron_herbst": lambda psi: avron_herbst(psi, 0.5, 1.0),
+    "propagate": lambda psi: propagate(psi, 0.1, _SPLIT),
+    "strang_step": lambda psi: strang_step(psi, _SPLIT),
+    "cook_scan": lambda psi: cook_scan(psi, HYPER, LOGW, [1.0, 2.0, 3.0, 4.0]),
+    "velocity_trace_factored": lambda psi: velocity_trace(psi, HYPER, 2.0, [1.0, 2.0]),
+    "velocity_trace_split": lambda psi: velocity_trace(psi, _SPLIT, 1.0, [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+@pytest.mark.parametrize("entry", _STATE_ENTRIES)
+def test_state_entries_refuse_a_nonfinite_state(entry, bad):
+    # one sample of a Gaussian replaced: NaN or Inf, or 1e200, whose |psi|^2
+    # overflows; each entry refuses it before any warning is raised
+    vals = gaussian(_SPLIT.grid).values.copy()
+    vals[20] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalStateError):
+            _STATE_ENTRIES[entry](WaveFunction(_SPLIT.grid, vals))
 
 
 def test_slice_lattice_has_no_slivers():
