@@ -11,6 +11,7 @@ import sys
 import yaml
 
 from .config import _file_name, load_config
+from .csvout import open_output
 from .errors import ConfigurationError, RepscatError
 from .experiments import make_output_dir, run_experiment
 
@@ -29,7 +30,7 @@ def _jsonable(obj):
 
 
 def write_summary(summary: dict, path: str):
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -47,6 +47,12 @@ REQUIRED = object()
 #: steps (0.8%).
 MAX_STRANG_POINT_STEPS = 2 * 10**9
 MAX_LEAPFROG_STEPS = 2 * 10**7
+#: Ceilings of the sizes a config names outright, refused as the key is read,
+#: before anything is sized by them: the times of a start/stop/count schedule
+#: (cook_log_coupling's 25 are 0.25%) and the points of a Mourre shell scan
+#: (mourre_scan's 10 000 are 1%).
+MAX_SCHEDULE_COUNT = 10**4
+MAX_SCAN_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -218,8 +224,13 @@ def _choice(*options):
     return read
 
 
-def _count(minimum):
-    return lambda value, key: check_integer(value, key, minimum=minimum)
+def _count(minimum, ceiling=math.inf):
+    def read(value, key):
+        count = check_integer(value, key, minimum=minimum)
+        if count > ceiling:
+            raise ConfigurationError(f"{key}: {count} is past the {ceiling:.0e} a run may take")
+        return count
+    return read
 
 
 def _file_name(value, key: str) -> str:
@@ -408,7 +419,7 @@ HAMILTONIAN = _block({
                              "table": (_reals, None)}, _perturbation), None),
 })
 SCHEDULE = _block({"times": (_increasing, None), "start": (_positive, None),
-                   "stop": (_positive, None), "count": (_count(1), None),
+                   "stop": (_positive, None), "count": (_count(1, MAX_SCHEDULE_COUNT), None),
                    "spacing": (_choice("linear", "geometric"), "linear")}, _schedule)
 START = _block({"x": (_axis_reals, REQUIRED), "xi": (_axis_reals, REQUIRED)},
                lambda v, key: _built(PhasePoint, key, **v))
@@ -435,7 +446,7 @@ KINDS = {
     "mourre-scan": {**_COMMON, "alpha": (_alpha, REQUIRED), "E": (_real, REQUIRED),
                     "eta": (_positive, REQUIRED),
                     "radius_range": (_counted(_increasing, 2, 2), (0.5, 50.0)),
-                    "samples": (_count(1), 10_000), "csv": (_file_name, None)},
+                    "samples": (_count(1, MAX_SCAN_SAMPLES), 10_000), "csv": (_file_name, None)},
     "convergence": {**_ON_GRID, "t": (_real, REQUIRED),
                     "dt_sequence": (_counted(_list_of(_positive), 4), REQUIRED),
                     "tol": (_real, 0.1)},

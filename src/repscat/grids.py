@@ -286,11 +286,15 @@ LINE_BLOCK = 1 << 14
 
 def _sum_sq(values: np.ndarray):
     """Sum of squares of the real array `values`: numpy's own
-    sum-of-products loop, with no temporary the size of its input and no
-    BLAS call (whose timing varies with load).  On a float view of complex
-    samples this is the sum of |psi|^2."""
+    sum-of-products loop, with no BLAS call (whose timing varies with load)
+    and no temporary beyond one float per line.  On a float view of complex
+    samples this is the sum of |psi|^2.  Each line along the last axis is
+    summed on its own and the line sums then added, so the result does not
+    depend on the pitch between lines: a state and its copy in a split-step
+    work buffer give the same bits."""
     axes = list(range(values.ndim))
-    return np.einsum(values, axes, values, axes, [])
+    lines = np.einsum(values, axes, values, axes, axes[:-1])
+    return lines.sum() if lines.ndim else lines
 
 
 def _line_blocks(x: np.ndarray, axis: int, lines_per_block: int):
@@ -392,8 +396,10 @@ def _band_slabs(dims: int, points_per_dim: int, half_width: float,
 
 def _edge_mass(values: np.ndarray, grid: Grid, representation: str) -> float:
     """Share of the sum of |values|^2 in the edge band; a state whose sum is
-    zero or not finite is refused (_checked_total)."""
-    flat = np.ascontiguousarray(values).view(float)
+    zero or not finite is refused (_checked_total).  values is read through
+    its float view, with no copy, so its last axis must be contiguous (a
+    split-step work buffer's rows are, whatever their pitch)."""
+    flat = values.view(float)
     total = _checked_total(_sum_sq(flat))
     boxes = _band_slabs(grid.dims, grid.points_per_dim, grid.half_width, representation)
     return float(sum(_sum_sq(flat[box]) for box in boxes) / total)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repscat
 from repscat.cli import main
-from repscat.config import load_config, read_config
+from repscat.config import MAX_SCAN_SAMPLES, MAX_SCHEDULE_COUNT, load_config, read_config
 from repscat.errors import ConfigurationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -476,6 +476,11 @@ GATE = [
     ("velocity_alpha1", "dt", 1.0e-12, "dt"),
     ("wave_operator", "horizons", [1.0e-310, 2.0], "horizons"),
     ("velocity_alpha1", "schedule", {"times": [1.0e-310, 4.0, 6.0, 8.0]}, "schedule"),
+    ("velocity_alpha2", "schedule", {"start": 2.0, "stop": 10.0, "count": 10**9},
+     "schedule.count"),
+    ("cook_log_coupling", "schedule",
+     {"start": 2.0, "stop": 20.0, "count": 10**9, "spacing": "geometric"}, "schedule.count"),
+    ("mourre_scan", "samples", 10**9, "samples"),
 ])
 def test_read_config_refuses_unbounded_and_overflowing_runs(name, key, value, message):
     with open(os.path.join(CONFIG_DIR, f"{name}.yaml")) as fh:
@@ -485,6 +490,24 @@ def test_read_config_refuses_unbounded_and_overflowing_runs(name, key, value, me
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ConfigurationError, match=message):
             read_config(raw)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("velocity_alpha2", "schedule", {"start": 2.0, "stop": 10.0, "count": MAX_SCHEDULE_COUNT}),
+    ("mourre_scan", "samples", MAX_SCAN_SAMPLES),
+])
+def test_counts_at_their_ceiling_are_read(name, key, value):
+    with open(os.path.join(CONFIG_DIR, f"{name}.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw[key] = value
+    read = read_config(raw)
+    if key == "schedule":
+        assert len(read["schedule"]) == MAX_SCHEDULE_COUNT
+    else:
+        assert read["samples"] == MAX_SCAN_SAMPLES
+    raw[key] = {**value, "count": MAX_SCHEDULE_COUNT + 1} if key == "schedule" else value + 1
+    with pytest.raises(ConfigurationError, match="past the"):
+        read_config(raw)
 
 
 @pytest.mark.parametrize("base, line, bad_line, key", GATE)
@@ -962,6 +985,35 @@ def test_run_file_errors_exit_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert (str(out) if kind == "out-is-a-file" else config) in err
+
+
+@pytest.mark.parametrize("name", ["cook.csv", "cook_stark.summary.json"])
+def test_directory_at_an_output_path_exits_2_naming_it(tmp_path, capsys, name):
+    # the table writer and the summary writer open their files one way
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    config = os.path.join(CONFIG_DIR, "cook_stark.yaml")
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(out / name) in err
+
+
+def test_rerun_into_the_same_out_rewrites_every_file(tmp_path):
+    # each file is replaced, not truncated, and a symlink at an output path
+    # is replaced too, so its target keeps its bytes
+    config = _write(tmp_path, "scan.yaml", MOURRE_CFG)
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"kept")
+    (out / "scan.csv").unlink()
+    (out / "scan.csv").symlink_to(target)
+    (out / "scan.summary.json").write_bytes(b"x" * 10**6)
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert not (out / "scan.csv").is_symlink() and target.read_bytes() == b"kept"
 
 
 def test_suite_missing_config_is_an_error_row(tmp_path, capsys):

@@ -29,10 +29,13 @@ from repscat import (
 )
 from repscat import grids
 from repscat.errors import DomainEscapeError
-from repscat.grids import POSITION, _guard_edge
+from repscat.grids import POSITION, _edge_mass, _guard_edge
 from repscat.potentials import preset_compact_bump
 from repscat.splitstep import (
     _evolve,
+    _fourier_step,
+    _grid_view,
+    _padded,
     hamiltonian_matrix,
 )
 
@@ -512,3 +515,79 @@ def test_propagate_memory_budget():
     # the state buffer and two phase arrays, plus the edge guard's line blocks;
     # a spectrum buffer or a third phase array would add one more state
     assert peak <= 3.2 * 256**2 * 16
+
+
+@pytest.mark.parametrize("shape, dims", [((32, 32), 2), ((16, 16, 16), 3), ((3, 32, 32), 2)],
+                         ids=["2d", "3d", "stack-of-three"])
+def test_fourier_step_on_a_padded_buffer_is_bit_identical(rng, shape, dims):
+    # one spare sample per row changes the stride of the first axis, not
+    # the numbers: every FFT copies its line out and back
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mult = np.exp(1j * rng.standard_normal(shape[-dims:]))
+    plain = vals.copy()
+    _fourier_step(plain, mult, dims)
+    buf = _padded(shape, dims)
+    phase = _padded(mult.shape, dims)
+    assert buf.shape[-dims] == shape[-dims] and buf.shape[-1] == shape[-1] + 1
+    _grid_view(buf, dims)[...] = vals
+    _grid_view(phase, dims)[...] = mult
+    _fourier_step(buf, phase, dims)
+    assert np.array_equal(_grid_view(buf, dims), plain)
+    _grid_view(buf, dims)[...] = 0
+    assert not np.any(buf)  # every pad is still zero
+
+
+def test_padded_layout_is_for_n_d_alone():
+    one = _padded((64,), 1)
+    assert one.shape == (64,) and _grid_view(one, 1) is one
+    stack = _padded((3, 64), 1)
+    assert stack.shape == (3, 64) and _grid_view(stack, 1) is stack
+    plain = np.zeros((8, 8), dtype=complex)
+    assert _grid_view(plain, 2) is plain
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("steps", [5.0, 5.5, -5.5])
+def test_propagate_matches_a_run_in_a_plain_buffer(dims, steps):
+    cfg, psi = _strang_case(dims)
+    t = steps * cfg.dt
+    out, tel = propagate(psi, t, cfg)
+    plain = np.empty(cfg.grid.shape, dtype=complex)
+    got, n, edge = _evolve(psi.values, t, cfg, "test", out=plain)
+    assert got is plain and n == tel["steps"]
+    assert np.array_equal(out.values, plain)
+    # the guard sums line by line, whatever the row pitch
+    assert edge == tel["max_edge_mass"]
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_stepped_values_are_c_contiguous_and_read_only(dims):
+    cfg, psi = _strang_case(dims)
+    for result in (propagate(psi, 2.5 * cfg.dt, cfg)[0], propagate(psi, -cfg.dt, cfg)[0],
+                   strang_step(psi, cfg)):
+        assert result.values.flags.c_contiguous and not result.values.flags.writeable
+        assert result.values.shape == cfg.grid.shape
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_edge_mass_of_a_padded_view_reads_it_in_place(dims):
+    import tracemalloc
+
+    g = make_grid(dims, {2: 256, 3: 32}[dims], 12.0)
+    psi = gaussian(g, center=0.5, width=2.0, momentum=0.7)
+    buf = _padded(g.shape, dims)
+    view = _grid_view(buf, dims)
+    view[...] = psi.values
+    assert not view.flags.c_contiguous
+    plain = _edge_mass(psi.values, g, POSITION)  # the band slabs are cached before tracing
+    tracemalloc.start()
+    try:
+        padded = _edge_mass(view, g, POSITION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float per line along the last axis (1/64 of the state at 32^3),
+    # where a copy would take the whole state
+    assert peak <= 0.05 * psi.values.nbytes
+    # every sum adds line by line, so the pitch between lines changes no bit
+    assert padded == plain
