@@ -25,7 +25,7 @@ from .classical import PhasePoint, check_fit_window
 from .errors import ConfigurationError, check_integer, check_width
 from .grids import make_grid
 from .mehler import _checked_factors
-from .phasespace import check_shell
+from .phasespace import _shell_brackets
 from .potentials import PRESETS, QuadraticSpec, RepulsiveSpec, _check_alpha, p_alpha
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into every
@@ -110,12 +110,18 @@ def read_config(raw: dict) -> dict:
     if "grid" in values:
         _check_on_grid(kind, values)
     if kind == "classical":
-        _check_step_count("dt", values["t_final"], values["dt"], 1, MAX_LEAPFROG_STEPS)
-        _built(check_fit_window, "t_final", t_final=values["t_final"], dt=values["dt"],
-               record_every=values["record_every"])
+        t, dt = values["t_final"], values["dt"]
+        _bounded("dt", f"the work of {t}/{dt} leapfrog steps", lambda: t / dt,
+                 "raise the time step or shorten the time", MAX_LEAPFROG_STEPS)
+        _built(check_fit_window, "t_final", t_final=t, dt=dt, record_every=values["record_every"])
     if kind == "mourre-scan":
-        _built(check_shell, "radius_range", alpha=values["alpha"], E=values["E"],
-               radius_range=values["radius_range"])
+        # {h, a} is largest at the outermost shell points, if the shell is
+        # real there; past the float range a scan publishes NaN or false violations
+        E, r = values["E"], values["radius_range"][1]
+        _bounded("radius_range", f"the Poisson bracket on the energy shell at |x| = {r:.4g} "
+                 f"with E = {E:.4g}", lambda: np.max(np.abs(_shell_brackets(
+                     values["alpha"], E, np.array([r]))[3]), initial=0.0),
+                 "shrink radius_range or |E|")
     return values
 
 
@@ -227,8 +233,7 @@ def _choice(*options):
 def _count(minimum, ceiling=math.inf):
     def read(value, key):
         count = check_integer(value, key, minimum=minimum)
-        if count > ceiling:
-            raise ConfigurationError(f"{key}: {count} is past the {ceiling:.0e} a run may take")
+        _bounded(key, "the count", lambda: count, "lower it", ceiling)
         return count
     return read
 
@@ -313,27 +318,44 @@ def _check_on_grid(kind: str, v: dict):
     latest = {"propagate": "t", "velocity": "schedule", "cook": "schedule",
               "wave-operator": "horizons"}.get(kind)
     points = grid.points_per_dim ** grid.dims
-    if split_step and "dt" in v:
-        if v["dt"] is None:
-            raise ConfigurationError("dt must be given: the split-step route needs a time step")
-        _check_step_count("dt", float(np.max(np.abs(v[latest]))), v["dt"], points,
-                          MAX_STRANG_POINT_STEPS)
-    if kind == "convergence":
-        _check_step_count("dt_sequence", v["t"], min(v["dt_sequence"]), points,
-                          MAX_STRANG_POINT_STEPS)
+    L = grid.half_width
+    if split_step and "dt" in v and v["dt"] is None:
+        raise ConfigurationError("dt must be given: the split-step route needs a time step")
+    step = (("dt_sequence", abs(v["t"]), min(v["dt_sequence"])) if kind == "convergence" else
+            ("dt", float(np.max(np.abs(v[latest]))), v["dt"]) if split_step and "dt" in v
+            else None)
+    if step is not None:
+        key, t, dt = step
+        _bounded(key, f"the work of {t}/{dt} Strang steps over {points} point(s) each",
+                 lambda: t / dt * points, "raise the time step or shorten the time",
+                 MAX_STRANG_POINT_STEPS)
     if split_step and kind == "velocity":
-        _check_first_mean(v["schedule"][0], grid,
-                          (v["alpha"], 2.0) if v["per_direction"] else (v["alpha"],))
+        t, reach = v["schedule"][0], math.sqrt(grid.dims) * L
+        alphas = (v["alpha"], 2.0) if v["per_direction"] else (v["alpha"],)
+        _bounded("schedule", f"at the first time t={t} the mean of p_alpha(x)/t at the box's "
+                 f"reach {reach:.4g}", lambda: max(p_alpha(reach, a) for a in alphas) / t,
+                 "move the first time away from 0")
     # each factored-route time takes mehler's one time check (off the
-    # kernel's singular times, g_k(2t) and h_k(2t) finite) and a finite
-    # chirp phase; the times increase, so the last one's factors decide the
-    # dilated lattice
+    # kernel's singular times, g_k(2t) and h_k(2t) finite) and, unless it is
+    # 0 (no chirp), a finite chirp phase on the box.  g_k(2t) grows with t on
+    # every axis the factored route takes, so the last time's factors give
+    # the dilated lattice's farthest point, where the cell rule evaluates a
+    # preset or p_alpha
+    corner, far = (L,) * grid.dims, f"the box corner (L, ..., L), L = {L:.4g}"
     if not split_step and latest is not None:
         for t in np.atleast_1d(v[latest]):
             fac = _built(_checked_factors, latest, t=float(t), spec=quad)
-            _check_chirp_phase(latest, fac, quad, grid)
+            if fac.t != 0.0:
+                _bounded(latest, f"at t={fac.t} the chirp phase L^2 max|h_k/(2 g_k)| + |t| "
+                         "max|E_k| L/2", lambda: L * L * np.max(np.abs(fac.h / (2.0 * fac.g)))
+                         + abs(fac.t) * max(map(abs, quad.axis_fields)) * L / 2.0,
+                         "move the time away from 0")
         if kind != "propagate":
-            _check_dilated_lattice(latest, float(t), fac.g, grid)
+            reach = float(np.max(np.abs(grid.freq_nodes))) + grid.freq_spacing / 2.0
+            far = f"the dilated lattice's corner (g_k(2t) (max|xi| + h/2))_k at t={fac.t}"
+            _bounded(latest, f"|x|^2 at {far}", lambda: np.sum(np.square(fac.g * reach)),
+                     "shorten the times")
+            corner = tuple(np.abs(fac.g) * reach)
     if pert is not None and not callable(pert):
         if quad is not None and kind in ("cook", "wave-operator"):
             raise ConfigurationError("hamiltonian.perturbation: quadratic-route experiments "
@@ -344,63 +366,38 @@ def _check_on_grid(kind: str, v: dict):
                 f"hamiltonian.perturbation.table must hold one value per grid point "
                 f"({points}), got {pert.size}")
         ham["perturbation"] = pert.reshape(grid.shape)
+    if pert is not None and kind in ("cook", "wave-operator"):
+        # a Cook scan squares V wherever it evaluates it; every preset is
+        # monotone in |x|, so the origin and the farthest point bound |V|
+        table = not callable(pert)
+        _bounded("hamiltonian.perturbation",
+                 "V^2 at the table's largest |value|" if table
+                 else f"V^2 at the origin and at {far}",
+                 lambda: np.max(np.square(
+                     pert if table else [pert(*np.zeros(grid.dims)), pert(*corner)])),
+                 "lower its height or its growth in |x|, or shorten the times")
     if kind == "velocity" and grid.dims > 1 and (quad is None or v["histogram_csv"]):
         raise ConfigurationError("an n-D velocity run needs hamiltonian.quadratic and takes no "
                                  "histogram_csv: split-step snapshots and histograms are 1-D")
 
 
-def _check_step_count(key: str, t: float, dt: float, points: int, ceiling: int):
-    """Refuse a time step `key` whose run to time t, |t|/dt steps over
-    `points` points each, passes `ceiling` (a count past the float range
-    included)."""
-    work = abs(t) / dt * points
-    if not work <= ceiling:
+def _bounded(key: str, what: str, form, advice: str, ceiling=math.inf):
+    """Refuse the number form() makes unless it is finite and at most
+    `ceiling`: the one float-range and work rule of read_config.  numpy's
+    overflow, divide-by-zero and invalid operations raise inside form(), and
+    a Python float's `**` raises OverflowError, while its `*` and `/` go to
+    inf without a word, so each of these counts as an overflow.  An
+    underflow to 0 or to a subnormal is a finite float and passes."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            x = float(form())
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{key}: {what} is not finite (it overflows a float); {advice}")
+    if x > ceiling:
         raise ConfigurationError(
-            f"{key}: {abs(t)}/{dt} time steps over {points} point(s) each make {work:.4g}, "
-            f"past the {ceiling:.0e} a run may take; raise the time step or shorten the time")
-
-
-def _check_chirp_phase(key: str, fac, spec, grid):
-    """Refuse a nonzero time whose chirp M_t has a phase past the float range
-    on the box: L^2 max_k |h_k/(2 g_k)| + |t| max_k |E_k| L/2 (g_k(2t) is
-    tiny near t = 0).  At t = 0 the factored route takes no chirp."""
-    if fac.t == 0.0:
-        return
-    L = grid.half_width
-    with np.errstate(over="ignore", divide="ignore"):
-        quad_part = float(np.max(np.abs(fac.h / (2.0 * fac.g))))
-    phase = L * L * quad_part + abs(fac.t) * max(map(abs, spec.axis_fields)) * L / 2.0
-    if not math.isfinite(phase):
-        raise ConfigurationError(
-            f"{key}: at t={fac.t} the chirp phase L^2 max|h_k/(2 g_k)| + |t| max|E_k| L/2 "
-            "is not finite; move the time away from 0")
-
-
-def _check_first_mean(t: float, grid, alphas):
-    """Refuse a split-step velocity schedule whose first time t leaves
-    p_alpha(x)/t, at the box's reach, past the float range for an alpha of
-    `alphas` (the run's, and 2 for its per-direction traces)."""
-    reach = math.sqrt(grid.dims) * grid.half_width
-    if not math.isfinite(max(float(p_alpha(reach, a)) for a in alphas) / float(t)):
-        raise ConfigurationError(
-            f"schedule: at the first time t={t} the mean of p_alpha(x)/t overflows a float "
-            f"at the box's reach {reach:.4g}; move the first time away from 0")
-
-
-def _check_dilated_lattice(key: str, t: float, g, grid):
-    """Refuse a time whose dilated dual lattice has a point x with |x|^2 past
-    the float range.  The cell rule evaluates a preset or p_alpha at points
-    g_k(2t) (xi + v), |v| <= h/2, so |x|^2 is at most the sum over the axes
-    of (|g_k(2t)| (max|xi| + h/2))^2; g_k(2t) grows with t on every axis the
-    factored route takes, so the latest time decides."""
-    reach = float(np.max(np.abs(grid.freq_nodes))) + grid.freq_spacing / 2.0
-    with np.errstate(over="ignore"):
-        r2 = float(np.sum((np.abs(g) * reach) ** 2))
-    if not math.isfinite(r2):
-        raise ConfigurationError(
-            f"{key}: at t={t} the dilated lattice (max |g_k(2t)| = "
-            f"{float(np.max(np.abs(g))):.3g}, max |xi| + h/2 = {reach:.4g}) has points whose "
-            "|x|^2 overflows a float; shorten the times")
+            f"{key}: {what} is {x:.10g}, past the {ceiling:.0e} a run may take; {advice}")
 
 
 GRID = _block({"dims": (check_integer, 1), "points": (check_integer, REQUIRED),
@@ -432,15 +429,15 @@ _ON_GRID = {**_COMMON, "grid": (GRID, REQUIRED), "state": (STATE, {}),
 KINDS = {
     "propagate": {**_ON_GRID, "t": (_real, REQUIRED), "dt": (_positive, None)},
     "cook": {**_ON_GRID, "schedule": (_counted(SCHEDULE, 4), REQUIRED), "dt": (_positive, None),
-             "expected_exponent": (_real, None), "tol": (_real, 0.3),
+             "expected_exponent": (_real, None), "tol": (_nonnegative, 0.3),
              "csv": (_file_name, None)},
     "wave-operator": {**_ON_GRID, "horizons": (_counted(_increasing, 2), REQUIRED)},
     "velocity": {**_ON_GRID, "alpha": (_alpha, REQUIRED), "schedule": (SCHEDULE, REQUIRED),
-                 "dt": (_positive, None), "tol": (_real, None),
+                 "dt": (_positive, None), "tol": (_nonnegative, None),
                  "per_direction": (_boolean, False), "csv": (_file_name, None),
                  "histogram_csv": (_file_name, None)},
     "classical": {**_COMMON, "alpha": (_alpha, REQUIRED), "t_final": (_nonnegative, REQUIRED),
-                  "dt": (_positive, 1e-3), "tol": (_real, None), "start": (START, None),
+                  "dt": (_positive, 1e-3), "tol": (_nonnegative, None), "start": (START, None),
                   "regularized": (_boolean, True), "record_every": (_count(1), 10),
                   "csv": (_file_name, None)},
     "mourre-scan": {**_COMMON, "alpha": (_alpha, REQUIRED), "E": (_real, REQUIRED),
@@ -449,6 +446,6 @@ KINDS = {
                     "samples": (_count(1, MAX_SCAN_SAMPLES), 10_000), "csv": (_file_name, None)},
     "convergence": {**_ON_GRID, "t": (_real, REQUIRED),
                     "dt_sequence": (_counted(_list_of(_positive), 4), REQUIRED),
-                    "tol": (_real, 0.1)},
+                    "tol": (_nonnegative, 0.1)},
 }
 

@@ -184,21 +184,6 @@ def _shell_brackets(alpha: float, E: float, radii: np.ndarray):
     return radii, xs, xis, poisson_bracket(h, a, xs, xis)
 
 
-def check_shell(alpha: float, E: float, radius_range):
-    """Refuse a scan whose bracket overflows a float.  {h, a} is evaluated at
-    the outermost shell points, both signs of x and xi, where <x>^alpha, xi^2
-    and the bracket's denominators are largest; an overflow or invalid
-    operation there is refused.  Past that point the scan publishes NaN, or
-    violations made by overflow alone."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            _shell_brackets(alpha, E, np.array([float(radius_range[1])]))
-    except FloatingPointError as exc:
-        raise ConfigurationError(
-            f"the Poisson bracket overflows a float on the energy shell at |x| = "
-            f"{radius_range[1]:.4g} with E = {E:.4g}; shrink radius_range or |E|") from exc
-
-
 def mourre_shell_scan(alpha: float, E: float, eta: float, radius_range,
                       samples: int) -> dict:
     """Scan {h, a} over the energy shell xi^2 = <x>^alpha + E.

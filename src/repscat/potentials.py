@@ -5,6 +5,7 @@ position variable."""
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,8 +124,13 @@ class QuadraticSpec:
             raise ConfigurationError("need one omega per quadratic coordinate")
         if len(fields) != self.n_E:
             raise ConfigurationError("need one field strength per Stark coordinate")
-        if any(w <= 0 for w in omegas):
-            raise ConfigurationError("omega_k must be > 0")
+        # below the least normal float, w * 2s rounds to 0 or to a few
+        # subnormal steps at the times a run takes, so g_k(2s) is 0 or coarse
+        if any(not w >= sys.float_info.min for w in omegas):
+            raise ConfigurationError(
+                f"omega_k must be > 0 and a normal float (at least {sys.float_info.min:.3g}), "
+                f"got {omegas!r}; an axis with no quadratic term is a free axis: leave it out "
+                "of n_minus and n_plus")
         if any(e == 0 for e in fields):
             raise ConfigurationError("E_k must be nonzero")
         n_free = self.dims - len(omegas) - len(fields)

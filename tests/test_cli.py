@@ -464,6 +464,15 @@ GATE = [
     pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
                  "{preset: gaussian-bump, args: {height: 1.0, width: 0}}",
                  "hamiltonian.perturbation.args", id="gaussian-bump-width"),
+    # V^2, which a Cook scan forms wherever it evaluates V, past the float
+    # range: at the box corner of the split-step route (V itself is 1.6e160
+    # there), and in a table
+    pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
+                 "{preset: power, args: {height: 1.0, exponent: -100.0}}",
+                 "hamiltonian.perturbation", id="cook-split-step-v2-overflow"),
+    pytest.param(COOK_SPLIT_CFG, REPULSIVE_LINE, REPULSIVE_LINE + "\n  perturbation: "
+                 "{table: [" + ", ".join(["1.0e+200"] * 256) + "]}",
+                 "hamiltonian.perturbation", id="cook-table-v2-overflow"),
 ]
 
 
@@ -508,6 +517,59 @@ def test_counts_at_their_ceiling_are_read(name, key, value):
     raw[key] = {**value, "count": MAX_SCHEDULE_COUNT + 1} if key == "schedule" else value + 1
     with pytest.raises(ConfigurationError, match="past the"):
         read_config(raw)
+
+
+def test_extreme_one_leaf_configs_are_refused_or_read_without_a_warning():
+    # every numeric leaf of every sample config, one at a time, set to each
+    # extreme value; .github/scripts/extreme_configs.py also runs each config
+    # that read_config reads, in a capped child process
+    read = refused = 0
+    for *_, raw in _script(".github/scripts", "extreme_configs").extreme_configs(CONFIG_DIR):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                read_config(raw)
+                read += 1
+            except ConfigurationError:
+                refused += 1
+    # the decisions of read_config on the whole matrix; a change that reads
+    # a config it refused, or refuses one it read, moves these counts
+    assert (refused, read) == (511, 193)
+
+
+# One-leaf extreme configs that read_config used to pass: presets whose V^2
+# overflows where a Cook scan forms it (a traceback), a negative tol that no
+# run can meet (exit 1), and subnormal omegas, whose g(2s) rounds to 0 at
+# early slice times (a traceback) or runs on coarse subnormal steps (exit 0).
+PASSED_EXTREMES = [
+    *[(name, ("hamiltonian", "perturbation", "args", arg), value, "hamiltonian.perturbation")
+      for name in ("cook_log_coupling", "cook_stark")
+      for arg, value in (("height", 1e300), ("height", -1e300), ("exponent", -1e300))],
+    ("wave_operator", ("hamiltonian", "perturbation", "args", "exponent"), -1e300,
+     "hamiltonian.perturbation"),
+    *[(name, ("tol",), -1e300, "tol") for name in (
+        "classical_kappa", "convergence", "cook_log_coupling", "cook_stark", "velocity_alpha1",
+        "velocity_alpha2")],
+    ("wave_operator", ("hamiltonian", "quadratic", "omegas", 0), 5e-324,
+     "hamiltonian.quadratic"),
+    ("propagate_mehler", ("hamiltonian", "quadratic", "omegas", 0), 1e-310,
+     "hamiltonian.quadratic"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, key", PASSED_EXTREMES, ids=[
+    f"{name}-{'.'.join(map(str, path))}={value}" for name, path, value, _ in PASSED_EXTREMES])
+def test_extreme_leaf_that_read_config_passed_exits_2(tmp_path, capsys, name, path, value,
+                                                      key):
+    configs = _script(".github/scripts", "extreme_configs").extreme_configs(CONFIG_DIR)
+    raw = next(raw for n, p, v, raw in configs if (n, p, v) == (name, path, value))
+    cfg = _write_config(str(tmp_path), name, raw)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("base, line, bad_line, key", GATE)
@@ -610,12 +672,13 @@ def test_experiment_config_with_a_seed_is_not_read_when_built(monkeypatch, name)
     assert reads == [] and cfg.seed == 7
 
 
-def _perfbench_module(name):
-    """perfbench/<name>.py, loaded by path (perfbench is not a package)."""
+def _script(directory, name):
+    """<directory>/<name>.py of the repository, loaded by path (perfbench and
+    .github/scripts are not packages)."""
     import importlib.util
 
-    path = os.path.join(os.path.dirname(CONFIG_DIR), "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    path = os.path.join(os.path.dirname(CONFIG_DIR), directory, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -624,7 +687,7 @@ def _perfbench_module(name):
 def test_every_benchmark_span_names_a_callable_of_repscat():
     import importlib
 
-    layers = _perfbench_module("layers")
+    layers = _script("perfbench", "layers")
     assert layers.SPANS
     for module, attr, _ in layers.SPANS:
         owner = importlib.import_module(f"repscat.{module}")
@@ -636,7 +699,7 @@ def test_every_benchmark_span_names_a_callable_of_repscat():
 def test_benchmark_probes_run_on_the_package(tmp_path):
     # the probes build DensitySnapshot from its five fields and call
     # mean_of(fn, cell_averaged=...) and strang_step(psi, cfg) directly
-    out = _perfbench_module("probes").run_probes(str(tmp_path))
+    out = _script("perfbench", "probes").run_probes(str(tmp_path))
     assert out
     for name, value in out.items():
         assert np.isfinite(value) and value > 0, name
